@@ -14,7 +14,9 @@ compare      joint FFH scatter and asymptotic overlay curves
 Each setting is taken from its command-line flag if the flag is given, else
 from the `--config` file, else from the command's default (`COMMON_DEFAULTS`
 and `COMMAND_DEFAULTS`): flag > file > default.  Config-file values are
-checked by the same types and choices as the flags.
+checked by the same types and choices as the flags, and the text-valued
+settings (depth, D and the lists) by their parsers in `SETTING_PARSERS`,
+before any computation.
 
 All numeric CSV payloads are written with 17 significant digits so reloaded
 values round-trip exactly.  Exit codes: 0 success, 2 configuration error,
@@ -126,6 +128,31 @@ def parse_float_list(text: str) -> list[float]:
 
 def parse_int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.replace(",", " ").split()]
+
+
+def parse_d_grid(text: str) -> np.ndarray:
+    """`min max count` as the rigidities np.linspace(min, max, count)."""
+    values = parse_float_list(text)
+    if len(values) != 3 or not values[2].is_integer() or values[2] < 1:
+        raise ValueError(f"expected 'min max count' with a positive integer count, got {text!r}")
+    return np.linspace(values[0], values[1], int(values[2]))
+
+
+#: Parsers of the settings given as text; `merge_config` checks every one
+#: present, and the commands read the parsed value through `setting`.
+SETTING_PARSERS = {
+    "h": parse_depth,
+    "D": parse_float_list,
+    "k_list": parse_float_list,
+    "K_list": parse_int_list,
+    "a1_list": parse_float_list,
+    "D_grid": parse_d_grid,
+}
+
+
+def setting(cfg: dict, key: str):
+    """Parsed value of the text-valued setting `key`."""
+    return SETTING_PARSERS[key](str(cfg[key]))
 
 
 def load_config_file(path: str) -> dict[str, str]:
@@ -243,19 +270,25 @@ def merge_config(args: argparse.Namespace) -> dict:
         merged[key] = value
     for key, value in {**COMMON_DEFAULTS, **COMMAND_DEFAULTS.get(args.command, {})}.items():
         merged.setdefault(key, value)
+    for key in SETTING_PARSERS.keys() & merged.keys():
+        try:
+            setting(merged, key)
+        except ValueError as exc:
+            raise ConfigError(f"bad value {merged[key]!r} for {key}: {exc}") from exc
+    if args.command == "collisions" and merged["mu_grid"] < 2:
+        raise ConfigError(f"mu-grid must be at least 2, got {merged['mu_grid']}")
     return merged
 
 
 def params_from(cfg: dict, d_value: float | None = None) -> PhysicalParams:
-    g = float(cfg["g"])
-    h = parse_depth(str(cfg["h"]))
-    if d_value is None:
-        d_list = parse_float_list(str(cfg["D"]))
-        if len(d_list) != 1:
-            raise ConfigError("this command needs exactly one value of D")
-        d_value = d_list[0]
     try:
-        return PhysicalParams(g=g, h=h, D=d_value)
+        h = setting(cfg, "h")
+        if d_value is None:
+            d_list = setting(cfg, "D")
+            if len(d_list) != 1:
+                raise ConfigError("this command needs exactly one value of D")
+            d_value = d_list[0]
+        return PhysicalParams(g=float(cfg["g"]), h=h, D=d_value)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -288,8 +321,8 @@ def out_dir(cfg: dict) -> Path:
 
 def cmd_dispersion(cfg: dict) -> None:
     out = out_dir(cfg)
-    ks = parse_float_list(str(cfg["k_list"]))
-    d_values = parse_float_list(str(cfg["D"]))
+    ks = setting(cfg, "k_list")
+    d_values = setting(cfg, "D")
     rows = []
     for d in d_values:
         params = params_from(cfg, d_value=d)
@@ -307,8 +340,7 @@ def cmd_dispersion(cfg: dict) -> None:
 def cmd_nls(cfg: dict) -> None:
     out = out_dir(cfg)
     if cfg.get("D_grid"):
-        lo, hi, count = parse_float_list(str(cfg["D_grid"]))
-        d_values = np.linspace(lo, hi, int(count))
+        d_values = setting(cfg, "D_grid")
     else:
         d_values = np.array(parse_float_list(str(cfg.get("D", "0 0.12 25"))))
     rows = []
@@ -333,7 +365,7 @@ def cmd_nls(cfg: dict) -> None:
 
 def cmd_resonance(cfg: dict) -> None:
     out = out_dir(cfg)
-    ks = parse_int_list(str(cfg["K_list"]))
+    ks = setting(cfg, "K_list")
     params = params_from(cfg, d_value=0.0)
     rows = []
     for k in ks:
@@ -444,7 +476,7 @@ def cmd_branch(cfg: dict) -> None:
 
 def _select_waves(branch: BifurcationBranch, cfg: dict) -> list[TravelingWave]:
     if cfg.get("a1_list"):
-        targets = parse_float_list(str(cfg["a1_list"]))
+        targets = setting(cfg, "a1_list")
         return [min(branch.points, key=lambda w: abs(w.a1 - t)) for t in targets]
     return [branch.points[-1]]
 
@@ -493,7 +525,12 @@ def cmd_compare(cfg: dict) -> None:
     mu_count = int(cfg["mu_count"])
     fl_modes = int(cfg["floquet_modes"]) if cfg.get("floquet_modes") else None
     convention = str(cfg["overlay_sign"])
-    for model in models_from(str(cfg["model"])):
+    models = models_from(str(cfg["model"]))
+    # the overlay coefficients can fail (finite depth, Wilton pole): find out
+    # before any branch or sweep work
+    params = params_from(cfg)
+    overlay_coeffs = {model: nls_coefficients(model, 1, params) for model in models}
+    for model in models:
         branch = _compute_branch(cfg, model, solver_cfg)
         save_branch(out, branch, cfg, solver_cfg)
         for idx, wave in enumerate(_select_waves(branch, cfg)):
@@ -504,8 +541,7 @@ def cmd_compare(cfg: dict) -> None:
                 ["mu", "re_lambda", "im_lambda"],
                 zip(mus, lams.real, lams.imag),
             )
-            coeffs = nls_coefficients(model, 1, branch.params)
-            curve = nls_overlay(coeffs, wave.a1 / 2.0, wave.c, mu_grid=mu_count, convention=convention)
+            curve = nls_overlay(overlay_coeffs[model], wave.a1 / 2.0, wave.c, mu_grid=mu_count, convention=convention)
             write_csv(
                 out / f"compare_nls_{model.value}_{idx}.csv",
                 ["re_lambda", "im_lambda"],

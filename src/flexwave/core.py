@@ -31,6 +31,9 @@ __all__ = [
     "profile_coefficients",
     "p_flex",
     "p_flex_grid",
+    "toland_frechet_coeffs",
+    "p_flex_derivative_grid",
+    "bernoulli_radicand",
     "qx_from_profile",
     "qx_on_grid",
 ]
@@ -162,13 +165,17 @@ def eval_profile(profile: SpectralProfile, m: int) -> GridFunction:
 
 
 def grid_derivative(values: GridFunction, order: int) -> GridFunction:
-    """Spectral derivative of grid samples: mode j multiplied by (i*j)^order."""
-    m = values.size
+    """Spectral derivative of grid samples: mode j multiplied by (i*j)^order.
+
+    Acts along the last axis, so a stack of grid functions is differentiated
+    row by row.
+    """
+    m = values.shape[-1]
     spec = np.fft.rfft(values)
     j = np.arange(m // 2 + 1)
     spec *= (1j * j) ** order
     if order % 2 == 1 and m % 2 == 0:
-        spec[-1] = 0.0  # Nyquist mode has no well-defined odd derivative
+        spec[..., -1] = 0.0  # Nyquist mode has no well-defined odd derivative
     return np.fft.irfft(spec, n=m)
 
 
@@ -211,6 +218,43 @@ def p_flex_grid(eta: GridFunction, model: IceModel) -> GridFunction:
     return bending + stretch
 
 
+def toland_frechet_coeffs(eta: GridFunction) -> tuple[GridFunction, GridFunction, GridFunction, GridFunction]:
+    """Grid coefficients (b2, b1, s2, s1) of the Toland pressure's Frechet
+    derivative at eta (Toland 2008, ARMA 189):
+
+        P'(eta)[v] = d^2/dx^2 [ b2 v_xx + b1 v_x ] + d/dx [ s2 v_xx + s1 v_x ],
+
+        b2 = R^(-5/2),               b1 = -5 eta_xx eta_x R^(-7/2),
+        s2 = 5 eta_xx eta_x R^(-7/2),
+        s1 = (5/2) (eta_xx^2 R^(-7/2) - 7 eta_xx^2 eta_x^2 R^(-9/2)),
+
+    with R = 1 + eta_x^2.  The single definition shared by the Newton
+    Jacobian and the Floquet operator.
+    """
+    ex = grid_derivative(eta, 1)
+    exx = grid_derivative(eta, 2)
+    r = 1.0 + ex**2
+    b2 = r ** (-2.5)
+    b1 = -5.0 * exx * ex * r ** (-3.5)
+    s2 = 5.0 * exx * ex * r ** (-3.5)
+    s1 = 2.5 * (exx**2 * r ** (-3.5) - 7.0 * exx**2 * ex**2 * r ** (-4.5))
+    return b2, b1, s2, s1
+
+
+def p_flex_derivative_grid(eta: GridFunction, v: np.ndarray, model: IceModel) -> np.ndarray:
+    """Directional derivative P_flex'(eta)[v] of the ice pressure on the grid.
+
+    ``v`` holds the grid samples of one direction, or a stack of directions
+    along its leading axes; the result has the shape of ``v``.
+    """
+    if model is IceModel.LINEAR_BIHARMONIC:
+        return grid_derivative(v, 4)
+    b2, b1, s2, s1 = toland_frechet_coeffs(eta)
+    vx = grid_derivative(v, 1)
+    vxx = grid_derivative(v, 2)
+    return grid_derivative(b2 * vxx + b1 * vx, 2) + grid_derivative(s2 * vxx + s1 * vx, 1)
+
+
 def p_flex(profile: SpectralProfile, model: IceModel, m: int) -> GridFunction:
     """Ice pressure of a cosine profile on the M-point grid."""
     if m < 4 * profile.n_modes:
@@ -218,21 +262,27 @@ def p_flex(profile: SpectralProfile, model: IceModel, m: int) -> GridFunction:
     return p_flex_grid(eval_profile(profile, m), model)
 
 
-def qx_on_grid(eta: GridFunction, c: float, params: PhysicalParams, model: IceModel) -> GridFunction:
-    """q_x = c - sqrt((1+eta_x^2)(c^2 - 2 g eta - 2 D P_flex)) on the grid.
+def bernoulli_radicand(eta: GridFunction, c: float, params: PhysicalParams, model: IceModel) -> GridFunction:
+    """Bernoulli radicand c^2 - 2 g eta - 2 D P_flex on the grid, checked.
 
     A vanishing radicand is tolerated only where it is identically zero
-    (flat water at rest); any negative value puts the wave outside the
-    admissible set.
+    (flat water at rest); a negative value anywhere, or a zero somewhere but
+    not everywhere, puts the wave outside the admissible set and raises
+    :class:`NonpositiveRadicand`.
     """
-    ex = grid_derivative(eta, 1)
     radicand = c**2 - 2.0 * params.g * eta - 2.0 * params.D * p_flex_grid(eta, model)
     low = radicand.min()
     if low < 0.0 or (low == 0.0 and radicand.max() > 0.0):
         raise NonpositiveRadicand(
             f"c^2 - 2 g eta - 2 D P_flex reaches {low:.3e} (c={c:.6g})"
         )
-    return c - np.sqrt((1.0 + ex**2) * radicand)
+    return radicand
+
+
+def qx_on_grid(eta: GridFunction, c: float, params: PhysicalParams, model: IceModel) -> GridFunction:
+    """q_x = c - sqrt((1+eta_x^2)(c^2 - 2 g eta - 2 D P_flex)) on the grid."""
+    ex = grid_derivative(eta, 1)
+    return c - np.sqrt((1.0 + ex**2) * bernoulli_radicand(eta, c, params, model))
 
 
 def qx_from_profile(wave: TravelingWave, m: int) -> GridFunction:

@@ -10,6 +10,10 @@ is the cos(m x) projection of
 computed by trapezoidal quadrature on the oversampled collocation grid; in
 infinite depth the kernel is exp(m eta).  The depth dependence is kept in the
 bounded tanh form so large m*h never overflows.
+
+Newton's method uses the exact Jacobian of this discrete residual: the
+derivatives of the weight and of the kernel are evaluated on the grid for all
+unknowns at once and projected with two matrix products.
 """
 
 from __future__ import annotations
@@ -27,11 +31,12 @@ from .core import (
     PhysicalParams,
     SpectralProfile,
     TravelingWave,
+    bernoulli_radicand,
     default_grid_size,
     eval_profile,
     grid_derivative,
     grid_points,
-    p_flex_grid,
+    p_flex_derivative_grid,
 )
 
 __all__ = [
@@ -43,6 +48,7 @@ __all__ = [
     "Direction",
     "bifurcation_speed",
     "residual",
+    "jacobian",
     "residual_sine_projections",
     "newton_solve",
     "continue_branch",
@@ -55,7 +61,7 @@ class NoConvergence(RuntimeError):
 
 
 class SingularJacobian(RuntimeError):
-    """The finite-difference Jacobian could not be inverted."""
+    """The Newton Jacobian is singular or undefined at the iterate."""
 
 
 class StepUnderflow(RuntimeError):
@@ -76,7 +82,6 @@ class SolverConfig:
 
     residual_tol: float = 1e-10
     max_newton_iters: int = 50
-    jacobian_step: float = 1e-7
     tail_threshold: float = 1e-12
     amplitude_step: float = 1e-3
     grid_oversample: int = 4
@@ -84,7 +89,7 @@ class SolverConfig:
     max_modes: int = 512
 
     def __post_init__(self):
-        for name in ("residual_tol", "jacobian_step", "tail_threshold", "amplitude_step"):
+        for name in ("residual_tol", "tail_threshold", "amplitude_step"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.grid_oversample < 4:
@@ -135,27 +140,35 @@ def _sin_table(n: int, m: int) -> np.ndarray:
     return np.sin(np.outer(np.arange(1, n + 1), x))
 
 
-def _integrand(z, a1, params, model, config):
-    """Common factor W(x) * K_m(x) of every residual projection, as an (N, M) array."""
-    n = z.size
+def _surface(z, a1, params, model, config):
+    """Grid size M and the samples of eta, eta_x, the radicand R and the
+    weight W = sqrt((1+eta_x^2) R) at the unknowns z."""
     coeffs = np.concatenate(([a1], z[1:]))
-    c = z[0]
-    m_grid = default_grid_size(n, config.grid_oversample)
+    m_grid = default_grid_size(z.size, config.grid_oversample)
     eta = eval_profile(SpectralProfile(coeffs), m_grid)
     ex = grid_derivative(eta, 1)
-    radicand = c**2 - 2.0 * params.g * eta - 2.0 * params.D * p_flex_grid(eta, model)
-    if radicand.min() <= 0.0:
-        raise NonpositiveRadicand(
-            f"radicand reaches {radicand.min():.3e} at a1={a1:.3e}, c={c:.6g}"
-        )
-    weight = np.sqrt((1.0 + ex**2) * radicand)
-    modes = np.arange(1, n + 1)
-    marg = np.outer(modes, eta)
-    if params.infinite_depth:
+    radicand = bernoulli_radicand(eta, z[0], params, model)
+    return m_grid, eta, ex, radicand, np.sqrt((1.0 + ex**2) * radicand)
+
+
+def _kernels(eta, n, h):
+    """K_m(eta) and K'_m = dK_m/d(m eta) for m = 1..n, as (n, M) arrays.
+
+    K'_m = cosh(m eta) + sinh(m eta) tanh(m h); in deep water both are exp(m eta).
+    """
+    marg = np.outer(np.arange(1, n + 1), eta)
+    if math.isinf(h):
         kernel = np.exp(marg)
-    else:
-        kernel = np.sinh(marg) + np.cosh(marg) * np.tanh(modes * params.h)[:, None]
-    return weight[None, :] * kernel, m_grid
+        return kernel, kernel
+    sh, ch = np.sinh(marg), np.cosh(marg)
+    th = np.tanh(np.arange(1, n + 1) * h)[:, None]
+    return sh + ch * th, ch + sh * th
+
+
+def _integrand(z, a1, params, model, config):
+    """Common factor W(x) * K_m(x) of every residual projection, as an (N, M) array."""
+    m_grid, eta, _, _, weight = _surface(z, a1, params, model, config)
+    return weight[None, :] * _kernels(eta, z.size, params.h)[0], m_grid
 
 
 def residual(z: np.ndarray, a1: float, params: PhysicalParams, model: IceModel,
@@ -169,6 +182,39 @@ def residual(z: np.ndarray, a1: float, params: PhysicalParams, model: IceModel,
     wk, m_grid = _integrand(z, a1, params, model, config)
     cos_mx = _cos_table(z.size, m_grid)
     return (2.0 * np.pi / m_grid) * np.einsum("ni,ni->n", cos_mx, wk)
+
+
+def jacobian(z: np.ndarray, a1: float, params: PhysicalParams, model: IceModel,
+             config: SolverConfig) -> np.ndarray:
+    """Exact Jacobian dF_m/dz_j of :func:`residual`, as an (N, N) array.
+
+    With S = 1+eta_x^2, R the radicand and W = sqrt(S R), column 0 (the
+    speed) uses dW/dc = S c / W.  Column j >= 1 perturbs eta by v = cos((j+1) x):
+
+        dR = -2 g v - 2 D P_flex'(eta)[v],
+        dW = (2 eta_x v_x R + S dR) / (2 W),
+        dF_m = (2 pi/M) sum_x cos(m x) [dW K_m + W m v K'_m].
+
+    Raises :class:`SingularJacobian` where W vanishes (flat water at rest),
+    since W is not differentiable there.
+    """
+    z = np.asarray(z, dtype=float)
+    n = z.size
+    m_grid, eta, ex, radicand, weight = _surface(z, a1, params, model, config)
+    if weight.min() <= 0.0:
+        raise SingularJacobian(f"the weight W vanishes at a1={a1:.3e}, c={z[0]:.6g}")
+    s = 1.0 + ex**2
+    cos_mx = _cos_table(n, m_grid)
+    v = cos_mx[1:]
+    v_x = -np.arange(2, n + 1)[:, None] * _sin_table(n, m_grid)[1:]
+    d_rad = -2.0 * params.g * v - 2.0 * params.D * p_flex_derivative_grid(eta, v, model)
+    d_weight = np.empty((n, m_grid))
+    d_weight[0] = s * z[0] / weight
+    d_weight[1:] = (2.0 * ex * v_x * radicand + s * d_rad) / (2.0 * weight)
+    kernel, kernel_slope = _kernels(eta, n, params.h)
+    jac = (cos_mx * kernel) @ d_weight.T
+    jac[:, 1:] += (np.arange(1, n + 1)[:, None] * cos_mx * weight * kernel_slope) @ v.T
+    return (2.0 * np.pi / m_grid) * jac
 
 
 def residual_sine_projections(z: np.ndarray, a1: float, params: PhysicalParams,
@@ -185,25 +231,20 @@ def residual_sine_projections(z: np.ndarray, a1: float, params: PhysicalParams,
 
 def newton_solve(z0: np.ndarray, a1: float, params: PhysicalParams, model: IceModel,
                  config: SolverConfig | None = None) -> TravelingWave:
-    """Solve F(z) = 0 by Newton's method with a forward-difference Jacobian.
+    """Solve F(z) = 0 by Newton's method with the exact :func:`jacobian`.
 
     Returns the converged wave; raises :class:`NoConvergence` after
-    ``max_newton_iters``, :class:`SingularJacobian` if the linear solve
-    fails, or propagates :class:`NonpositiveRadicand` from a bad iterate.
+    ``max_newton_iters``, :class:`SingularJacobian` if the Jacobian is
+    undefined or the linear solve fails, or propagates
+    :class:`NonpositiveRadicand` from a bad iterate.
     """
     config = config or SolverConfig()
     z = np.asarray(z0, dtype=float).copy()
-    n = z.size
     f = residual(z, a1, params, model, config)
     for _ in range(config.max_newton_iters):
         if np.max(np.abs(f)) <= config.residual_tol:
             break
-        jac = np.empty((n, n))
-        step = config.jacobian_step
-        for j in range(n):
-            zj = z.copy()
-            zj[j] += step
-            jac[:, j] = (residual(zj, a1, params, model, config) - f) / step
+        jac = jacobian(z, a1, params, model, config)
         try:
             dz = np.linalg.solve(jac, f)
         except np.linalg.LinAlgError as exc:

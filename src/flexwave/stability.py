@@ -51,6 +51,7 @@ from .core import (
     eval_profile,
     grid_derivative,
     qx_on_grid,
+    toland_frechet_coeffs,
 )
 from .theory import NlsCoefficients, growth_rate
 
@@ -159,14 +160,12 @@ def linearized_flex(base: TravelingWave, model: IceModel, mu: float, n_modes: in
     modes e^{i(mu+n)x}, n = -N..N.
 
     For the linear model G is the constant-coefficient operator D_x^4.  For
-    the Toland model the directional derivative of the pressure is
+    the Toland model it is
 
-        D_x^2 [ v_xx R^(-5/2) - 5 eta_xx eta_x v_x R^(-7/2) ]
-        + (5/2) D_x [ 2 eta_xx eta_x v_xx R^(-7/2)
-                      + (eta_xx^2 R^(-7/2) - 7 eta_xx^2 eta_x^2 R^(-9/2)) v_x ],
+        D_x^2 [ b2 v_xx + b1 v_x ] + D_x [ s2 v_xx + s1 v_x ],
 
-    R = 1 + eta_x^2, assembled from FFT coefficients of the eta0-dependent
-    factors sampled on the grid.
+    with the coefficients of :func:`core.toland_frechet_coeffs`, assembled
+    from their FFT coefficients on the grid.
     """
     s = mu + _mode_numbers(n_modes)
     d1 = np.diag(1j * s)
@@ -174,15 +173,9 @@ def linearized_flex(base: TravelingWave, model: IceModel, mu: float, n_modes: in
         return np.diag((1j * s) ** 4)
     m_grid = _grid_for(base, n_modes)
     eta = eval_profile(base.profile, m_grid)
-    ex = grid_derivative(eta, 1)
-    exx = grid_derivative(eta, 2)
-    r = 1.0 + ex**2
-    c_bend = _toeplitz(r ** (-2.5), n_modes)
-    c_bend_x = _toeplitz(-5.0 * exx * ex * r ** (-3.5), n_modes)
-    c_str = _toeplitz(5.0 * exx * ex * r ** (-3.5), n_modes)
-    c_str_x = _toeplitz(2.5 * (exx**2 * r ** (-3.5) - 7.0 * exx**2 * ex**2 * r ** (-4.5)), n_modes)
+    b2, b1, s2, s1 = (_toeplitz(coeff, n_modes) for coeff in toland_frechet_coeffs(eta))
     d2 = d1 @ d1
-    return d2 @ (c_bend @ d2 + c_bend_x @ d1) + d1 @ (c_str @ d2 + c_str_x @ d1)
+    return d2 @ (b2 @ d2 + b1 @ d1) + d1 @ (s2 @ d2 + s1 @ d1)
 
 
 def assemble_matrices(base: TravelingWave, mu: float, n_modes: int | None = None) -> tuple[np.ndarray, np.ndarray]:

@@ -187,6 +187,33 @@ class TestConfigHandling:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()  # rejected before any branch or spectrum
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["collisions", "--h", "abc"],
+            ["branch", "--D", "x"],
+            ["resonance", "--K-list", "a"],
+            ["dispersion", "--k-list", "1 two"],
+            ["stability", "--a1-list", "0.01 z"],
+            ["nls", "--D-grid", "0 0.12"],
+            ["collisions", "--mu-grid", "1"],
+        ],
+        ids=["h", "D", "K-list", "k-list", "a1-list", "D-grid", "mu-grid"],
+    )
+    def test_bad_setting_is_a_config_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert main(argv + ["--model", "linear", "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()  # rejected before any computation
+
+    def test_bad_setting_in_config_file_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("h = deep\n")
+        out = tmp_path / "out"
+        assert main(["collisions", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_config_is_a_config_error(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("this line has no equals sign\n")
@@ -202,6 +229,19 @@ class TestConfigHandling:
 
 
 class TestFailurePaths:
+    def test_compare_checks_overlay_before_any_work(self, tmp_path):
+        # the NLS overlay exists only in infinite depth: compare must fail
+        # before it computes a branch or a sweep
+        rc = main(
+            ["compare", "--h", "1", "--D", "0.01", "--model", "both", "--a1-max", "0.004",
+             "--modes", "12", "--a1-step", "0.002", "--mu-count", "41", "--out", str(tmp_path)]
+        )
+        assert rc == 3
+        record = json.loads((tmp_path / "error.json").read_text())
+        assert record["error"] == "FiniteDepthUnsupported"
+        assert not list(tmp_path.glob("compare_ffh_*"))
+        assert not list(tmp_path.glob("branch_*"))
+
     def test_numerical_failure_persists_partials_and_error_record(self, tmp_path):
         # shallow water cannot reach a1 = 0.1; the run must fail with exit 3
         # but keep the partial branch and write a machine-readable record

@@ -183,6 +183,15 @@ def test_grid_derivative_nyquist_handling():
     assert np.all(np.isfinite(out))
 
 
+def test_grid_derivative_acts_along_last_axis():
+    x = grid_points(32)
+    rows = np.array([np.cos(x), np.sin(3 * x) + np.cos(2 * x)])
+    for order in (1, 2, 4):
+        stacked = grid_derivative(rows, order)
+        for row, out in zip(rows, stacked):
+            assert_allclose(out, grid_derivative(row, order), rtol=0, atol=1e-12)
+
+
 def test_profile_is_immutable():
     prof = cosine(0.1, 0.2)
     with pytest.raises(ValueError):

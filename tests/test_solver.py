@@ -6,14 +6,24 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from flexwave.core import INFINITE_DEPTH, IceModel, NonpositiveRadicand, PhysicalParams
+from flexwave.core import (
+    INFINITE_DEPTH,
+    IceModel,
+    NonpositiveRadicand,
+    PhysicalParams,
+    SpectralProfile,
+    eval_profile,
+    qx_on_grid,
+)
 from flexwave.solver import (
     Direction,
+    SingularJacobian,
     SolverConfig,
     StepUnderflow,
     bifurcation_speed,
     branch_direction,
     continue_branch,
+    jacobian,
     newton_solve,
     residual,
     residual_sine_projections,
@@ -63,6 +73,102 @@ class TestResidual:
         z = np.concatenate(([w.c], w.profile.coeffs[1:]))
         sines = residual_sine_projections(z, w.a1, w.params, w.model, cfg)
         assert np.max(np.abs(sines)) < 1e-12
+
+
+class TestRadicandRule:
+    """The residual and q_x share one admissibility rule for the radicand."""
+
+    @pytest.mark.parametrize(
+        "a1, c",
+        [
+            (0.5, 0.1),  # negative where eta is high
+            (0.125, 0.5),  # c^2 - 2 eta is exactly zero at x = 0, positive elsewhere
+        ],
+    )
+    def test_both_layers_reject_the_same_profile(self, a1, c):
+        cfg = SolverConfig(n_modes=8)
+        z = np.zeros(8)
+        z[0] = c
+        eta = eval_profile(SpectralProfile(np.concatenate(([a1], z[1:]))), 64)
+        with pytest.raises(NonpositiveRadicand):
+            residual(z, a1, deep(0.0), LIN, cfg)
+        with pytest.raises(NonpositiveRadicand):
+            qx_on_grid(eta, c, deep(0.0), LIN)
+
+    def test_both_layers_accept_water_at_rest(self):
+        cfg = SolverConfig(n_modes=8)
+        z = np.zeros(8)
+        assert np.all(residual(z, 0.0, deep(0.1), NL, cfg) == 0.0)
+        assert np.all(qx_on_grid(np.zeros(64), 0.0, deep(0.1), NL) == 0.0)
+        # F = 0 already, so Newton returns without needing the Jacobian
+        assert newton_solve(z, 0.0, deep(0.1), NL, cfg).c == 0.0
+        with pytest.raises(SingularJacobian):
+            jacobian(z, 0.0, deep(0.1), NL, cfg)
+
+
+def _central_difference_jacobian(z, a1, params, model, cfg, step=1e-8):
+    jac = np.empty((z.size, z.size))
+    for j in range(z.size):
+        dz = np.zeros(z.size)
+        dz[j] = step
+        jac[:, j] = (residual(z + dz, a1, params, model, cfg) - residual(z - dz, a1, params, model, cfg)) / (2 * step)
+    return jac
+
+
+def _forward_difference_newton(z, a1, params, model, cfg, step=1e-7):
+    """Reference Newton iteration with a forward-difference Jacobian."""
+    z = z.copy()
+    f = residual(z, a1, params, model, cfg)
+    for _ in range(cfg.max_newton_iters):
+        if np.max(np.abs(f)) <= cfg.residual_tol:
+            break
+        jac = np.empty((z.size, z.size))
+        for j in range(z.size):
+            zj = z.copy()
+            zj[j] += step
+            jac[:, j] = (residual(zj, a1, params, model, cfg) - f) / step
+        z = z - np.linalg.solve(jac, f)
+        f = residual(z, a1, params, model, cfg)
+    assert np.max(np.abs(f)) <= cfg.residual_tol
+    return z
+
+
+class TestJacobian:
+    @pytest.mark.parametrize("model", [LIN, NL])
+    @pytest.mark.parametrize("h", [INFINITE_DEPTH, 1.0])
+    def test_matches_central_differences(self, model, h):
+        params = PhysicalParams(h=h, D=0.01)
+        cfg = SolverConfig(n_modes=32, amplitude_step=0.01)
+        wave = continue_branch(params, model, 0.05, cfg).points[-1]
+        assert wave.profile.n_modes == 32
+        z = np.concatenate(([wave.c], wave.profile.coeffs[1:]))
+        exact = jacobian(z, wave.a1, params, model, cfg)
+        fd = _central_difference_jacobian(z, wave.a1, params, model, cfg)
+        assert np.max(np.abs(exact - fd)) / np.max(np.abs(fd)) <= 1e-6
+
+    def test_off_the_branch(self):
+        # an iterate away from any solution, with a mode-2 component of the
+        # wrong sign and a speed far from the bifurcation speed
+        params = PhysicalParams(h=0.7, D=0.2)
+        cfg = SolverConfig(n_modes=12)
+        z = np.zeros(12)
+        z[:4] = [1.4, -0.01, 0.003, 0.001]
+        exact = jacobian(z, 0.04, params, NL, cfg)
+        fd = _central_difference_jacobian(z, 0.04, params, NL, cfg)
+        assert np.max(np.abs(exact - fd)) / np.max(np.abs(fd)) <= 1e-6
+
+    @pytest.mark.parametrize("model", [LIN, NL])
+    @pytest.mark.parametrize("h", [INFINITE_DEPTH, 1.0])
+    def test_branch_matches_forward_difference_newton(self, model, h):
+        params = PhysicalParams(h=h, D=0.01)
+        cfg = SolverConfig(n_modes=16, amplitude_step=2e-3)
+        branch = continue_branch(params, model, 0.01, cfg)
+        z = np.zeros(16)
+        z[0] = bifurcation_speed(params)
+        for wave in branch.points:
+            z = _forward_difference_newton(z, wave.a1, params, model, cfg)
+            assert abs(z[0] - wave.c) <= 1e-12
+            assert np.max(np.abs(z[1:] - wave.profile.coeffs[1:])) <= 1e-12
 
 
 class TestNewton:

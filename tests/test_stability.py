@@ -14,6 +14,7 @@ from flexwave.core import (
     TravelingWave,
     eval_profile,
     grid_points,
+    p_flex_derivative_grid,
     p_flex_grid,
 )
 from flexwave.solver import SolverConfig, bifurcation_speed, continue_branch
@@ -97,6 +98,23 @@ class TestLinearizedFlex:
             ]
             scale = np.max(np.abs(fd_hat))
             assert np.max(np.abs(w_modes - fd_hat)) / scale < 1e-5
+
+
+    @pytest.mark.parametrize("j", [1, 3, 7])
+    def test_grid_derivative_matches_floquet_operator(self, j):
+        # the Newton Jacobian applies P'(eta) on the grid; at mu = 0 the
+        # Floquet operator must act the same way on cos(j x)
+        prof = SpectralProfile(np.array([0.1, 0.03, -0.01, 0.002]))
+        base = TravelingWave(profile=prof, c=1.0, params=PhysicalParams(D=0.3), model=NL)
+        n_modes = 16
+        g_mat = linearized_flex(base, NL, 0.0, n_modes)
+        m_grid = 64  # the grid linearized_flex uses for this profile
+        x = grid_points(m_grid)
+        on_grid = p_flex_derivative_grid(eval_profile(prof, m_grid), np.cos(j * x), NL)
+        grid_modes = (np.fft.fft(on_grid) / m_grid)[modes(n_modes) % m_grid]
+        cos_modes = 0.5 * (np.abs(modes(n_modes)) == j)
+        floquet_modes = g_mat @ cos_modes
+        assert np.max(np.abs(grid_modes - floquet_modes)) <= 1e-10 * np.max(np.abs(floquet_modes))
 
 
 class TestFlatOracle:
