@@ -10,9 +10,6 @@ from .core import (
     SpectralProfile,
     TravelingWave,
     eval_profile,
-    p_flex,
-    qx_from_profile,
-    spectral_derivative,
 )
 from .solver import (
     BifurcationBranch,

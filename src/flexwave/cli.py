@@ -52,10 +52,11 @@ from .solver import (
 from .stability import EigSolverFailure, classify, nls_overlay, sweep_floquet
 from .theory import (
     FiniteDepthUnsupported,
+    NlsCoefficients,
     NoPositiveRoot,
     WiltonPole,
     c_nls,
-    dispersion,
+    dispersion_derivatives,
     find_collisions,
     nls_coefficients,
     resonant_rigidity,
@@ -71,6 +72,9 @@ NUMERICAL_ERRORS = (
     FiniteDepthUnsupported,
     NoPositiveRoot,
 )
+
+
+__all__ = ["ConfigError", "build_parser", "merge_config", "load_branch", "save_branch", "write_csv", "main"]
 
 
 class ConfigError(ValueError):
@@ -184,14 +188,6 @@ def models_from(name: str) -> list[IceModel]:
     return table[name]
 
 
-def worker_count() -> int:
-    raw = os.environ.get("FLEXWAVE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _add_flags(p: argparse.ArgumentParser, command: str) -> None:
     """Flags of one command.  Every default is None, so `merge_config` can
     tell a flag that was given from one that was not."""
@@ -217,7 +213,8 @@ def _add_flags(p: argparse.ArgumentParser, command: str) -> None:
         p.add_argument("--m-range", type=int, default=None, help="largest Fourier mode |m| (default 10)")
         p.add_argument("--mu-grid", type=int, default=None, help="mu samples in the search (default 2001)")
     if command == "branch":
-        p.add_argument("--resume", type=str, default=None, help="prior branch CSV to continue from")
+        p.add_argument("--resume", type=str, default=None,
+                       help="prior branch CSV to continue from; its sidecar sets the model, g, h and D")
     if command == "stability":
         p.add_argument("--a1-list", type=str, default=None, help="branch amplitudes to analyze")
         p.add_argument("--floquet-modes", type=int, default=None)
@@ -327,12 +324,7 @@ def cmd_dispersion(cfg: dict) -> None:
     for d in d_values:
         params = params_from(cfg, d_value=d)
         for k in ks:
-            omega = dispersion(k, params)
-            # derivatives by central differences; valid at any depth
-            dk = 1e-5 * max(1.0, abs(k))
-            wp = (dispersion(k + dk, params) - dispersion(k - dk, params)) / (2 * dk)
-            wpp = (dispersion(k + dk, params) - 2 * omega + dispersion(k - dk, params)) / dk**2
-            rows.append((k, d, omega, wp, wpp))
+            rows.append((k, d, *dispersion_derivatives(k, params)))
     write_csv(out / "dispersion.csv", ["k", "D", "omega", "omega_p", "omega_pp"], rows)
     write_sidecar(out / "dispersion.meta.json", cfg)
 
@@ -386,13 +378,8 @@ def cmd_collisions(cfg: dict) -> None:
     write_sidecar(out / "collisions.meta.json", cfg, {"c": c, "count": len(records)})
 
 
-def branch_file_names(model: IceModel) -> tuple[str, str, str]:
-    tag = model.value
-    return f"branch_{tag}.csv", f"branch_{tag}.meta.json", f"branch_nls_{tag}.csv"
-
-
 def save_branch(out: Path, branch: BifurcationBranch, cfg: dict, solver_cfg: SolverConfig) -> None:
-    csv_name, meta_name, nls_name = branch_file_names(branch.model)
+    tag = branch.model.value
     n_max = max((w.profile.n_modes for w in branch.points), default=0)
     header = ["c"] + [f"a{j}" for j in range(1, n_max + 1)]
     rows = []
@@ -407,7 +394,7 @@ def save_branch(out: Path, branch: BifurcationBranch, cfg: dict, solver_cfg: Sol
             {"a1": wave.a1, "c": wave.c, "n_modes": wave.profile.n_modes,
              "residual_inf": float(np.max(np.abs(res)))}
         )
-    write_csv(out / csv_name, header, rows)
+    write_csv(out / f"branch_{tag}.csv", header, rows)
     extra = {
         "params": {"g": branch.params.g, "h": branch.params.h, "D": branch.params.D},
         "model": branch.model.value,
@@ -416,13 +403,13 @@ def save_branch(out: Path, branch: BifurcationBranch, cfg: dict, solver_cfg: Sol
     }
     if len(branch.points) >= 3:
         extra["direction"] = branch_direction(branch).value
-    write_sidecar(out / meta_name, cfg, extra)
+    write_sidecar(out / f"branch_{tag}.meta.json", cfg, extra)
 
     if branch.params.infinite_depth:
         try:
             coeffs = nls_coefficients(branch.model, 1, branch.params)
             nls_rows = [(wave.a1, c_nls(wave.a1 / 2.0, coeffs, branch.params)) for wave in branch.points]
-            write_csv(out / nls_name, ["a1", "c_nls"], nls_rows)
+            write_csv(out / f"branch_nls_{tag}.csv", ["a1", "c_nls"], nls_rows)
         except WiltonPole:
             pass
 
@@ -450,22 +437,36 @@ def load_branch(csv_path: str | Path) -> BifurcationBranch:
     return BifurcationBranch(params=params, model=model, points=points)
 
 
+def _branch_models(cfg: dict) -> list[IceModel]:
+    """The models `--model` selects; with `resume`, only the prior branch's
+    model, which `--model` must include."""
+    models = models_from(str(cfg["model"]))
+    if not cfg.get("resume"):
+        return models
+    try:
+        prior = load_branch(cfg["resume"]).model
+    except (OSError, KeyError, ValueError) as exc:
+        raise ConfigError(f"cannot resume from {cfg['resume']}: {exc}") from exc
+    if prior not in models:
+        raise ConfigError(f"--model {cfg['model']} does not include the {prior.value} model of {cfg['resume']}")
+    return [prior]
+
+
 def _compute_branch(cfg: dict, model: IceModel, solver_cfg: SolverConfig) -> BifurcationBranch:
-    params = params_from(cfg)
     a1_max = float(cfg["a1_max"])
-    resume = cfg.get("resume")
-    if resume:
-        prior = load_branch(resume)
-        branch = continue_branch(prior.params, prior.model, a1_max, solver_cfg, start=prior.points[-1])
-        branch.points = list(prior.points) + branch.points
-        return branch
-    return continue_branch(params, model, a1_max, solver_cfg)
+    if not cfg.get("resume"):
+        return continue_branch(params_from(cfg), model, a1_max, solver_cfg)
+    prior = load_branch(cfg["resume"])
+    branch = continue_branch(prior.params, prior.model, a1_max, solver_cfg, start=prior.points[-1])
+    branch.points = list(prior.points) + branch.points
+    return branch
 
 
 def cmd_branch(cfg: dict) -> None:
+    models = _branch_models(cfg)
     out = out_dir(cfg)
     solver_cfg = solver_config_from(cfg)
-    for model in models_from(str(cfg["model"])):
+    for model in models:
         try:
             branch = _compute_branch(cfg, model, solver_cfg)
         except StepUnderflow as exc:
@@ -481,20 +482,25 @@ def _select_waves(branch: BifurcationBranch, cfg: dict) -> list[TravelingWave]:
     return [branch.points[-1]]
 
 
-def cmd_stability(cfg: dict) -> None:
+def _floquet_runs(cfg: dict, overlay: dict[IceModel, NlsCoefficients] | None) -> None:
+    """Per model: compute and save the branch, sweep each selected wave once,
+    write its spectrum and classify it.  Given the NLS coefficients of each
+    model, also write each wave's overlay curve, under `compare`'s file names."""
+    models = _branch_models(cfg)
     out = out_dir(cfg)
     solver_cfg = solver_config_from(cfg)
     mu_count = int(cfg["mu_count"])
-    fl_modes = int(cfg["floquet_modes"]) if cfg.get("floquet_modes") else None
-    for model in models_from(str(cfg["model"])):
+    spectrum_tag, meta_tag = ("spectrum", "stability") if overlay is None else ("compare_ffh", "compare")
+    extra = {} if overlay is None else {"overlay_sign": cfg["overlay_sign"]}
+    for model in models:
         branch = _compute_branch(cfg, model, solver_cfg)
         save_branch(out, branch, cfg, solver_cfg)
         reports = []
         for idx, wave in enumerate(_select_waves(branch, cfg)):
-            spectrum = sweep_floquet(wave, mu_count, n_modes=fl_modes, workers=worker_count())
+            spectrum = sweep_floquet(wave, mu_count, n_modes=cfg.get("floquet_modes") or None)
             mus, lams = spectrum.flattened()
             write_csv(
-                out / f"spectrum_{model.value}_{idx}.csv",
+                out / f"{spectrum_tag}_{model.value}_{idx}.csv",
                 ["mu", "re_lambda", "im_lambda"],
                 zip(mus, lams.real, lams.imag),
             )
@@ -516,38 +522,22 @@ def cmd_stability(cfg: dict) -> None:
                     "failed_mu": [mu for mu, _ in spectrum.failures],
                 }
             )
-        write_sidecar(out / f"stability_{model.value}.meta.json", cfg, {"reports": reports})
+            if overlay is not None:
+                curve = nls_overlay(
+                    overlay[model], wave.a1 / 2.0, wave.c, mu_grid=mu_count, convention=cfg["overlay_sign"]
+                )
+                write_csv(out / f"compare_nls_{model.value}_{idx}.csv", ["re_lambda", "im_lambda"], curve)
+        write_sidecar(out / f"{meta_tag}_{model.value}.meta.json", cfg, {**extra, "reports": reports})
+
+
+def cmd_stability(cfg: dict) -> None:
+    _floquet_runs(cfg, overlay=None)
 
 
 def cmd_compare(cfg: dict) -> None:
-    out = out_dir(cfg)
-    solver_cfg = solver_config_from(cfg)
-    mu_count = int(cfg["mu_count"])
-    fl_modes = int(cfg["floquet_modes"]) if cfg.get("floquet_modes") else None
-    convention = str(cfg["overlay_sign"])
-    models = models_from(str(cfg["model"]))
-    # the overlay coefficients can fail (finite depth, Wilton pole): find out
-    # before any branch or sweep work
+    # the overlay can fail (finite depth, Wilton pole): find out before any branch or sweep
     params = params_from(cfg)
-    overlay_coeffs = {model: nls_coefficients(model, 1, params) for model in models}
-    for model in models:
-        branch = _compute_branch(cfg, model, solver_cfg)
-        save_branch(out, branch, cfg, solver_cfg)
-        for idx, wave in enumerate(_select_waves(branch, cfg)):
-            spectrum = sweep_floquet(wave, mu_count, n_modes=fl_modes, workers=worker_count())
-            mus, lams = spectrum.flattened()
-            write_csv(
-                out / f"compare_ffh_{model.value}_{idx}.csv",
-                ["mu", "re_lambda", "im_lambda"],
-                zip(mus, lams.real, lams.imag),
-            )
-            curve = nls_overlay(overlay_coeffs[model], wave.a1 / 2.0, wave.c, mu_grid=mu_count, convention=convention)
-            write_csv(
-                out / f"compare_nls_{model.value}_{idx}.csv",
-                ["re_lambda", "im_lambda"],
-                curve,
-            )
-        write_sidecar(out / f"compare_{model.value}.meta.json", cfg, {"overlay_sign": convention})
+    _floquet_runs(cfg, overlay={model: nls_coefficients(model, 1, params) for model in _branch_models(cfg)})
 
 
 COMMANDS = {

@@ -9,7 +9,7 @@ derivatives taken in Fourier space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -26,15 +26,12 @@ __all__ = [
     "default_grid_size",
     "depth_factor",
     "eval_profile",
-    "spectral_derivative",
     "grid_derivative",
     "profile_coefficients",
-    "p_flex",
     "p_flex_grid",
     "toland_frechet_coeffs",
     "p_flex_derivative_grid",
     "bernoulli_radicand",
-    "qx_from_profile",
     "qx_on_grid",
 ]
 
@@ -179,17 +176,6 @@ def grid_derivative(values: GridFunction, order: int) -> GridFunction:
     return np.fft.irfft(spec, n=m)
 
 
-def spectral_derivative(profile: SpectralProfile, order: int, m: int) -> GridFunction:
-    """Samples of d^n eta/dx^n via Fourier multipliers (i*j)^n.
-
-    Orders up to 5 are supported; nothing higher is needed by the steady
-    residual or the linearized flexural operator.
-    """
-    if order < 0 or order > 5:
-        raise ValueError(f"derivative order must be in 0..5, got {order}")
-    return grid_derivative(eval_profile(profile, m), order)
-
-
 def profile_coefficients(values: GridFunction, n_modes: int) -> np.ndarray:
     """Cosine coefficients a_1..a_N recovered from grid samples (round trip)."""
     m = values.size
@@ -255,13 +241,6 @@ def p_flex_derivative_grid(eta: GridFunction, v: np.ndarray, model: IceModel) ->
     return grid_derivative(b2 * vxx + b1 * vx, 2) + grid_derivative(s2 * vxx + s1 * vx, 1)
 
 
-def p_flex(profile: SpectralProfile, model: IceModel, m: int) -> GridFunction:
-    """Ice pressure of a cosine profile on the M-point grid."""
-    if m < 4 * profile.n_modes:
-        raise ValueError(f"grid size {m} too small for p_flex; need M >= 4N = {4 * profile.n_modes}")
-    return p_flex_grid(eval_profile(profile, m), model)
-
-
 def bernoulli_radicand(eta: GridFunction, c: float, params: PhysicalParams, model: IceModel) -> GridFunction:
     """Bernoulli radicand c^2 - 2 g eta - 2 D P_flex on the grid, checked.
 
@@ -284,8 +263,3 @@ def qx_on_grid(eta: GridFunction, c: float, params: PhysicalParams, model: IceMo
     ex = grid_derivative(eta, 1)
     return c - np.sqrt((1.0 + ex**2) * bernoulli_radicand(eta, c, params, model))
 
-
-def qx_from_profile(wave: TravelingWave, m: int) -> GridFunction:
-    """Surface velocity-potential derivative of a traveling wave."""
-    eta = eval_profile(wave.profile, m)
-    return qx_on_grid(eta, wave.c, wave.params, wave.model)

@@ -19,7 +19,7 @@ unknowns at once and projected with two matrix products.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -49,7 +49,6 @@ __all__ = [
     "bifurcation_speed",
     "residual",
     "jacobian",
-    "residual_sine_projections",
     "newton_solve",
     "continue_branch",
     "branch_direction",
@@ -165,12 +164,6 @@ def _kernels(eta, n, h):
     return sh + ch * th, ch + sh * th
 
 
-def _integrand(z, a1, params, model, config):
-    """Common factor W(x) * K_m(x) of every residual projection, as an (N, M) array."""
-    m_grid, eta, _, _, weight = _surface(z, a1, params, model, config)
-    return weight[None, :] * _kernels(eta, z.size, params.h)[0], m_grid
-
-
 def residual(z: np.ndarray, a1: float, params: PhysicalParams, model: IceModel,
              config: SolverConfig) -> np.ndarray:
     """Cosine projections F_m, m = 1..N, of the steady nonlocal equation.
@@ -179,7 +172,8 @@ def residual(z: np.ndarray, a1: float, params: PhysicalParams, model: IceModel,
     vanishes to O(a1^2) at the bifurcation point seed.
     """
     z = np.asarray(z, dtype=float)
-    wk, m_grid = _integrand(z, a1, params, model, config)
+    m_grid, eta, _, _, weight = _surface(z, a1, params, model, config)
+    wk = weight[None, :] * _kernels(eta, z.size, params.h)[0]
     cos_mx = _cos_table(z.size, m_grid)
     return (2.0 * np.pi / m_grid) * np.einsum("ni,ni->n", cos_mx, wk)
 
@@ -215,18 +209,6 @@ def jacobian(z: np.ndarray, a1: float, params: PhysicalParams, model: IceModel,
     jac = (cos_mx * kernel) @ d_weight.T
     jac[:, 1:] += (np.arange(1, n + 1)[:, None] * cos_mx * weight * kernel_slope) @ v.T
     return (2.0 * np.pi / m_grid) * jac
-
-
-def residual_sine_projections(z: np.ndarray, a1: float, params: PhysicalParams,
-                              model: IceModel, config: SolverConfig) -> np.ndarray:
-    """Sine projections of the residual: identically zero for even profiles.
-
-    Debug-mode symmetry check; the Newton system uses only the cosine parts.
-    """
-    z = np.asarray(z, dtype=float)
-    wk, m_grid = _integrand(z, a1, params, model, config)
-    sin_mx = _sin_table(z.size, m_grid)
-    return (2.0 * np.pi / m_grid) * np.einsum("ni,ni->n", sin_mx, wk)
 
 
 def newton_solve(z0: np.ndarray, a1: float, params: PhysicalParams, model: IceModel,

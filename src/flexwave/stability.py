@@ -34,8 +34,6 @@ which pins every sign and index convention used below.
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -44,7 +42,6 @@ import scipy.linalg
 
 from .core import (
     IceModel,
-    PhysicalParams,
     TravelingWave,
     default_grid_size,
     depth_factor,
@@ -133,6 +130,11 @@ def _mode_numbers(n_modes: int) -> np.ndarray:
     return np.arange(-n_modes, n_modes + 1)
 
 
+def _floquet_modes(base: TravelingWave, n_modes: int | None) -> int:
+    """``n_modes``, or by default the wave's own mode count but at least 16."""
+    return max(base.profile.n_modes, 16) if n_modes is None else n_modes
+
+
 def _grid_for(base: TravelingWave, n_modes: int) -> int:
     return default_grid_size(max(base.profile.n_modes, n_modes))
 
@@ -180,8 +182,7 @@ def linearized_flex(base: TravelingWave, model: IceModel, mu: float, n_modes: in
 
 def assemble_matrices(base: TravelingWave, mu: float, n_modes: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Build the pencil (L1, L2) of the linearized problem at Floquet exponent mu."""
-    if n_modes is None:
-        n_modes = max(base.profile.n_modes, 16)
+    n_modes = _floquet_modes(base, n_modes)
     params = base.params
     m_grid = _grid_for(base, n_modes)
     eta = eval_profile(base.profile, m_grid)
@@ -246,14 +247,13 @@ def sweep_floquet(
     mu_count: int,
     n_modes: int | None = None,
     mu_values: np.ndarray | None = None,
-    workers: int = 1,
 ) -> FloquetSpectrum:
     """Solve the eigenvalue problem over a sweep of Floquet exponents.
 
     Defaults to ``mu_count`` uniform exponents in [-1/2, 1/2); an explicit
     ``mu_values`` array overrides the uniform grid (e.g. for refinement near
-    eigenvalue collisions).  Distinct exponents decouple, so the per-mu
-    solves are independent; failures are recorded without aborting the sweep.
+    eigenvalue collisions).  Slot i holds the eigenvalues at ``mu_values[i]``;
+    a failed mu is recorded, with an empty slot, without aborting the sweep.
     """
     if mu_values is None:
         if mu_count < 2:
@@ -261,29 +261,15 @@ def sweep_floquet(
         mu_values = np.linspace(-0.5, 0.5, mu_count, endpoint=False)
     else:
         mu_values = np.asarray(mu_values, dtype=float)
-    if n_modes is None:
-        n_modes = max(base.profile.n_modes, 16)
-
-    def solve_one(mu: float):
-        l1, l2 = assemble_matrices(base, mu, n_modes)
-        return solve_spectrum(l1, l2)
-
-    eigenvalues: list[np.ndarray] = [np.array([])] * len(mu_values)
+    n_modes = _floquet_modes(base, n_modes)
+    eigenvalues: list[np.ndarray] = []
     failures: list[tuple[float, str]] = []
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {i: pool.submit(solve_one, mu) for i, mu in enumerate(mu_values)}
-            for i, fut in futures.items():
-                try:
-                    eigenvalues[i] = fut.result()
-                except EigSolverFailure as exc:
-                    failures.append((float(mu_values[i]), str(exc)))
-    else:
-        for i, mu in enumerate(mu_values):
-            try:
-                eigenvalues[i] = solve_one(mu)
-            except EigSolverFailure as exc:
-                failures.append((float(mu), str(exc)))
+    for mu in mu_values:
+        try:
+            eigenvalues.append(solve_spectrum(*assemble_matrices(base, mu, n_modes)))
+        except EigSolverFailure as exc:
+            eigenvalues.append(np.array([]))
+            failures.append((float(mu), str(exc)))
     return FloquetSpectrum(mu_values=mu_values, eigenvalues=eigenvalues, n_modes=n_modes, failures=failures)
 
 

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import INFINITE_DEPTH, IceModel, PhysicalParams, depth_factor
+from .core import IceModel, PhysicalParams, depth_factor
 
 __all__ = [
     "WiltonPole",
@@ -26,6 +26,7 @@ __all__ = [
     "ModulationalRegime",
     "CollisionRecord",
     "dispersion",
+    "dispersion_derivatives",
     "nls_coefficients",
     "classify_modulational",
     "growth_rate",
@@ -109,6 +110,26 @@ def dispersion(k: float, params: PhysicalParams) -> float:
     g, d = params.g, params.D
     omega_sq = (g * k + d * k**5) * float(depth_factor(k, params.h))
     return math.sqrt(omega_sq)
+
+
+def dispersion_derivatives(k: float, params: PhysicalParams) -> tuple[float, float, float]:
+    """omega, omega' and omega'' at wavenumber k, at any depth, in closed form.
+
+    With Omega = omega^2 = (g k + D k^5) T(k), T = tanh(k h) (sign(k) in deep
+    water): omega' = Omega'/(2 omega) and omega'' = (Omega'' - 2 omega'^2)/(2 omega),
+    using T' = h sech^2(k h) and T'' = -2 h^2 sech^2(k h) tanh(k h).
+    """
+    omega = dispersion(k, params)
+    g, d, h = params.g, params.D, params.h
+    p, p1, p2 = g * k + d * k**5, g + 5.0 * d * k**4, 20.0 * d * k**3
+    t, t1, t2 = float(depth_factor(k, h)), 0.0, 0.0
+    if not params.infinite_depth:
+        e = math.exp(-2.0 * abs(k * h))
+        sech_sq = 4.0 * e / (1.0 + e) ** 2  # no overflow at large k h
+        t1, t2 = h * sech_sq, -2.0 * h**2 * sech_sq * t
+    omega_p = (p1 * t + p * t1) / (2.0 * omega)
+    omega_pp = (p2 * t + 2.0 * p1 * t1 + p * t2 - 2.0 * omega_p**2) / (2.0 * omega)
+    return omega, omega_p, omega_pp
 
 
 def _check_wilton(g: float, k4d: float):

@@ -6,10 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from flexwave import cli
 from flexwave.cli import build_parser, load_branch, main, merge_config
 from flexwave.core import IceModel
 from flexwave.solver import SolverConfig, residual
-from flexwave.theory import nls_coefficients, c_nls
+from flexwave.theory import c_nls, dispersion, nls_coefficients
 from flexwave.core import PhysicalParams
 
 
@@ -57,8 +58,21 @@ class TestDispersionCommand:
         co = nls_coefficients(IceModel.LINEAR_BIHARMONIC, 1, PhysicalParams(D=0.1))
         k1 = {h: float(v) for h, v in zip(header, rows[0])}
         assert k1["omega"] == pytest.approx(co.omega, rel=1e-12)
-        assert k1["omega_p"] == pytest.approx(co.omega_p, rel=1e-6)
-        assert k1["omega_pp"] == pytest.approx(co.omega_pp, rel=1e-4)
+        assert k1["omega_p"] == pytest.approx(co.omega_p, rel=1e-12)
+        assert k1["omega_pp"] == pytest.approx(co.omega_pp, rel=1e-12)
+
+    def test_finite_depth_derivatives_match_central_differences(self, tmp_path):
+        rc = main(["dispersion", "--k-list", "0.5 1 2", "--D", "0 0.1", "--h", "1", "--out", str(tmp_path)])
+        assert rc == 0
+        header, rows = read_rows(tmp_path / "dispersion.csv")
+        assert len(rows) == 6
+        for row in rows:
+            r = {name: float(v) for name, v in zip(header, row)}
+            params, k, dk = PhysicalParams(h=1.0, D=r["D"]), r["k"], 1e-4
+            w = [dispersion(k + j * dk, params) for j in (-1, 0, 1)]
+            assert r["omega"] == w[1]
+            assert r["omega_p"] == pytest.approx((w[2] - w[0]) / (2 * dk), rel=1e-7)
+            assert r["omega_pp"] == pytest.approx((w[2] - 2 * w[1] + w[0]) / dk**2, rel=1e-5)
 
 
 class TestBranchCommand:
@@ -105,6 +119,37 @@ class TestBranchCommand:
         assert resumed.points[-1].a1 == pytest.approx(0.006)
         assert resumed.points[0].a1 == prior.points[0].a1
 
+    def test_resume_rejects_a_model_the_prior_branch_lacks(self, tmp_path, capsys):
+        assert main(self.ARGS + ["--out", str(tmp_path)]) == 0
+        out2 = tmp_path / "resumed"
+        rc = main(
+            ["branch", "--model", "nonlinear", "--a1-max", "0.006", "--modes", "12",
+             "--resume", str(tmp_path / "branch_linear.csv"), "--out", str(out2)]
+        )
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out2.exists()  # rejected before any computation
+
+    def test_resume_under_both_models_writes_one_branch(self, tmp_path, monkeypatch):
+        assert main(self.ARGS + ["--out", str(tmp_path)]) == 0
+        saved = []
+        real_save = cli.save_branch
+
+        def recording_save(out, branch, *rest):
+            saved.append(branch.model)
+            real_save(out, branch, *rest)
+
+        monkeypatch.setattr(cli, "save_branch", recording_save)
+        out2 = tmp_path / "resumed"
+        rc = main(
+            ["branch", "--a1-max", "0.006", "--modes", "12", "--a1-step", "0.001",
+             "--resume", str(tmp_path / "branch_linear.csv"), "--out", str(out2)]
+        )
+        assert rc == 0
+        assert saved == [IceModel.LINEAR_BIHARMONIC]
+        names = sorted(p.name for p in out2.iterdir())
+        assert names == ["branch_linear.csv", "branch_linear.meta.json", "branch_nls_linear.csv"]
+
     def test_metadata_sidecar(self, tmp_path):
         assert main(self.ARGS + ["--out", str(tmp_path)]) == 0
         meta = json.loads((tmp_path / "branch_linear.meta.json").read_text())
@@ -140,6 +185,11 @@ class TestCompareCommand:
         max_re = max(float(r[1]) for r in ffh)
         max_curve = max(float(r[0]) for r in nls)
         assert max_re == pytest.approx(max_curve, rel=0.35)
+        meta = json.loads((tmp_path / "compare_linear.meta.json").read_text())
+        assert meta["overlay_sign"] == "vg_minus_c"
+        (report,) = meta["reports"]
+        assert report["max_growth"] == max_re
+        assert report["failed_mu"] == []
 
 
 class TestConfigHandling:

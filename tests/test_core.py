@@ -10,15 +10,12 @@ from flexwave.core import (
     NonpositiveRadicand,
     PhysicalParams,
     SpectralProfile,
-    TravelingWave,
     eval_profile,
     grid_derivative,
     grid_points,
-    p_flex,
     p_flex_grid,
     profile_coefficients,
-    qx_from_profile,
-    spectral_derivative,
+    qx_on_grid,
 )
 
 LIN = IceModel.LINEAR_BIHARMONIC
@@ -72,22 +69,18 @@ class TestEvalProfile:
 class TestSpectralDerivative:
     def test_first_derivative_of_cos(self):
         m = 32
-        vals = spectral_derivative(cosine(1.0), 1, m)
+        vals = grid_derivative(eval_profile(cosine(1.0), m), 1)
         assert_allclose(vals, -np.sin(grid_points(m)), atol=1e-13)
 
     def test_fourth_derivative_of_cos2x(self):
         m = 32
-        vals = spectral_derivative(cosine(0.0, 1.0), 4, m)
+        vals = grid_derivative(eval_profile(cosine(0.0, 1.0), m), 4)
         assert_allclose(vals, 16.0 * np.cos(2 * grid_points(m)), atol=1e-12)
 
     def test_cos_is_biharmonic_eigenfunction(self):
         m = 32
-        vals = spectral_derivative(cosine(1.0), 4, m)
+        vals = grid_derivative(eval_profile(cosine(1.0), m), 4)
         assert_allclose(vals, np.cos(grid_points(m)), atol=1e-12)
-
-    def test_order_out_of_range(self):
-        with pytest.raises(ValueError):
-            spectral_derivative(cosine(1.0), 6, 32)
 
 
 def fd_toland(eta):
@@ -109,24 +102,24 @@ def fd_toland(eta):
 class TestPFlex:
     @pytest.mark.parametrize("model", [LIN, NL])
     def test_flat_profile(self, model):
-        assert_allclose(p_flex(cosine(0.0), model, 64), np.zeros(64), atol=1e-15)
+        assert_allclose(p_flex_grid(eval_profile(cosine(0.0), 64), model), np.zeros(64), atol=1e-15)
 
     def test_linear_model_on_cosine(self):
         m = 64
-        vals = p_flex(cosine(0.3), LIN, m)
+        vals = p_flex_grid(eval_profile(cosine(0.3), m), LIN)
         assert_allclose(vals, 0.3 * np.cos(grid_points(m)), atol=1e-11)
 
     def test_models_agree_to_cubic_order(self):
         # NL - LIN = (5 a^3/4)(3 cos 3x - cos x) + O(a^5) for eta = a cos x
         a = 0.01
-        diff = p_flex(cosine(a), NL, 64) - p_flex(cosine(a), LIN, 64)
+        diff = p_flex_grid(eval_profile(cosine(a), 64), NL) - p_flex_grid(eval_profile(cosine(a), 64), LIN)
         assert np.max(np.abs(diff)) < 6e-6
 
     def test_model_difference_scales_quadratically(self):
         ratios = []
         for a in (1e-2, 1e-3, 1e-4):
-            lin = p_flex(cosine(a), LIN, 64)
-            nl = p_flex(cosine(a), NL, 64)
+            lin = p_flex_grid(eval_profile(cosine(a), 64), LIN)
+            nl = p_flex_grid(eval_profile(cosine(a), 64), NL)
             rel = np.max(np.abs(nl - lin)) / np.max(np.abs(lin))
             ratios.append(rel / a**2)
         assert max(ratios) / min(ratios) < 1.5
@@ -143,36 +136,30 @@ class TestPFlex:
     @pytest.mark.parametrize("model", [LIN, NL])
     def test_even_profile_gives_even_pressure(self, model):
         m = 128
-        vals = p_flex(cosine(0.1, -0.03, 0.02), model, m)
+        vals = p_flex_grid(eval_profile(cosine(0.1, -0.03, 0.02), m), model)
         assert_allclose(vals[1:], vals[1:][::-1], atol=1e-12)
-
-    def test_grid_size_precondition(self):
-        with pytest.raises(ValueError):
-            p_flex(cosine(*np.ones(20)), NL, 64)
 
 
 class TestQx:
-    def wave(self, coeffs, c, g=1.0, h=INFINITE_DEPTH, d=0.0, model=LIN):
-        return TravelingWave(
-            profile=cosine(*coeffs), c=c, params=PhysicalParams(g=g, h=h, D=d), model=model
-        )
+    def qx(self, coeffs, c, m, g=1.0, h=INFINITE_DEPTH, d=0.0, model=LIN):
+        return qx_on_grid(eval_profile(cosine(*coeffs), m), c, PhysicalParams(g=g, h=h, D=d), model)
 
     def test_flat_water_any_speed(self):
         for c in (0.5, 1.0, 3.0):
-            assert_allclose(qx_from_profile(self.wave([0.0], c), 64), np.zeros(64), atol=1e-15)
+            assert_allclose(self.qx([0.0], c, 64), np.zeros(64), atol=1e-15)
 
     def test_leading_order_deep_water(self):
         a = 1e-3
         m = 64
-        qx = qx_from_profile(self.wave([a], 1.0), m)
+        qx = self.qx([a], 1.0, m)
         assert np.max(np.abs(qx - a * np.cos(grid_points(m)))) < 1e-5
 
     def test_nonpositive_radicand(self):
         with pytest.raises(NonpositiveRadicand):
-            qx_from_profile(self.wave([0.5], 0.1), 64)
+            self.qx([0.5], 0.1, 64)
 
     def test_even_profile_gives_even_qx(self):
-        qx = qx_from_profile(self.wave([0.05, 0.01, -0.002], 1.2, d=0.02, model=NL), 128)
+        qx = self.qx([0.05, 0.01, -0.002], 1.2, 128, d=0.02, model=NL)
         assert_allclose(qx[1:], qx[1:][::-1], atol=1e-13)
 
 

@@ -26,7 +26,6 @@ from flexwave.solver import (
     jacobian,
     newton_solve,
     residual,
-    residual_sine_projections,
 )
 from flexwave.theory import c_nls, nls_coefficients
 
@@ -66,13 +65,6 @@ class TestResidual:
         z[0] = 0.1
         with pytest.raises(NonpositiveRadicand):
             residual(z, 0.5, deep(0.0), LIN, cfg)
-
-    def test_even_integrand_has_no_sine_content(self, small_wave_d001):
-        w = small_wave_d001
-        cfg = SolverConfig(n_modes=w.profile.n_modes)
-        z = np.concatenate(([w.c], w.profile.coeffs[1:]))
-        sines = residual_sine_projections(z, w.a1, w.params, w.model, cfg)
-        assert np.max(np.abs(sines)) < 1e-12
 
 
 class TestRadicandRule:
