@@ -255,6 +255,8 @@ def _config_file_values(command: str, path: str) -> dict:
     _add_flags(parser, command)
     flags = [f"--{key.replace('_', '-')}={value}" for key, value in values.items()]
     typed, _ = parser.parse_known_args(flags)
+    if "resume" in values and not hasattr(typed, "resume"):
+        raise ConfigError(f"{path}: {command} has no --resume; only branch continues a prior branch")
     return {key: getattr(typed, key, value) for key, value in values.items()}
 
 
@@ -272,9 +274,21 @@ def merge_config(args: argparse.Namespace) -> dict:
             setting(merged, key)
         except ValueError as exc:
             raise ConfigError(f"bad value {merged[key]!r} for {key}: {exc}") from exc
-    if args.command == "collisions" and merged["mu_grid"] < 2:
-        raise ConfigError(f"mu-grid must be at least 2, got {merged['mu_grid']}")
+    _check_ranges(args.command, merged)
     return merged
+
+
+def _check_ranges(command: str, cfg: dict) -> None:
+    """Reject values the commands cannot use, before any computation."""
+    if command == "collisions" and cfg["mu_grid"] < 2:
+        raise ConfigError(f"mu-grid must be at least 2, got {cfg['mu_grid']}")
+    if command in ("stability", "compare"):
+        if cfg["mu_count"] < 2:
+            raise ConfigError(f"mu-count must be at least 2, got {cfg['mu_count']}")
+        if cfg.get("floquet_modes") is not None and cfg["floquet_modes"] < 1:
+            raise ConfigError(f"floquet-modes must be at least 1, got {cfg['floquet_modes']}")
+    if command == "dispersion" and 0.0 in setting(cfg, "k_list"):
+        raise ConfigError("dispersion is undefined at k = 0")
 
 
 def params_from(cfg: dict, d_value: float | None = None) -> PhysicalParams:
@@ -497,7 +511,7 @@ def _floquet_runs(cfg: dict, overlay: dict[IceModel, NlsCoefficients] | None) ->
         save_branch(out, branch, cfg, solver_cfg)
         reports = []
         for idx, wave in enumerate(_select_waves(branch, cfg)):
-            spectrum = sweep_floquet(wave, mu_count, n_modes=cfg.get("floquet_modes") or None)
+            spectrum = sweep_floquet(wave, mu_count, n_modes=cfg.get("floquet_modes"))
             mus, lams = spectrum.flattened()
             write_csv(
                 out / f"{spectrum_tag}_{model.value}_{idx}.csv",
@@ -520,6 +534,8 @@ def _floquet_runs(cfg: dict, overlay: dict[IceModel, NlsCoefficients] | None) ->
                         for c in report.clusters
                     ],
                     "failed_mu": [mu for mu, _ in spectrum.failures],
+                    "qz_mu": spectrum.qz_mu,
+                    "max_cond_c": spectrum.max_cond_c,
                 }
             )
             if overlay is not None:

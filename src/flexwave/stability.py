@@ -70,9 +70,14 @@ __all__ = [
 #: assembly/eigensolver error.
 GROWTH_THRESHOLD = 1e-8
 
+#: Largest cond(C) at which the sweep eliminates C and solves the reduced
+#: standard eigenproblem; above it, QZ on the full pencil.  Converged waves
+#: at 12 to 32 Floquet modes stay below 1e2.
+REDUCED_COND_LIMIT = 1e6
+
 
 class EigSolverFailure(RuntimeError):
-    """The generalized (QZ) eigensolver did not converge."""
+    """The eigensolver (reduced or QZ) did not converge."""
 
 
 @dataclass
@@ -83,6 +88,10 @@ class FloquetSpectrum:
     eigenvalues: list[np.ndarray]
     n_modes: int
     failures: list[tuple[float, str]] = field(default_factory=list)
+    #: Exponents solved by QZ because cond(C) exceeded REDUCED_COND_LIMIT.
+    qz_mu: list[float] = field(default_factory=list)
+    #: Largest 2-norm condition number of C over the solved exponents.
+    max_cond_c: float = 0.0
 
     def flattened(self) -> tuple[np.ndarray, np.ndarray]:
         """(mu, lambda) pairs for all eigenvalues of the sweep."""
@@ -157,6 +166,24 @@ def _row_coeffs(rows: np.ndarray, n_modes: int) -> np.ndarray:
     return np.take_along_axis(coeffs, idx, axis=1)
 
 
+def _flex_blocks(eta: np.ndarray, model: IceModel, n_modes: int) -> tuple[np.ndarray, ...] | None:
+    """Convolution blocks (b2, b1, s2, s1) of the Toland operator at eta, or
+    None for the constant-coefficient linear model."""
+    if model is IceModel.LINEAR_BIHARMONIC:
+        return None
+    return tuple(_toeplitz(coeff, n_modes) for coeff in toland_frechet_coeffs(eta))
+
+
+def _flex_matrix(blocks: tuple[np.ndarray, ...] | None, dxm: np.ndarray) -> np.ndarray:
+    """G(eta0; .) on modes with D_x multipliers ``dxm``: the diagonal D_x
+    factors are applied as row and column scalings of the blocks."""
+    if blocks is None:
+        return np.diag(dxm**4)
+    b2, b1, s2, s1 = blocks
+    d2 = dxm * dxm
+    return d2[:, None] * (b2 * d2 + b1 * dxm) + dxm[:, None] * (s2 * d2 + s1 * dxm)
+
+
 def linearized_flex(base: TravelingWave, model: IceModel, mu: float, n_modes: int) -> np.ndarray:
     """Matrix of the linearized ice-pressure operator G(eta0; .) on Floquet
     modes e^{i(mu+n)x}, n = -N..N.
@@ -169,61 +196,100 @@ def linearized_flex(base: TravelingWave, model: IceModel, mu: float, n_modes: in
     with the coefficients of :func:`core.toland_frechet_coeffs`, assembled
     from their FFT coefficients on the grid.
     """
-    s = mu + _mode_numbers(n_modes)
-    d1 = np.diag(1j * s)
-    if model is IceModel.LINEAR_BIHARMONIC:
-        return np.diag((1j * s) ** 4)
-    m_grid = _grid_for(base, n_modes)
-    eta = eval_profile(base.profile, m_grid)
-    b2, b1, s2, s1 = (_toeplitz(coeff, n_modes) for coeff in toland_frechet_coeffs(eta))
-    d2 = d1 @ d1
-    return d2 @ (b2 @ d2 + b1 @ d1) + d1 @ (s2 @ d2 + s1 @ d1)
+    eta = eval_profile(base.profile, _grid_for(base, n_modes))
+    return _flex_matrix(_flex_blocks(eta, model, n_modes), 1j * (mu + _mode_numbers(n_modes)))
+
+
+class _FloquetOperator:
+    """The linearized problem about one wave on Floquet modes -N..N.
+
+    Everything that does not depend on mu -- the wave's grid functions and
+    the mu-independent convolution blocks -- is built once, here; each mu
+    adds only the depth factors, the cosh/sinh row coefficients and the
+    D_x = i(mu+n) scalings.
+    """
+
+    def __init__(self, base: TravelingWave, n_modes: int):
+        params = base.params
+        self.c, self.params, self.n_modes = base.c, params, n_modes
+        self.eta = eval_profile(base.profile, _grid_for(base, n_modes))
+        self.ex = grid_derivative(self.eta, 1)
+        self.qx = qx_on_grid(self.eta, base.c, params, base.model)
+        f = self.ex * (self.qx - base.c) / (1.0 + self.ex**2)
+        self.a_blk = _toeplitz(f, n_modes)
+        self.s_conv = _toeplitz(f**2 * self.ex - f * (self.qx - base.c), n_modes)
+        self.t_conv = _toeplitz((self.qx - base.c) - f * self.ex, n_modes)
+        self.flex = _flex_blocks(self.eta, base.model, n_modes)
+
+    def blocks(self, mu: float) -> tuple[np.ndarray, ...]:
+        """(A, C, S, T, U, V) of the pencil L1 = [[A, -I], [C, 0]],
+        L2 = [[S, T], [U, V]] at Floquet exponent mu."""
+        params, c, n_modes = self.params, self.c, self.n_modes
+        s = mu + _mode_numbers(n_modes)
+        dxm = 1j * s  # D_x multiplier of column mode n
+
+        # local equation: lambda (A eta1 - q1) = S eta1 + T q1
+        s_blk = (
+            params.g * np.eye(s.size)
+            + self.s_conv * dxm[None, :]
+            + params.D * _flex_matrix(self.flex, dxm)
+        )
+        t_blk = self.t_conv * dxm[None, :]
+
+        # nonlocal equation at row m, bounded depth factors
+        t_depth = np.asarray(depth_factor(s, params.h), dtype=float)
+        se = s[:, None] * self.eta[None, :]
+        ch, sh = np.cosh(se), np.sinh(se)
+        c_til = ch + t_depth[:, None] * sh
+        s_til = sh + t_depth[:, None] * ch
+
+        c_conv = _row_coeffs(c_til, n_modes)
+        c_blk = 1j * c_conv
+        u_blk = (
+            c_conv * (1j * c) * dxm[None, :]
+            + (1j * c * s)[:, None] * _row_coeffs(self.ex[None, :] * s_til, n_modes)
+            + s[:, None] * _row_coeffs(self.qx[None, :] * c_til, n_modes)
+        )
+        v_blk = _row_coeffs(s_til, n_modes) * dxm[None, :]
+        return self.a_blk, c_blk, s_blk, t_blk, u_blk, v_blk
+
+    def solve(self, mu: float) -> tuple[np.ndarray, float, bool]:
+        """(eigenvalues, cond(C), whether QZ ran) at mu.
+
+        L1 has the inverse [[0, C^-1], [-I, A C^-1]], so while C is well
+        conditioned the eigenvalues are those of the standard problem
+        L1^-1 L2 = [[C^-1 U, C^-1 V], [A C^-1 U - S, A C^-1 V - T]], all
+        finite.  Above ``REDUCED_COND_LIMIT`` (or for a NaN estimate) QZ
+        solves the pencil itself.  Only numpy's LAPACK runs on the reduced
+        path: alternating it with scipy's within the sweep makes the two
+        libraries' BLAS thread pools compete.
+        """
+        blocks = self.blocks(mu)
+        a_blk, c_blk, s_blk, t_blk, u_blk, v_blk = blocks
+        try:
+            cond_c = float(np.linalg.cond(c_blk))
+            if cond_c <= REDUCED_COND_LIMIT:
+                top = np.linalg.solve(c_blk, np.hstack([u_blk, v_blk]))
+                reduced = np.vstack([top, a_blk @ top - np.hstack([s_blk, t_blk])])
+                return np.linalg.eigvals(reduced), cond_c, False
+        except np.linalg.LinAlgError as exc:
+            raise EigSolverFailure(str(exc)) from exc
+        return solve_spectrum(*_pencil(*blocks)), cond_c, True
+
+
+def _pencil(a_blk, c_blk, s_blk, t_blk, u_blk, v_blk) -> tuple[np.ndarray, np.ndarray]:
+    """(L1, L2) = ([[A, -I], [C, 0]], [[S, T], [U, V]])."""
+    dim = a_blk.shape[0]
+    zero = np.zeros((dim, dim), dtype=complex)
+    l1 = np.block([[a_blk, -np.eye(dim)], [c_blk, zero]])
+    l2 = np.block([[s_blk, t_blk], [u_blk, v_blk]])
+    return l1, l2
 
 
 def assemble_matrices(base: TravelingWave, mu: float, n_modes: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Build the pencil (L1, L2) of the linearized problem at Floquet exponent mu."""
     n_modes = _floquet_modes(base, n_modes)
-    params = base.params
-    m_grid = _grid_for(base, n_modes)
-    eta = eval_profile(base.profile, m_grid)
-    ex = grid_derivative(eta, 1)
-    qx = qx_on_grid(eta, base.c, params, base.model)
-    f = ex * (qx - base.c) / (1.0 + ex**2)
-
-    modes = _mode_numbers(n_modes)
-    s = mu + modes
-    dxm = 1j * s  # D_x multiplier of column mode n
-    dim = modes.size
-
-    # local equation: lambda (A eta1 - q1) = S eta1 + T q1
-    a_blk = _toeplitz(f, n_modes)
-    g_mat = linearized_flex(base, base.model, mu, n_modes)
-    s_blk = (
-        params.g * np.eye(dim)
-        + _toeplitz(f**2 * ex - f * (qx - base.c), n_modes) * dxm[None, :]
-        + params.D * g_mat
-    )
-    t_blk = _toeplitz((qx - base.c) - f * ex, n_modes) * dxm[None, :]
-
-    # nonlocal equation at row m, bounded depth factors
-    t_depth = np.asarray(depth_factor(s, params.h), dtype=float)
-    se = s[:, None] * eta[None, :]
-    ch, sh = np.cosh(se), np.sinh(se)
-    c_til = ch + t_depth[:, None] * sh
-    s_til = sh + t_depth[:, None] * ch
-
-    c_blk = 1j * _row_coeffs(c_til, n_modes)
-    u_blk = (
-        _row_coeffs(c_til, n_modes) * (1j * base.c) * dxm[None, :]
-        + (1j * base.c * s)[:, None] * _row_coeffs(ex[None, :] * s_til, n_modes)
-        + s[:, None] * _row_coeffs(qx[None, :] * c_til, n_modes)
-    )
-    v_blk = _row_coeffs(s_til, n_modes) * dxm[None, :]
-
-    zero = np.zeros((dim, dim), dtype=complex)
-    l1 = np.block([[a_blk, -np.eye(dim)], [c_blk, zero]])
-    l2 = np.block([[s_blk, t_blk], [u_blk, v_blk]])
-    return l1, l2
+    return _pencil(*_FloquetOperator(base, n_modes).blocks(mu))
 
 
 def solve_spectrum(l1: np.ndarray, l2: np.ndarray, beta_tol: float = 1e-12) -> np.ndarray:
@@ -254,6 +320,9 @@ def sweep_floquet(
     ``mu_values`` array overrides the uniform grid (e.g. for refinement near
     eigenvalue collisions).  Slot i holds the eigenvalues at ``mu_values[i]``;
     a failed mu is recorded, with an empty slot, without aborting the sweep.
+    The wave's mu-independent blocks are built once; each mu is solved as a
+    reduced standard eigenproblem, or by QZ where cond(C) exceeds
+    ``REDUCED_COND_LIMIT`` (recorded in ``qz_mu``).
     """
     if mu_values is None:
         if mu_count < 2:
@@ -262,15 +331,20 @@ def sweep_floquet(
     else:
         mu_values = np.asarray(mu_values, dtype=float)
     n_modes = _floquet_modes(base, n_modes)
-    eigenvalues: list[np.ndarray] = []
-    failures: list[tuple[float, str]] = []
+    operator = _FloquetOperator(base, n_modes)
+    spectrum = FloquetSpectrum(mu_values=mu_values, eigenvalues=[], n_modes=n_modes)
     for mu in mu_values:
         try:
-            eigenvalues.append(solve_spectrum(*assemble_matrices(base, mu, n_modes)))
+            lams, cond_c, used_qz = operator.solve(mu)
         except EigSolverFailure as exc:
-            eigenvalues.append(np.array([]))
-            failures.append((float(mu), str(exc)))
-    return FloquetSpectrum(mu_values=mu_values, eigenvalues=eigenvalues, n_modes=n_modes, failures=failures)
+            spectrum.eigenvalues.append(np.array([]))
+            spectrum.failures.append((float(mu), str(exc)))
+            continue
+        spectrum.eigenvalues.append(lams)
+        spectrum.max_cond_c = max(spectrum.max_cond_c, cond_c)
+        if used_qz:
+            spectrum.qz_mu.append(float(mu))
+    return spectrum
 
 
 def classify(

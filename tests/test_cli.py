@@ -170,6 +170,8 @@ class TestStabilityCommand:
         assert len(rows) > 31  # many eigenvalues per exponent
         report = json.loads((tmp_path / "stability_linear.meta.json").read_text())
         assert report["reports"][0]["max_growth"] < 1e-6  # defocusing regime
+        assert report["reports"][0]["qz_mu"] == []  # every mu took the reduced path
+        assert 1.0 <= report["reports"][0]["max_cond_c"] < 1e2
 
 
 class TestCompareCommand:
@@ -190,6 +192,8 @@ class TestCompareCommand:
         (report,) = meta["reports"]
         assert report["max_growth"] == max_re
         assert report["failed_mu"] == []
+        assert report["qz_mu"] == []
+        assert 1.0 <= report["max_cond_c"] < 1e2
 
 
 class TestConfigHandling:
@@ -247,8 +251,14 @@ class TestConfigHandling:
             ["stability", "--a1-list", "0.01 z"],
             ["nls", "--D-grid", "0 0.12"],
             ["collisions", "--mu-grid", "1"],
+            ["stability", "--mu-count", "1"],
+            ["compare", "--mu-count", "0"],
+            ["stability", "--floquet-modes", "-3"],
+            ["compare", "--floquet-modes", "0"],
+            ["dispersion", "--k-list", "0.5 0"],
         ],
-        ids=["h", "D", "K-list", "k-list", "a1-list", "D-grid", "mu-grid"],
+        ids=["h", "D", "K-list", "k-list", "a1-list", "D-grid", "mu-grid", "mu-count", "mu-count-compare",
+             "floquet-modes", "floquet-modes-compare", "k-zero"],
     )
     def test_bad_setting_is_a_config_error(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
@@ -261,6 +271,19 @@ class TestConfigHandling:
         cfg.write_text("h = deep\n")
         out = tmp_path / "out"
         assert main(["collisions", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["stability", "compare"])
+    def test_resume_in_config_file_is_a_config_error(self, tmp_path, capsys, command):
+        # only branch continues a prior branch; elsewhere `resume` must not
+        # silently replace the command's own branch
+        prior = tmp_path / "prior"
+        assert main(["branch", "--model", "linear", "--a1-max", "0.002", "--out", str(prior)]) == 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"resume = {prior / 'branch_linear.csv'}\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--model", "linear", "--out", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 

@@ -17,6 +17,7 @@ from flexwave.core import (
     p_flex_derivative_grid,
     p_flex_grid,
 )
+from flexwave import stability
 from flexwave.solver import SolverConfig, bifurcation_speed, continue_branch
 from flexwave.stability import (
     FloquetSpectrum,
@@ -131,6 +132,21 @@ class TestFlatOracle:
                 for lam in flat_eigenvalues(mu, m, c, p):
                     assert np.min(np.abs(lams - lam)) < 1e-8
 
+    @pytest.mark.parametrize("d", [0.1, 25.0])
+    @pytest.mark.parametrize("h", [INFINITE_DEPTH, 0.05])
+    def test_sweep_matches_closed_form(self, d, h):
+        # the same oracle through the sweep's reduced standard eigenproblem
+        p = PhysicalParams(D=d, h=h)
+        c = bifurcation_speed(p)
+        spec = sweep_floquet(flat_wave(p, c), 0, n_modes=8, mu_values=[0.0, 0.25])
+        assert spec.qz_mu == []
+        assert spec.max_cond_c == pytest.approx(1.0)  # C = i I on flat water
+        for mu, lams in zip(spec.mu_values, spec.eigenvalues):
+            assert lams.size == 34
+            for m in range(-6, 7):
+                for lam in flat_eigenvalues(mu, m, c, p):
+                    assert np.min(np.abs(lams - lam)) < 1e-8
+
     def test_rest_frame_has_no_doppler_shift(self):
         p = PhysicalParams(D=0.1)
         base = flat_wave(p, 0.0)
@@ -202,6 +218,45 @@ class TestSweep:
             spec = sweep_floquet(small_wave_d001, 0, n_modes=n, mu_values=mus)
             growth[n] = spec.max_growth()
         assert abs(growth[32] - growth[16]) < 1e-6
+
+
+def normwise_hausdorff(a, b):
+    dist = np.abs(a[:, None] - b[None, :])
+    return max(dist.min(axis=0).max(), dist.min(axis=1).max()) / max(1.0, np.abs(a).max())
+
+
+class TestReducedSolve:
+    # mu = 0 is left out: there the zero eigenvalue is defective (a Jordan
+    # block from the wave's symmetries), so every solver scatters it by
+    # about sqrt(machine epsilon) and the paths differ at the 1e-9 level
+    MUS = np.array([-0.4, -0.13, 0.07, 0.31, 0.5])
+
+    @pytest.mark.parametrize("d, tol", [(0.01, 1e-12), (0.1, 1e-12), (25.0, 1e-9)])
+    @pytest.mark.parametrize("h", [INFINITE_DEPTH, 1.0])
+    @pytest.mark.parametrize("model", [LIN, NL])
+    def test_matches_qz_on_converged_waves(self, branch_cache, model, h, d, tol):
+        wave = branch_cache(d, model, 0.02, h=h).points[-1]
+        for n in (12, 16, 32):
+            spec = sweep_floquet(wave, 0, n_modes=n, mu_values=self.MUS)
+            assert spec.qz_mu == [] and spec.failures == []
+            assert 1.0 <= spec.max_cond_c < stability.REDUCED_COND_LIMIT
+            for mu, lams in zip(self.MUS, spec.eigenvalues):
+                qz = solve_spectrum(*assemble_matrices(wave, mu, n))
+                assert lams.size == qz.size == 2 * (2 * n + 1)
+                assert normwise_hausdorff(lams, qz) <= tol
+
+    def test_fallback_is_qz_bitwise(self, small_wave_d001, monkeypatch):
+        monkeypatch.setattr(stability, "REDUCED_COND_LIMIT", 0.0)
+        mus = [-0.2, 0.0, 0.35]
+        spec = sweep_floquet(small_wave_d001, 0, n_modes=12, mu_values=mus)
+        assert spec.qz_mu == mus
+        for mu, lams in zip(mus, spec.eigenvalues):
+            assert_array_equal(lams, solve_spectrum(*assemble_matrices(small_wave_d001, mu, 12)))
+
+    def test_reduced_path_uses_no_scipy(self, small_wave_d001, monkeypatch):
+        monkeypatch.setattr(stability, "scipy", None)
+        spec = sweep_floquet(small_wave_d001, 5, n_modes=12)
+        assert spec.failures == [] and spec.qz_mu == []
 
 
 class TestClassify:
