@@ -87,6 +87,7 @@ class ConfigError(ValueError):
 COMMON_DEFAULTS = {"g": 1.0, "h": "inf", "model": "both", "out": "flexwave-out", "mu_count": 401}
 COMMAND_DEFAULTS = {
     "dispersion": {"D": "0", "k_list": "1"},
+    "nls": {"D": "0 0.12 25"},
     "resonance": {"K_list": "7 10"},
     "collisions": {"D": "0", "m_range": 10, "mu_grid": 2001},
     "branch": {"D": "0", "a1_max": 0.01},
@@ -205,7 +206,7 @@ def _add_flags(p: argparse.ArgumentParser, command: str) -> None:
     if command == "dispersion":
         p.add_argument("--k-list", type=str, default=None, help="wavenumbers (default 1)")
     if command == "nls":
-        p.add_argument("--D-grid", type=str, default=None, help="min max count")
+        p.add_argument("--D-grid", type=str, default=None, help="min max count; overrides --D")
     if command == "resonance":
         p.add_argument("--K-list", type=str, default=None, help="resonant modes K (default 7 10)")
     if command == "collisions":
@@ -345,10 +346,7 @@ def cmd_dispersion(cfg: dict) -> None:
 
 def cmd_nls(cfg: dict) -> None:
     out = out_dir(cfg)
-    if cfg.get("D_grid"):
-        d_values = setting(cfg, "D_grid")
-    else:
-        d_values = np.array(parse_float_list(str(cfg.get("D", "0 0.12 25"))))
+    d_values = setting(cfg, "D_grid") if cfg.get("D_grid") else setting(cfg, "D")
     rows = []
     for d in d_values:
         params = params_from(cfg, d_value=float(d))

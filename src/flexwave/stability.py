@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
     IceModel,
@@ -50,7 +49,7 @@ from .core import (
     qx_on_grid,
     toland_frechet_coeffs,
 )
-from .theory import NlsCoefficients, growth_rate
+from .theory import NlsCoefficients, dispersion_derivatives, growth_rate
 
 __all__ = [
     "EigSolverFailure",
@@ -92,6 +91,9 @@ class FloquetSpectrum:
     qz_mu: list[float] = field(default_factory=list)
     #: Largest 2-norm condition number of C over the solved exponents.
     max_cond_c: float = 0.0
+    #: c - omega'(1): near mu = 0 the modulational eigenvalues leave the
+    #: origin along the Doppler line Im(lambda) = mu (c - omega'(1)).
+    c_minus_vg: float = 0.0
 
     def flattened(self) -> tuple[np.ndarray, np.ndarray]:
         """(mu, lambda) pairs for all eigenvalues of the sweep."""
@@ -260,9 +262,10 @@ class _FloquetOperator:
         conditioned the eigenvalues are those of the standard problem
         L1^-1 L2 = [[C^-1 U, C^-1 V], [A C^-1 U - S, A C^-1 V - T]], all
         finite.  Above ``REDUCED_COND_LIMIT`` (or for a NaN estimate) QZ
-        solves the pencil itself.  Only numpy's LAPACK runs on the reduced
-        path: alternating it with scipy's within the sweep makes the two
-        libraries' BLAS thread pools compete.
+        solves the pencil itself, through :func:`solve_spectrum`, which is
+        the only place scipy is loaded.  Only numpy's LAPACK runs on the
+        reduced path: alternating it with scipy's within the sweep makes the
+        two libraries' BLAS thread pools compete.
         """
         blocks = self.blocks(mu)
         a_blk, c_blk, s_blk, t_blk, u_blk, v_blk = blocks
@@ -297,7 +300,13 @@ def solve_spectrum(l1: np.ndarray, l2: np.ndarray, beta_tol: float = 1e-12) -> n
 
     Pairs with |beta| below ``beta_tol`` (relative to sqrt(|alpha|^2+|beta|^2))
     are eigenvalues at infinity and are excluded from growth statistics.
+
+    scipy is imported here, not at module load: the sweep's reduced path
+    needs numpy alone, and scipy.linalg adds about 0.4 s and 25 MB to every
+    process that imports it.
     """
+    import scipy.linalg
+
     try:
         alpha, beta = scipy.linalg.eig(l2, l1, right=False, homogeneous_eigvals=True)
     except (scipy.linalg.LinAlgError, ValueError) as exc:
@@ -332,7 +341,12 @@ def sweep_floquet(
         mu_values = np.asarray(mu_values, dtype=float)
     n_modes = _floquet_modes(base, n_modes)
     operator = _FloquetOperator(base, n_modes)
-    spectrum = FloquetSpectrum(mu_values=mu_values, eigenvalues=[], n_modes=n_modes)
+    spectrum = FloquetSpectrum(
+        mu_values=mu_values,
+        eigenvalues=[],
+        n_modes=n_modes,
+        c_minus_vg=base.c - dispersion_derivatives(1.0, base.params)[1],
+    )
     for mu in mu_values:
         try:
             lams, cond_c, used_qz = operator.solve(mu)
@@ -359,9 +373,13 @@ def classify(
     Points with Re(lambda) > threshold join a cluster when they are within
     ``cluster_radius`` in the complex plane and adjacent in the mu sweep.  A
     cluster is modulational when it reaches the smallest nonzero sweep
-    exponents with eigenvalues approaching the origin (min |lambda| below
-    ``origin_tol``); all other clusters are high-frequency (bubble)
-    instabilities born from nonzero collisions.
+    exponents with eigenvalues on the Doppler line through the origin
+    (min |lambda - i mu (c - omega')| below ``origin_tol``, with the
+    spectrum's ``c_minus_vg``); all other clusters are high-frequency
+    (bubble) instabilities born from nonzero collisions.  The distance is
+    taken from the line, not from the origin, because |c - omega'| grows
+    with the rigidity: at D = 25, c - omega' is about -7.3, so the
+    modulational band at mu = 0.024 sits at Im(lambda) = -0.17.
 
     ``lambda_cutoff`` excludes eigenvalues with |lambda| above it: near the
     Fourier truncation edge the largest (stiffest) eigenvalues carry
@@ -417,10 +435,10 @@ def classify(
         mus = [pts_mu[i] for i in members]
         lams = [pts_lam[i] for i in members]
         touches_axis = min(abs(m) for m in mus) <= touch_mu
-        at_origin = min(abs(l) for l in lams) <= origin_tol
+        on_doppler_line = min(abs(l - 1j * m * spectrum.c_minus_vg) for m, l in zip(mus, lams)) <= origin_tol
         kind = (
             InstabilityKind.MODULATIONAL
-            if touches_axis and at_origin
+            if touches_axis and on_doppler_line
             else InstabilityKind.HIGH_FREQUENCY
         )
         clusters.append(

@@ -1,6 +1,11 @@
 """Shared fixtures: branches are expensive, so they are computed once per
 session and memoized by parameter set."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -28,3 +33,21 @@ def small_wave_d001(branch_cache):
     """Converged small-amplitude wave at D=0.01, deep water, linear model."""
     branch = branch_cache(0.01, IceModel.LINEAR_BIHARMONIC, 0.01)
     return branch.points[-1]
+
+
+@pytest.fixture(scope="session")
+def fresh_python():
+    """Runs a Python snippet in a new interpreter that imports flexwave from
+    this checkout, and returns its stdout; a failing snippet fails the test."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+
+    def run(code: str, *args: str) -> str:
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    return run

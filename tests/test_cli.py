@@ -49,6 +49,13 @@ class TestNlsCommand:
         header, rows = read_rows(tmp_path / "nls.csv")
         assert rows[0][header.index("wilton_pole")] == "1"
 
+    def test_default_rigidities_come_from_the_defaults_table(self, tmp_path):
+        assert main(["nls", "--out", str(tmp_path)]) == 0
+        header, rows = read_rows(tmp_path / "nls.csv")
+        assert [float(r[header.index("D")]) for r in rows] == [0.0, 0.12, 25.0]
+        meta = json.loads((tmp_path / "nls.meta.json").read_text())
+        assert meta["config"]["D"] == cli.COMMAND_DEFAULTS["nls"]["D"] == "0 0.12 25"
+
 
 class TestDispersionCommand:
     def test_derivatives_match_deep_water_formulas(self, tmp_path):

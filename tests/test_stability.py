@@ -1,5 +1,6 @@
 """Floquet-Hill assembly, eigensolves, sweeps and instability classification."""
 
+import json
 import math
 
 import numpy as np
@@ -29,7 +30,7 @@ from flexwave.stability import (
     solve_spectrum,
     sweep_floquet,
 )
-from flexwave.theory import flat_eigenvalues, nls_coefficients
+from flexwave.theory import dispersion_derivatives, flat_eigenvalues, nls_coefficients
 
 LIN = IceModel.LINEAR_BIHARMONIC
 NL = IceModel.NONLINEAR_COSSERAT
@@ -253,10 +254,40 @@ class TestReducedSolve:
         for mu, lams in zip(mus, spec.eigenvalues):
             assert_array_equal(lams, solve_spectrum(*assemble_matrices(small_wave_d001, mu, 12)))
 
-    def test_reduced_path_uses_no_scipy(self, small_wave_d001, monkeypatch):
-        monkeypatch.setattr(stability, "scipy", None)
-        spec = sweep_floquet(small_wave_d001, 5, n_modes=12)
-        assert spec.failures == [] and spec.qz_mu == []
+    def test_reduced_path_uses_no_scipy(self, fresh_python, tmp_path):
+        # whole stability and compare runs in a new interpreter: no module
+        # imports scipy, and no mu falls back to QZ
+        code = (
+            "import sys\n"
+            "from flexwave import cli\n"
+            "common = ['--model', 'linear', '--modes', '12', '--mu-count', '5', '--out', sys.argv[1]]\n"
+            "assert cli.main(['stability', '--D', '0.05', '--a1-max', '0.002', *common]) == 0\n"
+            "assert cli.main(['compare', '--D', '0.01', '--a1-max', '0.004', *common]) == 0\n"
+            "print('scipy' in sys.modules)"
+        )
+        assert fresh_python(code, str(tmp_path)).strip() == "False"
+        for name in ("stability_linear.meta.json", "compare_linear.meta.json"):
+            report = json.loads((tmp_path / name).read_text())["reports"][0]
+            assert report["qz_mu"] == [] and report["failed_mu"] == []
+
+    def test_fallback_loads_scipy(self, fresh_python):
+        # the import of scipy sits inside solve_spectrum, so the forced
+        # fallback is what loads it
+        code = (
+            "import json, sys\n"
+            "from flexwave import stability\n"
+            "from flexwave.core import IceModel, PhysicalParams\n"
+            "from flexwave.solver import SolverConfig, continue_branch\n"
+            "branch = continue_branch(PhysicalParams(D=0.01), IceModel.LINEAR_BIHARMONIC, 0.004,"
+            " SolverConfig(n_modes=12, amplitude_step=2e-3))\n"
+            "before = 'scipy' in sys.modules\n"
+            "stability.REDUCED_COND_LIMIT = 0.0\n"
+            "spec = stability.sweep_floquet(branch.points[-1], 4, n_modes=12)\n"
+            "print(json.dumps([before, 'scipy' in sys.modules, spec.qz_mu, spec.mu_values.tolist()]))"
+        )
+        before, after, qz_mu, mu_values = json.loads(fresh_python(code))
+        assert (before, after) == (False, True)
+        assert qz_mu == mu_values == [-0.5, -0.25, 0.0, 0.25]
 
 
 class TestClassify:
@@ -291,6 +322,22 @@ class TestClassify:
         pts[9] = (0.04, [complex(2e-4, 0.81)])
         report = classify(self.synthetic(pts))
         assert {c.kind for c in report.clusters} == {InstabilityKind.HIGH_FREQUENCY}
+
+    def test_thick_ice_toland_band_is_modulational(self, branch_cache):
+        # D = 25, the survey's grid of 21 mu: the Toland wave's only
+        # instability is the modulational band at mu = +-1/42, which sits
+        # near Im(lambda) = mu (c - omega') = -+0.17, far from the origin;
+        # the linear model is modulationally stable there
+        toland = branch_cache(25.0, NL, 0.05).points[-1]
+        spec = sweep_floquet(toland, 21, n_modes=16)
+        assert spec.c_minus_vg == toland.c - dispersion_derivatives(1.0, toland.params)[1]
+        assert spec.c_minus_vg == pytest.approx(-7.26, abs=0.01)
+        report = classify(spec)
+        assert [c.kind for c in report.clusters] == [InstabilityKind.MODULATIONAL] * 2
+        intervals = sorted(c.mu_interval for c in report.clusters)
+        assert_allclose(intervals, [(-1 / 42, -1 / 42), (1 / 42, 1 / 42)], rtol=1e-12)
+        linear = branch_cache(25.0, LIN, 0.05).points[-1]
+        assert classify(sweep_floquet(linear, 21, n_modes=16)).clusters == ()
 
     def test_lambda_cutoff_drops_truncation_noise(self):
         pts = [(0.01 * i, []) for i in range(-5, 6)]
