@@ -27,12 +27,10 @@ from .solver import (
 from .theory import (
     CollisionRecord,
     FiniteDepthUnsupported,
-    ModulationalRegime,
     NlsCoefficients,
     NoPositiveRoot,
     WiltonPole,
     c_nls,
-    classify_modulational,
     dispersion,
     find_collisions,
     flat_eigenvalues,

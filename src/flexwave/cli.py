@@ -9,14 +9,13 @@ resonance    resonant rigidity D for requested modes K
 collisions   flat-water eigenvalue collisions for requested (D, c, h)
 branch       bifurcation branch per ice model, with the asymptotic overlay
 stability    Floquet spectra and instability reports for branch points
-compare      joint FFH scatter and asymptotic overlay curves
+compare      joint FFH scatter and asymptotic overlay, both as (mu, Re, Im) rows
 
-Each setting is taken from its command-line flag if the flag is given, else
-from the `--config` file, else from the command's default (`COMMON_DEFAULTS`
-and `COMMAND_DEFAULTS`): flag > file > default.  Config-file values are
-checked by the same types and choices as the flags, and the text-valued
-settings (depth, D and the lists) by their parsers in `SETTING_PARSERS`,
-before any computation.
+Each command takes only the flags it reads.  Each setting is taken from its
+flag if given, else from the `--config` file, else from the command's default
+(`COMMON_DEFAULTS` and `COMMAND_DEFAULTS`): flag > file > default.  Settings
+are checked by the flag types and choices, by `SETTING_PARSERS` and by the
+PhysicalParams and SolverConfig they build, before any output is written.
 
 All numeric CSV payloads are written with 17 significant digits so reloaded
 values round-trip exactly.  Exit codes: 0 success, 2 configuration error,
@@ -84,16 +83,20 @@ class ConfigError(ValueError):
 #: Values of the settings that neither a flag nor the config file gives.
 #: COMMAND_DEFAULTS holds each command's own keys, so a sidecar records only
 #: the settings its command reads.
-COMMON_DEFAULTS = {"g": 1.0, "h": "inf", "model": "both", "out": "flexwave-out", "mu_count": 401}
+COMMON_DEFAULTS = {"g": 1.0, "h": "inf", "out": "flexwave-out"}
 COMMAND_DEFAULTS = {
     "dispersion": {"D": "0", "k_list": "1"},
     "nls": {"D": "0 0.12 25"},
     "resonance": {"K_list": "7 10"},
     "collisions": {"D": "0", "m_range": 10, "mu_grid": 2001},
-    "branch": {"D": "0", "a1_max": 0.01},
-    "stability": {"D": "0", "a1_max": 0.01},
-    "compare": {"D": "0", "a1_max": 0.01, "overlay_sign": "vg_minus_c"},
+    "branch": {"D": "0", "model": "both", "a1_max": 0.01},
+    "stability": {"D": "0", "model": "both", "a1_max": 0.01, "mu_count": 401},
+    "compare": {"D": "0", "model": "both", "a1_max": 0.01, "mu_count": 401},
 }
+
+#: Commands that continue a branch, and of those the ones that sweep mu.
+BRANCH_COMMANDS = ("branch", "stability", "compare")
+FLOQUET_COMMANDS = ("stability", "compare")
 
 
 def fmt(x) -> str:
@@ -190,19 +193,24 @@ def models_from(name: str) -> list[IceModel]:
 
 
 def _add_flags(p: argparse.ArgumentParser, command: str) -> None:
-    """Flags of one command.  Every default is None, so `merge_config` can
-    tell a flag that was given from one that was not."""
+    """Flags of one command: only those it reads.  Every default is None, so
+    `merge_config` can tell a flag that was given from one that was not."""
     p.add_argument("--config", help="key=value config file; command-line flags take precedence")
     p.add_argument("--g", type=float, default=None, help="gravitational acceleration (default 1)")
     p.add_argument("--h", type=str, default=None, help="fluid depth, or 'inf'")
-    p.add_argument("--D", type=str, default=None, help="flexural rigidity (list allowed where meaningful)")
-    p.add_argument("--model", type=str, default=None, help="linear, nonlinear or both")
-    p.add_argument("--modes", type=int, default=None, help="initial cosine mode count N")
-    p.add_argument("--max-modes", type=int, default=None, help="cap for adaptive mode doubling")
-    p.add_argument("--mu-count", type=int, default=None, help="number of Floquet exponents in a sweep")
-    p.add_argument("--a1-max", type=float, default=None, help="target first-mode amplitude")
-    p.add_argument("--a1-step", type=float, default=None, help="continuation step in a1")
     p.add_argument("--out", type=str, default=None, help="output directory")
+    if command != "resonance":
+        p.add_argument("--D", type=str, default=None, help="flexural rigidity (list allowed where meaningful)")
+    if command in BRANCH_COMMANDS:
+        p.add_argument("--model", type=str, default=None, help="linear, nonlinear or both")
+        p.add_argument("--modes", type=int, default=None, help="initial cosine mode count N")
+        p.add_argument("--max-modes", type=int, default=None, help="cap for adaptive mode doubling")
+        p.add_argument("--a1-max", type=float, default=None, help="target first-mode amplitude")
+        p.add_argument("--a1-step", type=float, default=None, help="continuation step in a1")
+    if command in FLOQUET_COMMANDS:
+        p.add_argument("--mu-count", type=int, default=None, help="number of Floquet exponents in a sweep")
+        p.add_argument("--a1-list", type=str, default=None, help="branch amplitudes to analyze")
+        p.add_argument("--floquet-modes", type=int, default=None)
     if command == "dispersion":
         p.add_argument("--k-list", type=str, default=None, help="wavenumbers (default 1)")
     if command == "nls":
@@ -216,18 +224,6 @@ def _add_flags(p: argparse.ArgumentParser, command: str) -> None:
     if command == "branch":
         p.add_argument("--resume", type=str, default=None,
                        help="prior branch CSV to continue from; its sidecar sets the model, g, h and D")
-    if command == "stability":
-        p.add_argument("--a1-list", type=str, default=None, help="branch amplitudes to analyze")
-        p.add_argument("--floquet-modes", type=int, default=None)
-    if command == "compare":
-        p.add_argument("--a1-list", type=str, default=None)
-        p.add_argument("--floquet-modes", type=int, default=None)
-        p.add_argument(
-            "--overlay-sign",
-            choices=("vg_minus_c", "c_minus_vg"),
-            default=None,
-            help="vertical sign convention of the asymptotic overlay (default vg_minus_c)",
-        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -281,9 +277,15 @@ def merge_config(args: argparse.Namespace) -> dict:
 
 def _check_ranges(command: str, cfg: dict) -> None:
     """Reject values the commands cannot use, before any computation."""
+    # g and h for every command; D too where the command takes a single value
+    params_from(cfg, d_value=None if command in ("collisions", *BRANCH_COMMANDS) else 0.0)
     if command == "collisions" and cfg["mu_grid"] < 2:
         raise ConfigError(f"mu-grid must be at least 2, got {cfg['mu_grid']}")
-    if command in ("stability", "compare"):
+    if command in BRANCH_COMMANDS:
+        solver_config_from(cfg)
+        if not cfg["a1_max"] > 0:
+            raise ConfigError(f"a1-max must be positive, got {cfg['a1_max']}")
+    if command in FLOQUET_COMMANDS:
         if cfg["mu_count"] < 2:
             raise ConfigError(f"mu-count must be at least 2, got {cfg['mu_count']}")
         if cfg.get("floquet_modes") is not None and cfg["floquet_modes"] < 1:
@@ -497,13 +499,15 @@ def _select_waves(branch: BifurcationBranch, cfg: dict) -> list[TravelingWave]:
 def _floquet_runs(cfg: dict, overlay: dict[IceModel, NlsCoefficients] | None) -> None:
     """Per model: compute and save the branch, sweep each selected wave once,
     write its spectrum and classify it.  Given the NLS coefficients of each
-    model, also write each wave's overlay curve, under `compare`'s file names."""
+    model, also write each wave's overlay curve, under `compare`'s file names;
+    both files hold (mu, Re lambda, Im lambda) rows, so each overlay point
+    pairs with the FFH slice at its mu."""
     models = _branch_models(cfg)
     out = out_dir(cfg)
     solver_cfg = solver_config_from(cfg)
     mu_count = int(cfg["mu_count"])
     spectrum_tag, meta_tag = ("spectrum", "stability") if overlay is None else ("compare_ffh", "compare")
-    extra = {} if overlay is None else {"overlay_sign": cfg["overlay_sign"]}
+    header = ["mu", "re_lambda", "im_lambda"]
     for model in models:
         branch = _compute_branch(cfg, model, solver_cfg)
         save_branch(out, branch, cfg, solver_cfg)
@@ -511,11 +515,7 @@ def _floquet_runs(cfg: dict, overlay: dict[IceModel, NlsCoefficients] | None) ->
         for idx, wave in enumerate(_select_waves(branch, cfg)):
             spectrum = sweep_floquet(wave, mu_count, n_modes=cfg.get("floquet_modes"))
             mus, lams = spectrum.flattened()
-            write_csv(
-                out / f"{spectrum_tag}_{model.value}_{idx}.csv",
-                ["mu", "re_lambda", "im_lambda"],
-                zip(mus, lams.real, lams.imag),
-            )
+            write_csv(out / f"{spectrum_tag}_{model.value}_{idx}.csv", header, zip(mus, lams.real, lams.imag))
             report = classify(spectrum)
             reports.append(
                 {
@@ -537,11 +537,9 @@ def _floquet_runs(cfg: dict, overlay: dict[IceModel, NlsCoefficients] | None) ->
                 }
             )
             if overlay is not None:
-                curve = nls_overlay(
-                    overlay[model], wave.a1 / 2.0, wave.c, mu_grid=mu_count, convention=cfg["overlay_sign"]
-                )
-                write_csv(out / f"compare_nls_{model.value}_{idx}.csv", ["re_lambda", "im_lambda"], curve)
-        write_sidecar(out / f"{meta_tag}_{model.value}.meta.json", cfg, {**extra, "reports": reports})
+                curve = nls_overlay(overlay[model], wave.a1 / 2.0, wave.c, mu_grid=mu_count)
+                write_csv(out / f"compare_nls_{model.value}_{idx}.csv", header, curve)
+        write_sidecar(out / f"{meta_tag}_{model.value}.meta.json", cfg, {"reports": reports})
 
 
 def cmd_stability(cfg: dict) -> None:

@@ -100,14 +100,6 @@ class SpectralProfile:
     def n_modes(self) -> int:
         return self.coeffs.size
 
-    def padded(self, n_modes: int) -> "SpectralProfile":
-        """Profile extended with zero coefficients up to ``n_modes``."""
-        if n_modes < self.n_modes:
-            raise ValueError("cannot truncate a profile by padding")
-        out = np.zeros(n_modes)
-        out[: self.n_modes] = self.coeffs
-        return SpectralProfile(out)
-
 
 @dataclass(frozen=True)
 class TravelingWave:

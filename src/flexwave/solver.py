@@ -38,6 +38,7 @@ from .core import (
     grid_points,
     p_flex_derivative_grid,
 )
+from .theory import dispersion
 
 __all__ = [
     "NoConvergence",
@@ -113,18 +114,10 @@ class BifurcationBranch:
     def amplitudes(self) -> np.ndarray:
         return np.array([w.a1 for w in self.points])
 
-    def speeds(self) -> np.ndarray:
-        return np.array([w.c for w in self.points])
-
-    @property
-    def direction(self) -> Direction:
-        return branch_direction(self)
-
 
 def bifurcation_speed(params: PhysicalParams) -> float:
-    """Speed sqrt(tanh(h)(g + D)) at which the k=1 branch leaves flat water."""
-    th = 1.0 if params.infinite_depth else math.tanh(params.h)
-    return math.sqrt(th * (params.g + params.D))
+    """Speed omega(1) = sqrt(tanh(h)(g + D)) at which the k=1 branch leaves flat water."""
+    return dispersion(1.0, params)
 
 
 @lru_cache(maxsize=32)
@@ -292,11 +285,11 @@ def continue_branch(params: PhysicalParams, model: IceModel, a1_max: float,
     return branch
 
 
-def branch_direction(branch: BifurcationBranch, n_fit: int = 5) -> Direction:
-    """Sign of the least-squares slope of c against a_1^2 near the bifurcation."""
+def branch_direction(branch: BifurcationBranch) -> Direction:
+    """Sign of the least-squares slope of c against a_1^2 over the five smallest a_1."""
     if len(branch.points) < 3:
         raise ValueError("need at least 3 small-amplitude points to orient a branch")
-    pts = sorted(branch.points, key=lambda w: w.a1)[: max(3, min(n_fit, len(branch.points)))]
+    pts = sorted(branch.points, key=lambda w: w.a1)[:5]
     a_sq = np.array([w.a1**2 for w in pts])
     c = np.array([w.c for w in pts])
     slope = np.polyfit(a_sq, c, 1)[0]

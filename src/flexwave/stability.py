@@ -132,10 +132,6 @@ class InstabilityReport:
     argmax_mu: float
     clusters: tuple[SpectralCluster, ...]
 
-    @property
-    def kinds(self) -> set[InstabilityKind]:
-        return {c.kind for c in self.clusters}
-
 
 def _mode_numbers(n_modes: int) -> np.ndarray:
     return np.arange(-n_modes, n_modes + 1)
@@ -150,17 +146,9 @@ def _grid_for(base: TravelingWave, n_modes: int) -> int:
     return default_grid_size(max(base.profile.n_modes, n_modes))
 
 
-def _toeplitz(values: np.ndarray, n_modes: int) -> np.ndarray:
-    """Multiplication by a(x) on modes -N..N: entry (m, n) = a_hat[m-n]."""
-    m_grid = values.size
-    coeffs = np.fft.fft(values) / m_grid
-    modes = _mode_numbers(n_modes)
-    idx = (modes[:, None] - modes[None, :]) % m_grid
-    return coeffs[idx]
-
-
 def _row_coeffs(rows: np.ndarray, n_modes: int) -> np.ndarray:
-    """Row-dependent convolution: entry (m, n) = rows_hat[m, m-n]."""
+    """Row-dependent convolution: entry (m, n) = rows_hat[m, m-n].  A single
+    row a(x), of shape (1, M), gives multiplication by a: a_hat[m-n]."""
     m_grid = rows.shape[1]
     coeffs = np.fft.fft(rows, axis=1) / m_grid
     modes = _mode_numbers(n_modes)
@@ -173,7 +161,7 @@ def _flex_blocks(eta: np.ndarray, model: IceModel, n_modes: int) -> tuple[np.nda
     None for the constant-coefficient linear model."""
     if model is IceModel.LINEAR_BIHARMONIC:
         return None
-    return tuple(_toeplitz(coeff, n_modes) for coeff in toland_frechet_coeffs(eta))
+    return tuple(_row_coeffs(coeff[None, :], n_modes) for coeff in toland_frechet_coeffs(eta))
 
 
 def _flex_matrix(blocks: tuple[np.ndarray, ...] | None, dxm: np.ndarray) -> np.ndarray:
@@ -218,9 +206,9 @@ class _FloquetOperator:
         self.ex = grid_derivative(self.eta, 1)
         self.qx = qx_on_grid(self.eta, base.c, params, base.model)
         f = self.ex * (self.qx - base.c) / (1.0 + self.ex**2)
-        self.a_blk = _toeplitz(f, n_modes)
-        self.s_conv = _toeplitz(f**2 * self.ex - f * (self.qx - base.c), n_modes)
-        self.t_conv = _toeplitz((self.qx - base.c) - f * self.ex, n_modes)
+        self.a_blk = _row_coeffs(f[None, :], n_modes)
+        self.s_conv = _row_coeffs((f**2 * self.ex - f * (self.qx - base.c))[None, :], n_modes)
+        self.t_conv = _row_coeffs(((self.qx - base.c) - f * self.ex)[None, :], n_modes)
         self.flex = _flex_blocks(self.eta, base.model, n_modes)
 
     def blocks(self, mu: float) -> tuple[np.ndarray, ...]:
@@ -295,10 +283,10 @@ def assemble_matrices(base: TravelingWave, mu: float, n_modes: int | None = None
     return _pencil(*_FloquetOperator(base, n_modes).blocks(mu))
 
 
-def solve_spectrum(l1: np.ndarray, l2: np.ndarray, beta_tol: float = 1e-12) -> np.ndarray:
+def solve_spectrum(l1: np.ndarray, l2: np.ndarray) -> np.ndarray:
     """All finite generalized eigenvalues of lambda L1 U = L2 U via QZ.
 
-    Pairs with |beta| below ``beta_tol`` (relative to sqrt(|alpha|^2+|beta|^2))
+    Pairs with |beta| below 1e-12 (relative to sqrt(|alpha|^2+|beta|^2))
     are eigenvalues at infinity and are excluded from growth statistics.
 
     scipy is imported here, not at module load: the sweep's reduced path
@@ -313,7 +301,7 @@ def solve_spectrum(l1: np.ndarray, l2: np.ndarray, beta_tol: float = 1e-12) -> n
         raise EigSolverFailure(str(exc)) from exc
     scale = np.hypot(np.abs(alpha), np.abs(beta))
     scale[scale == 0] = 1.0
-    finite = np.abs(beta) / scale > beta_tol
+    finite = np.abs(beta) / scale > 1e-12
     return alpha[finite] / beta[finite]
 
 
@@ -379,7 +367,10 @@ def classify(
     (bubble) instabilities born from nonzero collisions.  The distance is
     taken from the line, not from the origin, because |c - omega'| grows
     with the rigidity: at D = 25, c - omega' is about -7.3, so the
-    modulational band at mu = 0.024 sits at Im(lambda) = -0.17.
+    modulational band at mu = 0.024 sits at Im(lambda) = -0.17.  For the
+    same reason the band's halves at +mu and -mu can lie farther apart than
+    ``cluster_radius``; all modulational clusters of the spectrum are
+    therefore reported as one, over the hull of their mu intervals.
 
     ``lambda_cutoff`` excludes eigenvalues with |lambda| above it: near the
     Fourier truncation edge the largest (stiffest) eigenvalues carry
@@ -430,25 +421,29 @@ def classify(
     for i in range(n_pts):
         groups.setdefault(find(i), []).append(i)
 
-    clusters = []
-    for members in groups.values():
+    def cluster(kind: InstabilityKind, members: list[int]) -> SpectralCluster:
         mus = [pts_mu[i] for i in members]
         lams = [pts_lam[i] for i in members]
-        touches_axis = min(abs(m) for m in mus) <= touch_mu
-        on_doppler_line = min(abs(l - 1j * m * spectrum.c_minus_vg) for m, l in zip(mus, lams)) <= origin_tol
-        kind = (
-            InstabilityKind.MODULATIONAL
-            if touches_axis and on_doppler_line
-            else InstabilityKind.HIGH_FREQUENCY
+        return SpectralCluster(
+            kind=kind,
+            mu_interval=(min(mus), max(mus)),
+            centroid=complex(np.mean(lams)),
+            max_growth=max(l.real for l in lams),
         )
-        clusters.append(
-            SpectralCluster(
-                kind=kind,
-                mu_interval=(min(mus), max(mus)),
-                centroid=complex(np.mean(lams)),
-                max_growth=max(l.real for l in lams),
-            )
+
+    clusters = []
+    modulational: list[int] = []
+    for members in groups.values():
+        touches_axis = min(abs(pts_mu[i]) for i in members) <= touch_mu
+        on_doppler_line = (
+            min(abs(pts_lam[i] - 1j * pts_mu[i] * spectrum.c_minus_vg) for i in members) <= origin_tol
         )
+        if touches_axis and on_doppler_line:
+            modulational += members
+        else:
+            clusters.append(cluster(InstabilityKind.HIGH_FREQUENCY, members))
+    if modulational:
+        clusters.append(cluster(InstabilityKind.MODULATIONAL, modulational))
     clusters.sort(key=lambda c: -c.max_growth)
 
     if n_pts:
@@ -459,28 +454,18 @@ def classify(
     return InstabilityReport(max_growth=max_growth, argmax_mu=argmax_mu, clusters=tuple(clusters))
 
 
-def nls_overlay(
-    coeffs: NlsCoefficients,
-    a: float,
-    c: float,
-    mu_grid: int = 201,
-    convention: str = "vg_minus_c",
-) -> np.ndarray:
-    """Asymptotic (Re, Im) eigenvalue curve predicted by the envelope equation.
+def nls_overlay(coeffs: NlsCoefficients, a: float, c: float, mu_grid: int = 201) -> np.ndarray:
+    """Asymptotic eigenvalue curve predicted by the envelope equation.
 
-    Returns points (Omega(mu), mu*(v_g - c)) over the unstable sideband;
-    ``convention="c_minus_vg"`` flips the vertical sign (the two conventions
-    trace the same symmetric curve; both are exposed rather than guessing the
-    plotting orientation).  Empty in the defocusing regime.
+    Returns rows (mu, Re, Im) = (mu, Omega(mu), mu (c - omega')) at
+    ``mu_grid`` sidebands spanning the unstable band, the columns of a Floquet
+    spectrum.  The FFH data fix the sign: at D = 0.01, a1 = 0.02, mu = 0.0504
+    the most unstable eigenvalue has Im(lambda) = +0.024285 against +0.024334
+    here.  Empty in the defocusing regime.
     """
-    if convention not in ("vg_minus_c", "c_minus_vg"):
-        raise ValueError(f"unknown sign convention {convention!r}")
     if not coeffs.focusing:
-        return np.empty((0, 2))
+        return np.empty((0, 3))
     edge = coeffs.band_edge(a)
     mus = np.linspace(-edge, edge, mu_grid)
     omega = np.array([growth_rate(mu, a, coeffs) for mu in mus])
-    vert = mus * (coeffs.omega_p - c)
-    if convention == "c_minus_vg":
-        vert = -vert
-    return np.column_stack([omega, vert])
+    return np.column_stack([mus, omega, mus * (c - coeffs.omega_p)])

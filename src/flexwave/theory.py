@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -23,12 +22,10 @@ __all__ = [
     "NoPositiveRoot",
     "WILTON_POLE_RTOL",
     "NlsCoefficients",
-    "ModulationalRegime",
     "CollisionRecord",
     "dispersion",
     "dispersion_derivatives",
     "nls_coefficients",
-    "classify_modulational",
     "growth_rate",
     "c_nls",
     "second_harmonic",
@@ -43,6 +40,10 @@ __all__ = [
 #: meaningless and we raise instead of returning a huge M.
 WILTON_POLE_RTOL = 1e-8
 
+#: Width in mu to which `find_collisions` bisects each collision; nearer
+#: roots of one branch pair count as one.
+COLLISION_MU_TOL = 1e-10
+
 
 class WiltonPole(ValueError):
     """Parameters sit on the vanishing denominator g - 14 k^4 D = 0."""
@@ -54,15 +55,6 @@ class FiniteDepthUnsupported(ValueError):
 
 class NoPositiveRoot(ValueError):
     """The resonance condition has no positive rigidity for these parameters."""
-
-
-class ModulationalRegime(Enum):
-    FOCUSING = "focusing"  # modulationally unstable
-    DEFOCUSING = "defocusing"  # modulationally stable
-
-    @property
-    def unstable(self) -> bool:
-        return self is ModulationalRegime.FOCUSING
 
 
 @dataclass(frozen=True)
@@ -83,6 +75,7 @@ class NlsCoefficients:
 
     @property
     def focusing(self) -> bool:
+        """Modulationally unstable: omega'' M > 0."""
         return self.omega_pp * self.M > 0
 
     def mu_max(self, a: float) -> float:
@@ -166,12 +159,6 @@ def nls_coefficients(model: IceModel, k: int, params: PhysicalParams) -> NlsCoef
             (g + k4d) * (g - 14.0 * k4d)
         )
     return NlsCoefficients(omega=omega, omega_p=omega_p, omega_pp=omega_pp, M=m, k=k)
-
-
-def classify_modulational(model: IceModel, k: int, params: PhysicalParams) -> ModulationalRegime:
-    """Focusing (unstable) iff omega'' * M > 0."""
-    coeffs = nls_coefficients(model, k, params)
-    return ModulationalRegime.FOCUSING if coeffs.focusing else ModulationalRegime.DEFOCUSING
 
 
 def growth_rate(mu: float, a: float, coeffs: NlsCoefficients) -> float:
@@ -262,25 +249,20 @@ def _flat_imag(mu: np.ndarray, m: int, sign: int, c: float, params: PhysicalPara
 
 
 def find_collisions(
-    params: PhysicalParams,
-    c: float,
-    mu_grid: int = 2001,
-    m_range: int = 10,
-    window: tuple[float, float] = (-0.5, 0.5),
-    mu_tol: float = 1e-10,
+    params: PhysicalParams, c: float, mu_grid: int = 2001, m_range: int = 10
 ) -> list[CollisionRecord]:
     """Locate collisions lambda^{s1}_{mu+m1} = lambda^{s2}_{mu+m2} of the
     flat-water eigenvalue branches.
 
     All branch pairs with |m| <= m_range and either different mode offsets or
-    different signs are scanned on a uniform mu grid over ``window``;
-    sign-crossing roots are bisected down to ``mu_tol``.  Tangential
-    near-collisions are reported only when the scanned gap itself falls
-    below ``mu_tol``.
+    different signs are scanned on ``mu_grid`` uniform exponents over
+    [-1/2, 1/2]; sign-crossing roots are bisected down to
+    ``COLLISION_MU_TOL``.  Tangential near-collisions are reported only when
+    the scanned gap itself vanishes on the grid.
     """
     if mu_grid < 2:
         raise ValueError("mu_grid must be at least 2")
-    mu = np.linspace(window[0], window[1], mu_grid)
+    mu = np.linspace(-0.5, 0.5, mu_grid)
     branches = [(m, s) for m in range(-m_range, m_range + 1) for s in (+1, -1)]
     values = {b: _flat_imag(mu, b[0], b[1], c, params) for b in branches}
 
@@ -288,7 +270,7 @@ def find_collisions(
     for i, b1 in enumerate(branches):
         for b2 in branches[i + 1 :]:
             diff = values[b1] - values[b2]
-            roots = _scan_roots(mu, diff, b1, b2, c, params, mu_tol)
+            roots = _scan_roots(mu, diff, b1, b2, c, params)
             for mu_star in roots:
                 lam = _flat_imag(np.array([mu_star]), b1[0], b1[1], c, params)[0]
                 records.append(
@@ -298,7 +280,7 @@ def find_collisions(
     return records
 
 
-def _scan_roots(mu, diff, b1, b2, c, params, mu_tol) -> list[float]:
+def _scan_roots(mu, diff, b1, b2, c, params) -> list[float]:
     def gap(x: float) -> float:
         arr = np.array([x])
         return float(_flat_imag(arr, b1[0], b1[1], c, params)[0] - _flat_imag(arr, b2[0], b2[1], c, params)[0])
@@ -306,13 +288,13 @@ def _scan_roots(mu, diff, b1, b2, c, params, mu_tol) -> list[float]:
     roots: list[float] = []
     exact = np.flatnonzero(diff == 0.0)
     for idx in exact:
-        if not roots or abs(mu[idx] - roots[-1]) > mu_tol:
+        if not roots or abs(mu[idx] - roots[-1]) > COLLISION_MU_TOL:
             roots.append(float(mu[idx]))
     sign_change = np.flatnonzero(diff[:-1] * diff[1:] < 0.0)
     for idx in sign_change:
         lo, hi = float(mu[idx]), float(mu[idx + 1])
         flo = gap(lo)
-        while hi - lo > mu_tol:
+        while hi - lo > COLLISION_MU_TOL:
             mid = 0.5 * (lo + hi)
             fmid = gap(mid)
             if fmid == 0.0:
@@ -323,6 +305,6 @@ def _scan_roots(mu, diff, b1, b2, c, params, mu_tol) -> list[float]:
             else:
                 lo, flo = mid, fmid
         root = 0.5 * (lo + hi)
-        if all(abs(root - r) > mu_tol for r in roots):
+        if all(abs(root - r) > COLLISION_MU_TOL for r in roots):
             roots.append(root)
     return sorted(roots)

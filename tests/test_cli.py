@@ -188,19 +188,35 @@ class TestCompareCommand:
              "--modes", "12", "--a1-step", "0.002", "--mu-count", "41", "--out", str(tmp_path)]
         )
         assert rc == 0
-        _, ffh = read_rows(tmp_path / "compare_ffh_linear_0.csv")
-        _, nls = read_rows(tmp_path / "compare_nls_linear_0.csv")
+        ffh_header, ffh = read_rows(tmp_path / "compare_ffh_linear_0.csv")
+        nls_header, nls = read_rows(tmp_path / "compare_nls_linear_0.csv")
         assert ffh and nls
+        assert ffh_header == nls_header == ["mu", "re_lambda", "im_lambda"]
         max_re = max(float(r[1]) for r in ffh)
-        max_curve = max(float(r[0]) for r in nls)
+        max_curve = max(float(r[1]) for r in nls)
         assert max_re == pytest.approx(max_curve, rel=0.35)
         meta = json.loads((tmp_path / "compare_linear.meta.json").read_text())
-        assert meta["overlay_sign"] == "vg_minus_c"
         (report,) = meta["reports"]
         assert report["max_growth"] == max_re
         assert report["failed_mu"] == []
         assert report["qz_mu"] == []
         assert 1.0 <= report["max_cond_c"] < 1e2
+
+    def test_overlay_pairs_with_the_ffh_eigenvalue(self, tmp_path):
+        # the overlay's Im column, read at the FFH argmax mu, is the Im part
+        # of the most unstable FFH eigenvalue, sign included
+        rc = main(
+            ["compare", "--D", "0.01", "--a1-max", "0.02", "--modes", "12", "--mu-count", "41",
+             "--out", str(tmp_path)]
+        )
+        assert rc == 0
+        for model in ("linear", "nonlinear"):
+            ffh = np.loadtxt(tmp_path / f"compare_ffh_{model}_0.csv", delimiter=",", skiprows=1)
+            nls = np.loadtxt(tmp_path / f"compare_nls_{model}_0.csv", delimiter=",", skiprows=1)
+            mu, _, im = ffh[np.argmax(ffh[:, 1])]
+            predicted = np.interp(mu, nls[:, 0], nls[:, 2])
+            assert abs(mu) > 0 and np.sign(predicted) == np.sign(im)
+            assert predicted == pytest.approx(im, rel=0.01)
 
 
 class TestConfigHandling:
@@ -221,7 +237,7 @@ class TestConfigHandling:
             ("resonance", "K-list", "2 3", "4", "7 10"),
             ("collisions", "m-range", "5", "6", 10),
             ("collisions", "mu-grid", "101", "201", 2001),
-            ("compare", "overlay-sign", "c_minus_vg", "vg_minus_c", "vg_minus_c"),
+            ("compare", "mu-count", "5", "7", 401),
         ],
     )
     def test_flag_over_file_over_default(self, tmp_path, command, flag, file_text, flag_text, default):
@@ -237,7 +253,7 @@ class TestConfigHandling:
         assert merged("--config", str(cfg), f"--{flag}", flag_text) == type(default)(flag_text)
 
     @pytest.mark.parametrize(
-        "command, line", [("compare", "overlay-sign = sideways"), ("branch", "modes = abc")]
+        "command, line", [("compare", "mu-count = many"), ("branch", "modes = abc")]
     )
     def test_bad_config_file_value_is_a_config_error(self, tmp_path, capsys, command, line):
         cfg = tmp_path / "bad.cfg"
@@ -263,13 +279,21 @@ class TestConfigHandling:
             ["stability", "--floquet-modes", "-3"],
             ["compare", "--floquet-modes", "0"],
             ["dispersion", "--k-list", "0.5 0"],
+            ["branch", "--a1-max", "-0.01"],
+            ["stability", "--a1-max", "0"],
+            ["compare", "--modes", "0"],
+            ["branch", "--a1-step", "0"],
+            ["stability", "--max-modes", "4", "--modes", "8"],
+            ["nls", "--g", "-1"],
+            ["collisions", "--D", "0.01 0.02"],
         ],
         ids=["h", "D", "K-list", "k-list", "a1-list", "D-grid", "mu-grid", "mu-count", "mu-count-compare",
-             "floquet-modes", "floquet-modes-compare", "k-zero"],
+             "floquet-modes", "floquet-modes-compare", "k-zero", "a1-max-negative", "a1-max-zero", "modes",
+             "a1-step", "max-modes", "g", "D-count"],
     )
     def test_bad_setting_is_a_config_error(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
-        assert main(argv + ["--model", "linear", "--out", str(out)]) == 2
+        assert main(argv + ["--out", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()  # rejected before any computation
 
@@ -293,6 +317,42 @@ class TestConfigHandling:
         assert main([command, "--config", str(cfg), "--model", "linear", "--out", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
+
+    #: Tiny values for the flags of each command beyond --g, --h, --out and --resume.
+    ALL_FLAGS = {
+        "dispersion": ["--D", "0.1", "--k-list", "1 2"],
+        "nls": ["--D", "0.1", "--D-grid", "0 0.1 2"],
+        "resonance": ["--K-list", "7"],
+        "collisions": ["--D", "0.01", "--c", "1.0", "--m-range", "2", "--mu-grid", "11"],
+        "branch": ["--D", "0.01", "--model", "linear", "--modes", "8", "--max-modes", "8",
+                   "--a1-max", "0.002", "--a1-step", "0.001"],
+        "stability": ["--D", "0.01", "--model", "linear", "--modes", "8", "--max-modes", "8",
+                      "--a1-max", "0.002", "--a1-step", "0.002", "--mu-count", "3", "--a1-list", "0.002",
+                      "--floquet-modes", "4"],
+    }
+    ALL_FLAGS["compare"] = ALL_FLAGS["stability"]
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_sidecar_records_exactly_the_command_flags(self, tmp_path, command):
+        argv = [command, *self.ALL_FLAGS[command], "--g", "1", "--h", "inf", "--out", str(tmp_path / "out")]
+        if command == "branch":
+            prior = tmp_path / "prior"
+            assert main(["branch", "--model", "linear", "--a1-max", "0.001", "--out", str(prior)]) == 0
+            argv += ["--resume", str(prior / "branch_linear.csv")]
+        assert main(argv) == 0
+        flags = set(vars(build_parser().parse_args([command]))) - {"command", "config"}
+        sidecars = list((tmp_path / "out").glob("*.meta.json"))
+        assert sidecars
+        for sidecar in sidecars:
+            assert set(json.loads(sidecar.read_text())["config"]) == flags, sidecar.name
+
+    @pytest.mark.parametrize(
+        "argv", [["dispersion", "--modes", "12"], ["collisions", "--a1-max", "0.3"], ["resonance", "--D", "1"],
+                 ["branch", "--mu-count", "5"], ["compare", "--overlay-sign", "c_minus_vg"]]
+    )
+    def test_flag_the_command_does_not_read_is_rejected(self, tmp_path, argv):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_malformed_config_is_a_config_error(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

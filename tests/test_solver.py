@@ -264,8 +264,8 @@ class TestBranchDirection:
     @pytest.mark.parametrize("d", sorted(TABLE))
     def test_table_rows(self, d, branch_cache):
         expected_lin, expected_nl = self.TABLE[d]
-        assert branch_cache(d, LIN, 0.005, step=1e-3).direction is expected_lin
-        assert branch_cache(d, NL, 0.005, step=1e-3).direction is expected_nl
+        assert branch_direction(branch_cache(d, LIN, 0.005, step=1e-3)) is expected_lin
+        assert branch_direction(branch_cache(d, NL, 0.005, step=1e-3)) is expected_nl
 
     def test_needs_three_points(self, branch_cache):
         branch = branch_cache(0.01, LIN, 0.01)

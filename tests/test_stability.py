@@ -327,15 +327,18 @@ class TestClassify:
         # D = 25, the survey's grid of 21 mu: the Toland wave's only
         # instability is the modulational band at mu = +-1/42, which sits
         # near Im(lambda) = mu (c - omega') = -+0.17, far from the origin;
-        # the linear model is modulationally stable there
+        # its two halves are one cluster.  The linear model is
+        # modulationally stable there
         toland = branch_cache(25.0, NL, 0.05).points[-1]
         spec = sweep_floquet(toland, 21, n_modes=16)
         assert spec.c_minus_vg == toland.c - dispersion_derivatives(1.0, toland.params)[1]
         assert spec.c_minus_vg == pytest.approx(-7.26, abs=0.01)
         report = classify(spec)
-        assert [c.kind for c in report.clusters] == [InstabilityKind.MODULATIONAL] * 2
-        intervals = sorted(c.mu_interval for c in report.clusters)
-        assert_allclose(intervals, [(-1 / 42, -1 / 42), (1 / 42, 1 / 42)], rtol=1e-12)
+        (band,) = report.clusters
+        assert band.kind is InstabilityKind.MODULATIONAL
+        assert_allclose(band.mu_interval, (-1 / 42, 1 / 42), rtol=1e-12)
+        assert band.max_growth == report.max_growth
+        assert abs(band.centroid.imag) < 1e-10  # mean of the mirror halves
         linear = branch_cache(25.0, LIN, 0.05).points[-1]
         assert classify(sweep_floquet(linear, 21, n_modes=16)).clusters == ()
 
@@ -352,7 +355,7 @@ class TestOverlay:
 
     def test_endpoints_reach_origin(self):
         curve = nls_overlay(self.coeffs(0.01), 0.005, 1.005, mu_grid=31)
-        assert abs(curve[0, 0]) < 1e-10 and abs(curve[-1, 0]) < 1e-10  # band edges
+        assert abs(curve[0, 1]) < 1e-10 and abs(curve[-1, 1]) < 1e-10  # band edges
         center = curve[len(curve) // 2]  # mu = 0 maps to the spectral origin
         assert np.max(np.abs(center)) < 1e-12
 
@@ -360,7 +363,7 @@ class TestOverlay:
         co = self.coeffs(0.01)
         a = 0.005
         curve = nls_overlay(co, a, 1.005, mu_grid=4001)
-        assert curve[:, 0].max() == pytest.approx(abs(co.M) * a**2, rel=1e-4)
+        assert curve[:, 1].max() == pytest.approx(abs(co.M) * a**2, rel=1e-4)
 
     def test_containment_order_follows_rigidity(self):
         # linear-model curve encloses the nonlinear one at D=0.01 and the
@@ -370,18 +373,17 @@ class TestOverlay:
             for model in (LIN, NL):
                 co = nls_coefficients(model, 1, PhysicalParams(D=d))
                 curve = nls_overlay(co, 0.005, 1.0, mu_grid=801)
-                ext[model] = (curve[:, 0].max(), np.abs(curve[:, 1]).max())
+                ext[model] = (curve[:, 1].max(), np.abs(curve[:, 2]).max())
             lin_bigger = all(ext[LIN][i] > ext[NL][i] for i in range(2))
             assert lin_bigger is lin_outside
 
     def test_defocusing_curve_is_empty(self):
         assert nls_overlay(self.coeffs(0.05), 0.01, 1.0).size == 0
 
-    def test_sign_convention_switch(self):
+    def test_imaginary_part_is_the_doppler_shift(self):
         co = self.coeffs(0.01)
         a, c = 0.005, 1.005
-        base = nls_overlay(co, a, c, mu_grid=51)
-        flipped = nls_overlay(co, a, c, mu_grid=51, convention="c_minus_vg")
-        assert_allclose(flipped[:, 1], -base[:, 1], atol=0)
-        with pytest.raises(ValueError):
-            nls_overlay(co, a, c, convention="upside_down")
+        curve = nls_overlay(co, a, c, mu_grid=51)
+        assert_allclose(curve[:, 0], np.linspace(-co.band_edge(a), co.band_edge(a), 51), rtol=0, atol=0)
+        assert_allclose(curve[:, 2], curve[:, 0] * (c - co.omega_p), rtol=0, atol=0)
+        assert curve[-1, 2] > 0  # c > omega' at D = 0.01: Im(lambda) has the sign of mu

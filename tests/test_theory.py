@@ -10,10 +10,8 @@ from flexwave.core import INFINITE_DEPTH, IceModel, PhysicalParams
 from flexwave.theory import (
     CollisionRecord,
     FiniteDepthUnsupported,
-    ModulationalRegime,
     WiltonPole,
     c_nls,
-    classify_modulational,
     curvature_sign_change_rigidity,
     dispersion,
     find_collisions,
@@ -103,24 +101,24 @@ class TestNlsCoefficients:
 class TestClassification:
     # focusing <=> modulationally unstable; formula-derived assignments
     TABLE = {
-        0.01: (ModulationalRegime.FOCUSING, ModulationalRegime.FOCUSING),
-        0.05: (ModulationalRegime.DEFOCUSING, ModulationalRegime.DEFOCUSING),
-        0.1: (ModulationalRegime.FOCUSING, ModulationalRegime.FOCUSING),
-        0.3: (ModulationalRegime.DEFOCUSING, ModulationalRegime.DEFOCUSING),
-        25.0: (ModulationalRegime.DEFOCUSING, ModulationalRegime.FOCUSING),
+        0.01: (True, True),
+        0.05: (False, False),
+        0.1: (True, True),
+        0.3: (False, False),
+        25.0: (False, True),
     }
 
     @pytest.mark.parametrize("d", sorted(TABLE))
     def test_regimes(self, d):
         expected_lin, expected_nl = self.TABLE[d]
-        assert classify_modulational(LIN, 1, deep(d)) is expected_lin
-        assert classify_modulational(NL, 1, deep(d)) is expected_nl
+        assert nls_coefficients(LIN, 1, deep(d)).focusing is expected_lin
+        assert nls_coefficients(NL, 1, deep(d)).focusing is expected_nl
 
     @pytest.mark.parametrize("scale", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("d", [0.01, 0.05, 0.1, 0.3, 25.0])
     def test_invariant_under_joint_rescaling(self, scale, d):
-        base = classify_modulational(LIN, 1, deep(d))
-        scaled = classify_modulational(LIN, 1, PhysicalParams(g=scale, D=scale * d))
+        base = nls_coefficients(LIN, 1, deep(d)).focusing
+        scaled = nls_coefficients(LIN, 1, PhysicalParams(g=scale, D=scale * d)).focusing
         assert scaled is base
 
 
