@@ -246,7 +246,9 @@ class _FileValueParser(argparse.ArgumentParser):
 
 def _config_file_values(command: str, path: str) -> dict:
     """Values of a config file, converted and checked by the command's flag
-    types and choices.  Keys that are no flag of the command stay strings."""
+    types and choices.  Keys that are no setting of the command are dropped,
+    so one file can serve several commands; `resume` is an error instead,
+    because it would replace the command's own branch."""
     values = load_config_file(path)
     parser = _FileValueParser(prog=path, add_help=False, allow_abbrev=False)
     _add_flags(parser, command)
@@ -254,7 +256,7 @@ def _config_file_values(command: str, path: str) -> dict:
     typed, _ = parser.parse_known_args(flags)
     if "resume" in values and not hasattr(typed, "resume"):
         raise ConfigError(f"{path}: {command} has no --resume; only branch continues a prior branch")
-    return {key: getattr(typed, key, value) for key, value in values.items()}
+    return {key: getattr(typed, key) for key in values if hasattr(typed, key) and key != "config"}
 
 
 def merge_config(args: argparse.Namespace) -> dict:
@@ -277,8 +279,13 @@ def merge_config(args: argparse.Namespace) -> dict:
 
 def _check_ranges(command: str, cfg: dict) -> None:
     """Reject values the commands cannot use, before any computation."""
-    # g and h for every command; D too where the command takes a single value
+    # g and h for every command; D where the command takes a single value,
+    # and each value of the D list and grid where it takes several
     params_from(cfg, d_value=None if command in ("collisions", *BRANCH_COMMANDS) else 0.0)
+    if command in ("dispersion", "nls"):
+        for key in ("D", "D_grid"):
+            for d in setting(cfg, key) if cfg.get(key) else ():
+                params_from(cfg, d_value=float(d))
     if command == "collisions" and cfg["mu_grid"] < 2:
         raise ConfigError(f"mu-grid must be at least 2, got {cfg['mu_grid']}")
     if command in BRANCH_COMMANDS:

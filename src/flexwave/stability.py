@@ -30,6 +30,16 @@ depth).  At zero amplitude the eigenvalues reduce to
     lambda_pm = i c (mu+m) +/- i sqrt[(g (mu+m) + D (mu+m)^5) tanh((mu+m) h)],
 
 which pins every sign and index convention used below.
+
+Every wave is reversible: eta0 is a cosine series, so eta0, qx0, Ct_m, St_m
+and the Toland coefficients b2, s1 are even, eta0_x, f, b1 and s2 are odd,
+and an even (odd) real grid function has real (imaginary) Fourier
+coefficients.  With the imaginary
+multipliers D_x = i(mu+n), the blocks of L1 = [[A, -I], [C, 0]] and
+L2 = [[S, T], [U, V]] have fixed phases: A, C, T and V are imaginary, S and
+U are real.  Hence each mu is a real eigenproblem (see
+``_FloquetOperator.solve``), and the spectrum at each mu is symmetric under
+lambda -> -conj(lambda).
 """
 
 from __future__ import annotations
@@ -66,7 +76,9 @@ __all__ = [
 ]
 
 #: Re(lambda) above this counts as growth; an order above the flat-water
-#: assembly/eigensolver error.
+#: assembly/eigensolver error.  The reduced real solve puts stable
+#: eigenvalues exactly on the imaginary axis, so round-off in Re(lambda)
+#: arises only on the QZ fallback.
 GROWTH_THRESHOLD = 1e-8
 
 #: Largest cond(C) at which the sweep eliminates C and solves the reduced
@@ -249,7 +261,19 @@ class _FloquetOperator:
         L1 has the inverse [[0, C^-1], [-I, A C^-1]], so while C is well
         conditioned the eigenvalues are those of the standard problem
         L1^-1 L2 = [[C^-1 U, C^-1 V], [A C^-1 U - S, A C^-1 V - T]], all
-        finite.  Above ``REDUCED_COND_LIMIT`` (or for a NaN estimate) QZ
+        finite.  Because eta0 is even and D_x is imaginary, A = i a,
+        C = i c^, T = i t and V = i v with a, c^, t and v real, and S and U
+        are real (see the module docstring).  With X = c^-1 U and
+        Y = c^-1 v, L1^-1 L2 is similar, through diag(I, i I), to -i B with
+        the real matrix
+
+            B = [[X, -Y], [a X - S, t - a Y]],
+
+        so lambda = -i eig(B), from a real solve and a real eigensolve.  A
+        real eigenvalue of B gives a lambda exactly on the imaginary axis;
+        a conjugate pair gives an exact pair lambda, -conj(lambda).  The
+        parts of the blocks left out are round-off, and cond(c^) = cond(C).
+        Above ``REDUCED_COND_LIMIT`` (or for a NaN estimate) QZ
         solves the pencil itself, through :func:`solve_spectrum`, which is
         the only place scipy is loaded.  Only numpy's LAPACK runs on the
         reduced path: alternating it with scipy's within the sweep makes the
@@ -258,11 +282,13 @@ class _FloquetOperator:
         blocks = self.blocks(mu)
         a_blk, c_blk, s_blk, t_blk, u_blk, v_blk = blocks
         try:
-            cond_c = float(np.linalg.cond(c_blk))
+            c_hat = c_blk.imag
+            cond_c = float(np.linalg.cond(c_hat))
             if cond_c <= REDUCED_COND_LIMIT:
-                top = np.linalg.solve(c_blk, np.hstack([u_blk, v_blk]))
-                reduced = np.vstack([top, a_blk @ top - np.hstack([s_blk, t_blk])])
-                return np.linalg.eigvals(reduced), cond_c, False
+                top = np.linalg.solve(c_hat, np.hstack([u_blk.real, -v_blk.imag]))  # [X, -Y]
+                b_real = np.vstack([top, a_blk.imag @ top - np.hstack([s_blk.real, -t_blk.imag])])
+                nu = np.linalg.eigvals(b_real)
+                return nu.imag - 1j * nu.real, cond_c, False
         except np.linalg.LinAlgError as exc:
             raise EigSolverFailure(str(exc)) from exc
         return solve_spectrum(*_pencil(*blocks)), cond_c, True
@@ -318,7 +344,7 @@ def sweep_floquet(
     eigenvalue collisions).  Slot i holds the eigenvalues at ``mu_values[i]``;
     a failed mu is recorded, with an empty slot, without aborting the sweep.
     The wave's mu-independent blocks are built once; each mu is solved as a
-    reduced standard eigenproblem, or by QZ where cond(C) exceeds
+    reduced real standard eigenproblem, or by QZ where cond(C) exceeds
     ``REDUCED_COND_LIMIT`` (recorded in ``qz_mu``).
     """
     if mu_values is None:

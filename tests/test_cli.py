@@ -286,10 +286,13 @@ class TestConfigHandling:
             ["stability", "--max-modes", "4", "--modes", "8"],
             ["nls", "--g", "-1"],
             ["collisions", "--D", "0.01 0.02"],
+            ["dispersion", "--D", "0.1 -1"],
+            ["nls", "--D", "0 -1"],
+            ["nls", "--D-grid", "-1 0 3"],
         ],
         ids=["h", "D", "K-list", "k-list", "a1-list", "D-grid", "mu-grid", "mu-count", "mu-count-compare",
              "floquet-modes", "floquet-modes-compare", "k-zero", "a1-max-negative", "a1-max-zero", "modes",
-             "a1-step", "max-modes", "g", "D-count"],
+             "a1-step", "max-modes", "g", "D-count", "D-list-dispersion", "D-list-nls", "D-grid-negative"],
     )
     def test_bad_setting_is_a_config_error(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
@@ -333,8 +336,15 @@ class TestConfigHandling:
     ALL_FLAGS["compare"] = ALL_FLAGS["stability"]
 
     @pytest.mark.parametrize("command", list(cli.COMMANDS))
-    def test_sidecar_records_exactly_the_command_flags(self, tmp_path, command):
+    @pytest.mark.parametrize("shared_config", [False, True])
+    def test_sidecar_records_exactly_the_command_flags(self, tmp_path, command, shared_config):
         argv = [command, *self.ALL_FLAGS[command], "--g", "1", "--h", "inf", "--out", str(tmp_path / "out")]
+        if shared_config:
+            # one file for several commands: keys that are no flag of this
+            # command are dropped, not recorded
+            cfg = tmp_path / "shared.cfg"
+            cfg.write_text("model = linear\nmu_count = 3\nk_list = 1\nK-list = 7\nm_range = 2\nconfig = x.cfg\n")
+            argv += ["--config", str(cfg)]
         if command == "branch":
             prior = tmp_path / "prior"
             assert main(["branch", "--model", "linear", "--a1-max", "0.001", "--out", str(prior)]) == 0

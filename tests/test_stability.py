@@ -246,6 +246,45 @@ class TestReducedSolve:
                 assert lams.size == qz.size == 2 * (2 * n + 1)
                 assert normwise_hausdorff(lams, qz) <= tol
 
+    # at D = 25 the round-off of D P_flex(eta0), a fourth derivative, makes
+    # q_x even only to about 5e-11 relative, and the blocks inherit it
+    @pytest.mark.parametrize("d, tol", [(0.01, 1e-15), (25.0, 1e-13)])
+    @pytest.mark.parametrize("h", [INFINITE_DEPTH, 1.0])
+    @pytest.mark.parametrize("model", [LIN, NL])
+    def test_blocks_have_the_phases_of_a_reversible_wave(self, branch_cache, model, h, d, tol):
+        # eta0 is even and D_x = i(mu+n): in L1 = [[A, -I], [C, 0]] and
+        # L2 = [[S, T], [U, V]], A, C, T and V are imaginary and S and U
+        # real, up to round-off relative to the largest entry of L1 or L2
+        wave = branch_cache(d, model, 0.02, h=h).points[-1]
+        k = 2 * 16 + 1
+        for mu in self.MUS:
+            l1, l2 = assemble_matrices(wave, mu, 16)
+            imaginary = [(l1[:k, :k], l1), (l1[k:, :k], l1), (l2[:k, k:], l2), (l2[k:, k:], l2)]
+            real = [(l2[:k, :k], l2), (l2[k:, :k], l2)]
+            for blk, pencil in imaginary:
+                assert np.abs(blk.real).max() <= tol * np.abs(pencil).max()
+            for blk, pencil in real:
+                assert np.abs(blk.imag).max() <= tol * np.abs(pencil).max()
+
+    def test_stable_wave_has_purely_imaginary_spectrum(self, branch_cache):
+        # the real form puts every stable eigenvalue exactly on the axis
+        wave = branch_cache(25.0, LIN, 0.05).points[-1]
+        spec = sweep_floquet(wave, 21, n_modes=16)
+        assert spec.qz_mu == [] and spec.failures == []
+        for lams in spec.eigenvalues:
+            assert lams.size == 66
+            assert_array_equal(lams.real, 0.0)
+
+    def test_unstable_eigenvalues_pair_with_their_mirror(self, branch_cache):
+        # reversibility: lambda and -conj(lambda) at the same mu
+        wave = branch_cache(0.01, NL, 0.02).points[-1]
+        spec = sweep_floquet(wave, 0, n_modes=16, mu_values=np.linspace(-0.1, 0.1, 9))
+        assert spec.max_growth() > 1e-5
+        for lams in spec.eigenvalues:
+            off_axis = lams[lams.real != 0]
+            for lam in off_axis:
+                assert np.abs(off_axis + lam.conj()).min() <= 1e-13
+
     def test_fallback_is_qz_bitwise(self, small_wave_d001, monkeypatch):
         monkeypatch.setattr(stability, "REDUCED_COND_LIMIT", 0.0)
         mus = [-0.2, 0.0, 0.35]
