@@ -141,8 +141,8 @@ def parse_int_list(text: str) -> list[int]:
 def parse_d_grid(text: str) -> np.ndarray:
     """`min max count` as the rigidities np.linspace(min, max, count)."""
     values = parse_float_list(text)
-    if len(values) != 3 or not values[2].is_integer() or values[2] < 1:
-        raise ValueError(f"expected 'min max count' with a positive integer count, got {text!r}")
+    if len(values) != 3 or not all(map(math.isfinite, values[:2])) or not values[2].is_integer() or values[2] < 1:
+        raise ValueError(f"expected 'min max count' with finite bounds and a positive integer count, got {text!r}")
     return np.linspace(values[0], values[1], int(values[2]))
 
 
@@ -290,8 +290,13 @@ def _check_ranges(command: str, cfg: dict) -> None:
         raise ConfigError(f"mu-grid must be at least 2, got {cfg['mu_grid']}")
     if command in BRANCH_COMMANDS:
         solver_config_from(cfg)
-        if not cfg["a1_max"] > 0:
-            raise ConfigError(f"a1-max must be positive, got {cfg['a1_max']}")
+        if not 0 < cfg["a1_max"] < math.inf:
+            raise ConfigError(f"a1-max must be positive and finite, got {cfg['a1_max']}")
+    for key in ("a1_list", "k_list"):
+        if cfg.get(key) and not all(map(math.isfinite, setting(cfg, key))):
+            raise ConfigError(f"{key.replace('_', '-')} values must be finite, got {cfg[key]!r}")
+    if cfg.get("c") is not None and not math.isfinite(cfg["c"]):
+        raise ConfigError(f"c must be finite, got {cfg['c']}")
     if command in FLOQUET_COMMANDS:
         if cfg["mu_count"] < 2:
             raise ConfigError(f"mu-count must be at least 2, got {cfg['mu_count']}")
@@ -410,7 +415,7 @@ def save_branch(out: Path, branch: BifurcationBranch, cfg: dict, solver_cfg: Sol
         coeffs[: wave.profile.n_modes] = wave.profile.coeffs
         rows.append((wave.c, *coeffs))
         z = np.concatenate(([wave.c], wave.profile.coeffs[1:]))
-        res = residual(z, wave.a1, branch.params, branch.model, solver_cfg)
+        res = residual(z, wave.a1, branch.params, branch.model)
         meta_points.append(
             {"a1": wave.a1, "c": wave.c, "n_modes": wave.profile.n_modes,
              "residual_inf": float(np.max(np.abs(res)))}

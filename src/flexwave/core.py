@@ -64,12 +64,12 @@ class PhysicalParams:
     D: float = 0.0
 
     def __post_init__(self):
-        if not self.g > 0:
-            raise ValueError(f"g must be positive, got {self.g}")
+        if not 0 < self.g < math.inf:
+            raise ValueError(f"g must be positive and finite, got {self.g}")
         if not self.h > 0:
             raise ValueError(f"h must be positive or infinite, got {self.h}")
-        if self.D < 0:
-            raise ValueError(f"D must be nonnegative, got {self.D}")
+        if not 0 <= self.D < math.inf:
+            raise ValueError(f"D must be nonnegative and finite, got {self.D}")
 
     @property
     def infinite_depth(self) -> bool:
@@ -120,14 +120,14 @@ def grid_points(m: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(m) / m
 
 
-def default_grid_size(n_modes: int, oversample: int = 4) -> int:
-    """Next power of two >= oversample*N, at least 64.
+def default_grid_size(n_modes: int) -> int:
+    """Next power of two >= 4N, at least 64.
 
     The Toland operator is a rational nonlinearity, so exact dealiasing is
     impossible; 4x oversampling keeps aliasing below truncation error for
     the smooth profiles handled here.
     """
-    target = max(oversample * n_modes, 64)
+    target = max(4 * n_modes, 64)
     return 1 << (target - 1).bit_length()
 
 

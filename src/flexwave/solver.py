@@ -7,13 +7,16 @@ is the cos(m x) projection of
 
     sqrt((1+eta_x^2)(c^2 - 2 g eta - 2 D P_flex)) * (sinh(m eta) + cosh(m eta) tanh(m h)),
 
-computed by trapezoidal quadrature on the oversampled collocation grid; in
+computed by trapezoidal quadrature on the 4x oversampled collocation grid; in
 infinite depth the kernel is exp(m eta).  The depth dependence is kept in the
 bounded tanh form so large m*h never overflows.
 
 Newton's method uses the exact Jacobian of this discrete residual: the
 derivatives of the weight and of the kernel are evaluated on the grid for all
-unknowns at once and projected with two matrix products.
+unknowns at once and projected with two matrix products.  Newton evaluates
+the surface (eta, the radicand, the weight and the kernels) once per iterate,
+for both F and J.  Its stop test, its step limit and the tail test of mode
+doubling are the constants RESIDUAL_TOL, MAX_NEWTON_ITERS and TAIL_THRESHOLD.
 """
 
 from __future__ import annotations
@@ -76,24 +79,27 @@ class StepUnderflow(RuntimeError):
         self.branch = branch
 
 
+#: Newton stops when |F|_inf reaches this absolute tolerance.
+RESIDUAL_TOL = 1e-10
+#: Newton steps before :class:`NoConvergence`.
+MAX_NEWTON_ITERS = 50
+#: Relative size of the last Fourier coefficient that triggers mode doubling.
+TAIL_THRESHOLD = 1e-12
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances and discretization knobs for the steady solver."""
+    """Continuation settings: initial mode count N, cap for mode doubling and
+    a_1 step.  Newton's tolerances, the tail test and the 4x grid oversampling
+    are fixed: see the module constants and `core.default_grid_size`."""
 
-    residual_tol: float = 1e-10
-    max_newton_iters: int = 50
-    tail_threshold: float = 1e-12
-    amplitude_step: float = 1e-3
-    grid_oversample: int = 4
     n_modes: int = 32
     max_modes: int = 512
+    amplitude_step: float = 1e-3
 
     def __post_init__(self):
-        for name in ("residual_tol", "tail_threshold", "amplitude_step"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.grid_oversample < 4:
-            raise ValueError("grid_oversample must be at least 4")
+        if not 0 < self.amplitude_step < math.inf:
+            raise ValueError(f"amplitude_step must be positive and finite, got {self.amplitude_step}")
         if self.n_modes < 1 or self.max_modes < self.n_modes:
             raise ValueError("mode counts must satisfy 1 <= n_modes <= max_modes")
 
@@ -121,26 +127,10 @@ def bifurcation_speed(params: PhysicalParams) -> float:
 
 
 @lru_cache(maxsize=32)
-def _cos_table(n: int, m: int) -> np.ndarray:
-    x = grid_points(m)
-    return np.cos(np.outer(np.arange(1, n + 1), x))
-
-
-@lru_cache(maxsize=32)
-def _sin_table(n: int, m: int) -> np.ndarray:
-    x = grid_points(m)
-    return np.sin(np.outer(np.arange(1, n + 1), x))
-
-
-def _surface(z, a1, params, model, config):
-    """Grid size M and the samples of eta, eta_x, the radicand R and the
-    weight W = sqrt((1+eta_x^2) R) at the unknowns z."""
-    coeffs = np.concatenate(([a1], z[1:]))
-    m_grid = default_grid_size(z.size, config.grid_oversample)
-    eta = eval_profile(SpectralProfile(coeffs), m_grid)
-    ex = grid_derivative(eta, 1)
-    radicand = bernoulli_radicand(eta, z[0], params, model)
-    return m_grid, eta, ex, radicand, np.sqrt((1.0 + ex**2) * radicand)
+def _trig_tables(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos(j x) and sin(j x) for j = 1..n on the M-point grid, as (n, M) arrays."""
+    jx = np.outer(np.arange(1, n + 1), grid_points(m))
+    return np.cos(jx), np.sin(jx)
 
 
 def _kernels(eta, n, h):
@@ -157,22 +147,50 @@ def _kernels(eta, n, h):
     return sh + ch * th, ch + sh * th
 
 
-def residual(z: np.ndarray, a1: float, params: PhysicalParams, model: IceModel,
-             config: SolverConfig) -> np.ndarray:
+def _evaluate(z, a1, params, model):
+    """F at the unknowns z, and the surface its Jacobian needs: grid size M,
+    the samples of eta, eta_x, the radicand R and the weight
+    W = sqrt((1+eta_x^2) R), and the kernels K_m, K'_m."""
+    n = z.size
+    m_grid = default_grid_size(n)
+    eta = eval_profile(SpectralProfile(np.concatenate(([a1], z[1:]))), m_grid)
+    ex = grid_derivative(eta, 1)
+    radicand = bernoulli_radicand(eta, z[0], params, model)
+    weight = np.sqrt((1.0 + ex**2) * radicand)
+    kernel, kernel_slope = _kernels(eta, n, params.h)
+    f = (2.0 * np.pi / m_grid) * np.einsum("ni,ni->n", _trig_tables(n, m_grid)[0], weight[None, :] * kernel)
+    return f, (m_grid, eta, ex, radicand, weight, kernel, kernel_slope)
+
+
+def _jacobian_at(surface, z, a1, params, model):
+    """:func:`jacobian` from the surface that :func:`_evaluate` returned at z."""
+    m_grid, eta, ex, radicand, weight, kernel, kernel_slope = surface
+    if weight.min() <= 0.0:
+        raise SingularJacobian(f"the weight W vanishes at a1={a1:.3e}, c={z[0]:.6g}")
+    n = z.size
+    s = 1.0 + ex**2
+    cos_mx, sin_mx = _trig_tables(n, m_grid)
+    v = cos_mx[1:]
+    v_x = -np.arange(2, n + 1)[:, None] * sin_mx[1:]
+    d_rad = -2.0 * params.g * v - 2.0 * params.D * p_flex_derivative_grid(eta, v, model)
+    d_weight = np.empty((n, m_grid))
+    d_weight[0] = s * z[0] / weight
+    d_weight[1:] = (2.0 * ex * v_x * radicand + s * d_rad) / (2.0 * weight)
+    jac = (cos_mx * kernel) @ d_weight.T
+    jac[:, 1:] += (np.arange(1, n + 1)[:, None] * cos_mx * weight * kernel_slope) @ v.T
+    return (2.0 * np.pi / m_grid) * jac
+
+
+def residual(z: np.ndarray, a1: float, params: PhysicalParams, model: IceModel) -> np.ndarray:
     """Cosine projections F_m, m = 1..N, of the steady nonlocal equation.
 
     Flat water gives an identically zero residual at any speed; the residual
     vanishes to O(a1^2) at the bifurcation point seed.
     """
-    z = np.asarray(z, dtype=float)
-    m_grid, eta, _, _, weight = _surface(z, a1, params, model, config)
-    wk = weight[None, :] * _kernels(eta, z.size, params.h)[0]
-    cos_mx = _cos_table(z.size, m_grid)
-    return (2.0 * np.pi / m_grid) * np.einsum("ni,ni->n", cos_mx, wk)
+    return _evaluate(np.asarray(z, dtype=float), a1, params, model)[0]
 
 
-def jacobian(z: np.ndarray, a1: float, params: PhysicalParams, model: IceModel,
-             config: SolverConfig) -> np.ndarray:
+def jacobian(z: np.ndarray, a1: float, params: PhysicalParams, model: IceModel) -> np.ndarray:
     """Exact Jacobian dF_m/dz_j of :func:`residual`, as an (N, N) array.
 
     With S = 1+eta_x^2, R the radicand and W = sqrt(S R), column 0 (the
@@ -186,50 +204,30 @@ def jacobian(z: np.ndarray, a1: float, params: PhysicalParams, model: IceModel,
     since W is not differentiable there.
     """
     z = np.asarray(z, dtype=float)
-    n = z.size
-    m_grid, eta, ex, radicand, weight = _surface(z, a1, params, model, config)
-    if weight.min() <= 0.0:
-        raise SingularJacobian(f"the weight W vanishes at a1={a1:.3e}, c={z[0]:.6g}")
-    s = 1.0 + ex**2
-    cos_mx = _cos_table(n, m_grid)
-    v = cos_mx[1:]
-    v_x = -np.arange(2, n + 1)[:, None] * _sin_table(n, m_grid)[1:]
-    d_rad = -2.0 * params.g * v - 2.0 * params.D * p_flex_derivative_grid(eta, v, model)
-    d_weight = np.empty((n, m_grid))
-    d_weight[0] = s * z[0] / weight
-    d_weight[1:] = (2.0 * ex * v_x * radicand + s * d_rad) / (2.0 * weight)
-    kernel, kernel_slope = _kernels(eta, n, params.h)
-    jac = (cos_mx * kernel) @ d_weight.T
-    jac[:, 1:] += (np.arange(1, n + 1)[:, None] * cos_mx * weight * kernel_slope) @ v.T
-    return (2.0 * np.pi / m_grid) * jac
+    return _jacobian_at(_evaluate(z, a1, params, model)[1], z, a1, params, model)
 
 
-def newton_solve(z0: np.ndarray, a1: float, params: PhysicalParams, model: IceModel,
-                 config: SolverConfig | None = None) -> TravelingWave:
+def newton_solve(z0: np.ndarray, a1: float, params: PhysicalParams, model: IceModel) -> TravelingWave:
     """Solve F(z) = 0 by Newton's method with the exact :func:`jacobian`.
 
     Returns the converged wave; raises :class:`NoConvergence` after
-    ``max_newton_iters``, :class:`SingularJacobian` if the Jacobian is
-    undefined or the linear solve fails, or propagates
+    ``MAX_NEWTON_ITERS`` steps or once F is not finite, :class:`SingularJacobian`
+    if the Jacobian is undefined or the linear solve fails, or propagates
     :class:`NonpositiveRadicand` from a bad iterate.
     """
-    config = config or SolverConfig()
     z = np.asarray(z0, dtype=float).copy()
-    f = residual(z, a1, params, model, config)
-    for _ in range(config.max_newton_iters):
-        if np.max(np.abs(f)) <= config.residual_tol:
+    for iteration in range(MAX_NEWTON_ITERS + 1):
+        f, surface = _evaluate(z, a1, params, model)
+        f_inf = np.max(np.abs(f))
+        if f_inf <= RESIDUAL_TOL:
             break
-        jac = jacobian(z, a1, params, model, config)
+        if not np.isfinite(f_inf) or iteration == MAX_NEWTON_ITERS:
+            raise NoConvergence(f"|F|_inf = {f_inf:.3e} after {iteration} iterations")
         try:
-            dz = np.linalg.solve(jac, f)
+            dz = np.linalg.solve(_jacobian_at(surface, z, a1, params, model), f)
         except np.linalg.LinAlgError as exc:
             raise SingularJacobian(str(exc)) from exc
         z = z - dz
-        f = residual(z, a1, params, model, config)
-    if np.max(np.abs(f)) > config.residual_tol:
-        raise NoConvergence(
-            f"|F|_inf = {np.max(np.abs(f)):.3e} after {config.max_newton_iters} iterations"
-        )
     coeffs = np.concatenate(([a1], z[1:]))
     return TravelingWave(profile=SpectralProfile(coeffs), c=float(z[0]), params=params, model=model)
 
@@ -251,8 +249,8 @@ def continue_branch(params: PhysicalParams, model: IceModel, a1_max: float,
     ``start`` wave resumes continuation from there instead of the
     bifurcation point.
     """
-    if a1_max <= 0:
-        raise ValueError("a1_max must be positive")
+    if not 0 < a1_max < math.inf:
+        raise ValueError(f"a1_max must be positive and finite, got {a1_max}")
     config = config or SolverConfig()
     if start is not None:
         z = np.concatenate(([start.c], start.profile.coeffs[1:]))
@@ -268,11 +266,11 @@ def continue_branch(params: PhysicalParams, model: IceModel, a1_max: float,
         a1_try = min(a1 + step, a1_max)
         guess = z
         try:
-            wave = newton_solve(guess, a1_try, params, model, config)
-            while _tail_ratio(wave) > config.tail_threshold and 2 * wave.profile.n_modes <= config.max_modes:
+            wave = newton_solve(guess, a1_try, params, model)
+            while _tail_ratio(wave) > TAIL_THRESHOLD and 2 * wave.profile.n_modes <= config.max_modes:
                 n = 2 * wave.profile.n_modes
                 guess = np.concatenate(([wave.c], wave.profile.coeffs[1:], np.zeros(n - wave.profile.n_modes)))
-                wave = newton_solve(guess, a1_try, params, model, config)
+                wave = newton_solve(guess, a1_try, params, model)
         except (NoConvergence, SingularJacobian, NonpositiveRadicand):
             step *= 0.5
             if step < 1e-9:

@@ -9,7 +9,7 @@ import pytest
 from flexwave import cli
 from flexwave.cli import build_parser, load_branch, main, merge_config
 from flexwave.core import IceModel
-from flexwave.solver import SolverConfig, residual
+from flexwave.solver import RESIDUAL_TOL, residual
 from flexwave.theory import c_nls, dispersion, nls_coefficients
 from flexwave.core import PhysicalParams
 
@@ -97,11 +97,17 @@ class TestBranchCommand:
     def test_round_trip_residuals(self, tmp_path):
         assert main(self.ARGS + ["--out", str(tmp_path)]) == 0
         branch = load_branch(tmp_path / "branch_linear.csv")
-        cfg = SolverConfig(n_modes=12)
         for wave in branch.points:
             z = np.concatenate(([wave.c], wave.profile.coeffs[1:]))
-            res = residual(z, wave.a1, branch.params, branch.model, cfg)
-            assert np.max(np.abs(res)) < cfg.residual_tol * 10
+            res = residual(z, wave.a1, branch.params, branch.model)
+            assert np.max(np.abs(res)) < RESIDUAL_TOL * 10
+
+    def test_sidecar_records_the_three_solver_settings(self, tmp_path):
+        argv = ["branch", "--D", "0.01", "--model", "linear", "--a1-max", "0.004",
+                "--modes", "12", "--max-modes", "64", "--a1-step", "0.002", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        meta = json.loads((tmp_path / "branch_linear.meta.json").read_text())
+        assert meta["solver"] == {"n_modes": 12, "max_modes": 64, "amplitude_step": 0.002}
 
     def test_nls_overlay_file(self, tmp_path):
         assert main(self.ARGS + ["--out", str(tmp_path)]) == 0
@@ -289,10 +295,24 @@ class TestConfigHandling:
             ["dispersion", "--D", "0.1 -1"],
             ["nls", "--D", "0 -1"],
             ["nls", "--D-grid", "-1 0 3"],
+            ["branch", "--model", "linear", "--D", "nan", "--modes", "8", "--a1-max", "0.002"],
+            ["branch", "--model", "linear", "--D", "inf", "--modes", "8", "--a1-max", "0.002"],
+            ["branch", "--model", "linear", "--a1-step", "nan", "--modes", "8", "--a1-max", "0.002"],
+            ["branch", "--model", "linear", "--g", "inf", "--modes", "8", "--a1-max", "0.002"],
+            ["stability", "--a1-max", "inf"],
+            ["stability", "--a1-list", "0.01 nan"],
+            ["dispersion", "--D", "nan"],
+            ["dispersion", "--k-list", "1 inf"],
+            ["nls", "--D", "nan"],
+            ["nls", "--D-grid", "0 inf 3"],
+            ["collisions", "--c", "nan"],
+            ["collisions", "--c", "inf"],
         ],
         ids=["h", "D", "K-list", "k-list", "a1-list", "D-grid", "mu-grid", "mu-count", "mu-count-compare",
              "floquet-modes", "floquet-modes-compare", "k-zero", "a1-max-negative", "a1-max-zero", "modes",
-             "a1-step", "max-modes", "g", "D-count", "D-list-dispersion", "D-list-nls", "D-grid-negative"],
+             "a1-step", "max-modes", "g", "D-count", "D-list-dispersion", "D-list-nls", "D-grid-negative",
+             "D-nan", "D-inf", "a1-step-nan", "g-inf", "a1-max-inf", "a1-list-nan", "D-nan-dispersion",
+             "k-list-inf", "D-nan-nls", "D-grid-inf", "c-nan", "c-inf"],
     )
     def test_bad_setting_is_a_config_error(self, tmp_path, capsys, argv):
         out = tmp_path / "out"

@@ -1,5 +1,7 @@
 """Spectral representation, ice-pressure operators and the Bernoulli closure."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -31,7 +33,9 @@ class TestParams:
         p = PhysicalParams()
         assert p.g == 1.0 and p.D == 0.0 and p.infinite_depth
 
-    @pytest.mark.parametrize("kwargs", [dict(g=0.0), dict(g=-1.0), dict(h=0.0), dict(h=-2.0), dict(D=-0.1)])
+    @pytest.mark.parametrize("kwargs", [dict(g=0.0), dict(g=-1.0), dict(h=0.0), dict(h=-2.0), dict(D=-0.1),
+                                        dict(g=math.inf), dict(g=math.nan), dict(h=math.nan),
+                                        dict(D=math.inf), dict(D=math.nan)])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             PhysicalParams(**kwargs)

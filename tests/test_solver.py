@@ -6,17 +6,20 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from flexwave import solver
 from flexwave.core import (
     INFINITE_DEPTH,
     IceModel,
     NonpositiveRadicand,
     PhysicalParams,
     SpectralProfile,
+    default_grid_size,
     eval_profile,
     qx_on_grid,
 )
 from flexwave.solver import (
     Direction,
+    NoConvergence,
     SingularJacobian,
     SolverConfig,
     StepUnderflow,
@@ -41,30 +44,27 @@ class TestResidual:
     @pytest.mark.parametrize("c", [0.3, 1.0, 2.7])
     @pytest.mark.parametrize("h", [INFINITE_DEPTH, 0.5])
     def test_flat_water_travels_at_any_speed(self, c, h):
-        cfg = SolverConfig(n_modes=12)
         p = PhysicalParams(h=h, D=0.05)
         z = np.zeros(12)
         z[0] = c
-        f = residual(z, 0.0, p, LIN, cfg)
+        f = residual(z, 0.0, p, LIN)
         assert np.max(np.abs(f)) < 1e-13
 
     def test_bifurcation_seed_is_quadratically_small(self):
-        cfg = SolverConfig(n_modes=16)
         p = deep(0.02)
         norms = {}
         for eps in (1e-4, 1e-5):
             z = np.zeros(16)
             z[0] = bifurcation_speed(p)
-            norms[eps] = np.max(np.abs(residual(z, eps, p, LIN, cfg)))
+            norms[eps] = np.max(np.abs(residual(z, eps, p, LIN)))
         assert norms[1e-5] <= 1e-8
         assert 50 < norms[1e-4] / norms[1e-5] < 200  # second-order in amplitude
 
     def test_radicand_guard(self):
-        cfg = SolverConfig(n_modes=8)
         z = np.zeros(8)
         z[0] = 0.1
         with pytest.raises(NonpositiveRadicand):
-            residual(z, 0.5, deep(0.0), LIN, cfg)
+            residual(z, 0.5, deep(0.0), LIN)
 
 
 class TestRadicandRule:
@@ -78,50 +78,48 @@ class TestRadicandRule:
         ],
     )
     def test_both_layers_reject_the_same_profile(self, a1, c):
-        cfg = SolverConfig(n_modes=8)
         z = np.zeros(8)
         z[0] = c
         eta = eval_profile(SpectralProfile(np.concatenate(([a1], z[1:]))), 64)
         with pytest.raises(NonpositiveRadicand):
-            residual(z, a1, deep(0.0), LIN, cfg)
+            residual(z, a1, deep(0.0), LIN)
         with pytest.raises(NonpositiveRadicand):
             qx_on_grid(eta, c, deep(0.0), LIN)
 
     def test_both_layers_accept_water_at_rest(self):
-        cfg = SolverConfig(n_modes=8)
         z = np.zeros(8)
-        assert np.all(residual(z, 0.0, deep(0.1), NL, cfg) == 0.0)
+        assert np.all(residual(z, 0.0, deep(0.1), NL) == 0.0)
         assert np.all(qx_on_grid(np.zeros(64), 0.0, deep(0.1), NL) == 0.0)
         # F = 0 already, so Newton returns without needing the Jacobian
-        assert newton_solve(z, 0.0, deep(0.1), NL, cfg).c == 0.0
+        assert newton_solve(z, 0.0, deep(0.1), NL).c == 0.0
         with pytest.raises(SingularJacobian):
-            jacobian(z, 0.0, deep(0.1), NL, cfg)
+            jacobian(z, 0.0, deep(0.1), NL)
 
 
-def _central_difference_jacobian(z, a1, params, model, cfg, step=1e-8):
+def _central_difference_jacobian(z, a1, params, model, step=1e-8):
     jac = np.empty((z.size, z.size))
     for j in range(z.size):
         dz = np.zeros(z.size)
         dz[j] = step
-        jac[:, j] = (residual(z + dz, a1, params, model, cfg) - residual(z - dz, a1, params, model, cfg)) / (2 * step)
+        jac[:, j] = (residual(z + dz, a1, params, model) - residual(z - dz, a1, params, model)) / (2 * step)
     return jac
 
 
-def _forward_difference_newton(z, a1, params, model, cfg, step=1e-7):
+def _forward_difference_newton(z, a1, params, model, step=1e-7):
     """Reference Newton iteration with a forward-difference Jacobian."""
     z = z.copy()
-    f = residual(z, a1, params, model, cfg)
-    for _ in range(cfg.max_newton_iters):
-        if np.max(np.abs(f)) <= cfg.residual_tol:
+    f = residual(z, a1, params, model)
+    for _ in range(solver.MAX_NEWTON_ITERS):
+        if np.max(np.abs(f)) <= solver.RESIDUAL_TOL:
             break
         jac = np.empty((z.size, z.size))
         for j in range(z.size):
             zj = z.copy()
             zj[j] += step
-            jac[:, j] = (residual(zj, a1, params, model, cfg) - f) / step
+            jac[:, j] = (residual(zj, a1, params, model) - f) / step
         z = z - np.linalg.solve(jac, f)
-        f = residual(z, a1, params, model, cfg)
-    assert np.max(np.abs(f)) <= cfg.residual_tol
+        f = residual(z, a1, params, model)
+    assert np.max(np.abs(f)) <= solver.RESIDUAL_TOL
     return z
 
 
@@ -130,35 +128,32 @@ class TestJacobian:
     @pytest.mark.parametrize("h", [INFINITE_DEPTH, 1.0])
     def test_matches_central_differences(self, model, h):
         params = PhysicalParams(h=h, D=0.01)
-        cfg = SolverConfig(n_modes=32, amplitude_step=0.01)
-        wave = continue_branch(params, model, 0.05, cfg).points[-1]
+        wave = continue_branch(params, model, 0.05, SolverConfig(n_modes=32, amplitude_step=0.01)).points[-1]
         assert wave.profile.n_modes == 32
         z = np.concatenate(([wave.c], wave.profile.coeffs[1:]))
-        exact = jacobian(z, wave.a1, params, model, cfg)
-        fd = _central_difference_jacobian(z, wave.a1, params, model, cfg)
+        exact = jacobian(z, wave.a1, params, model)
+        fd = _central_difference_jacobian(z, wave.a1, params, model)
         assert np.max(np.abs(exact - fd)) / np.max(np.abs(fd)) <= 1e-6
 
     def test_off_the_branch(self):
         # an iterate away from any solution, with a mode-2 component of the
         # wrong sign and a speed far from the bifurcation speed
         params = PhysicalParams(h=0.7, D=0.2)
-        cfg = SolverConfig(n_modes=12)
         z = np.zeros(12)
         z[:4] = [1.4, -0.01, 0.003, 0.001]
-        exact = jacobian(z, 0.04, params, NL, cfg)
-        fd = _central_difference_jacobian(z, 0.04, params, NL, cfg)
+        exact = jacobian(z, 0.04, params, NL)
+        fd = _central_difference_jacobian(z, 0.04, params, NL)
         assert np.max(np.abs(exact - fd)) / np.max(np.abs(fd)) <= 1e-6
 
     @pytest.mark.parametrize("model", [LIN, NL])
     @pytest.mark.parametrize("h", [INFINITE_DEPTH, 1.0])
     def test_branch_matches_forward_difference_newton(self, model, h):
         params = PhysicalParams(h=h, D=0.01)
-        cfg = SolverConfig(n_modes=16, amplitude_step=2e-3)
-        branch = continue_branch(params, model, 0.01, cfg)
+        branch = continue_branch(params, model, 0.01, SolverConfig(n_modes=16, amplitude_step=2e-3))
         z = np.zeros(16)
         z[0] = bifurcation_speed(params)
         for wave in branch.points:
-            z = _forward_difference_newton(z, wave.a1, params, model, cfg)
+            z = _forward_difference_newton(z, wave.a1, params, model)
             assert abs(z[0] - wave.c) <= 1e-12
             assert np.max(np.abs(z[1:] - wave.profile.coeffs[1:])) <= 1e-12
 
@@ -166,9 +161,8 @@ class TestJacobian:
 class TestNewton:
     def test_converged_point_is_fixed(self, small_wave_d001):
         w = small_wave_d001
-        cfg = SolverConfig(n_modes=w.profile.n_modes)
         z = np.concatenate(([w.c], w.profile.coeffs[1:]))
-        again = newton_solve(z, w.a1, w.params, w.model, cfg)
+        again = newton_solve(z, w.a1, w.params, w.model)
         assert again.c == w.c
         assert_allclose(again.profile.coeffs, w.profile.coeffs, rtol=0, atol=0)
 
@@ -179,7 +173,7 @@ class TestNewton:
         p = deep(d)
         z0 = np.zeros(16)
         z0[0] = bifurcation_speed(p)
-        wave = newton_solve(z0, 1e-3, p, LIN, SolverConfig(n_modes=16))
+        wave = newton_solve(z0, 1e-3, p, LIN)
         assert (wave.c > math.sqrt(p.g + p.D)) is expect_faster
 
     def test_recovers_bifurcation_speed(self):
@@ -187,8 +181,31 @@ class TestNewton:
             p = deep(d)
             z0 = np.zeros(16)
             z0[0] = bifurcation_speed(p)
-            wave = newton_solve(z0, 1e-4, p, LIN, SolverConfig(n_modes=16))
+            wave = newton_solve(z0, 1e-4, p, LIN)
             assert abs(wave.c - math.sqrt(1.0 + d)) < 1e-6
+
+    def test_nan_residual_is_no_convergence(self):
+        z0 = np.zeros(16)
+        z0[0] = math.nan
+        with pytest.raises(NoConvergence, match="after 0 iterations"):
+            newton_solve(z0, 1e-3, deep(0.01), LIN)
+
+    @pytest.mark.parametrize("model", [LIN, NL])
+    def test_one_surface_evaluation_per_iterate(self, monkeypatch, model):
+        # each Newton step projects one Jacobian, which calls P_flex' once
+        calls = {"eval_profile": 0, "p_flex_derivative_grid": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(solver, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(solver, name, counted)
+        p = PhysicalParams(h=1.0, D=0.01)
+        z0 = np.zeros(16)
+        z0[0] = bifurcation_speed(p)
+        newton_solve(z0, 5e-3, p, model)
+        steps = calls["p_flex_derivative_grid"]
+        assert steps >= 2
+        assert calls["eval_profile"] == steps + 1
 
 
 class TestContinuation:
@@ -226,18 +243,21 @@ class TestContinuation:
         w = small_wave_d001
         n = w.profile.n_modes
         z = np.concatenate(([w.c], w.profile.coeffs[1:], np.zeros(n)))
-        refined = newton_solve(z, w.a1, w.params, w.model, SolverConfig(n_modes=2 * n))
+        refined = newton_solve(z, w.a1, w.params, w.model)
         assert abs(refined.c - w.c) < 1e-10
 
     def test_quadrature_refinement_leaves_residual_converged(self, small_wave_d001):
+        # N zero modes double the quadrature grid and add F_m for N < m <= 2N
         w = small_wave_d001
-        z = np.concatenate(([w.c], w.profile.coeffs[1:]))
-        fine = residual(z, w.a1, w.params, w.model, SolverConfig(n_modes=w.profile.n_modes, grid_oversample=8))
+        n = w.profile.n_modes
+        z = np.concatenate(([w.c], w.profile.coeffs[1:], np.zeros(n)))
+        assert default_grid_size(2 * n) == 2 * default_grid_size(n)
+        fine = residual(z, w.a1, w.params, w.model)
         assert np.max(np.abs(fine)) < 1e-9
 
     def test_step_underflow_past_limiting_amplitude(self):
         p = PhysicalParams(h=0.05, D=0.0)
-        cfg = SolverConfig(n_modes=8, max_modes=8, amplitude_step=5e-3, max_newton_iters=12)
+        cfg = SolverConfig(n_modes=8, max_modes=8, amplitude_step=5e-3)
         with pytest.raises(StepUnderflow) as err:
             continue_branch(p, LIN, 0.1, cfg)
         assert len(err.value.branch.points) > 0  # partial branch is preserved
