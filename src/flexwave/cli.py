@@ -20,7 +20,8 @@ PhysicalParams and SolverConfig they build, before any output is written.
 All numeric CSV payloads are written with 17 significant digits so reloaded
 values round-trip exactly.  Exit codes: 0 success, 2 configuration error,
 3 numerical failure (partial results are persisted alongside an error
-record).
+record: `branch`, `stability` and `compare` save a branch that stalls at a
+fold as far as it got).
 """
 
 from __future__ import annotations
@@ -99,20 +100,18 @@ BRANCH_COMMANDS = ("branch", "stability", "compare")
 FLOQUET_COMMANDS = ("stability", "compare")
 
 
-def fmt(x) -> str:
-    """17-significant-digit decimal format: lossless float round trip."""
-    if isinstance(x, (bool, np.bool_)):
-        return str(int(x))
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".17g")
-
-
 def write_csv(path: Path, header: list[str], rows) -> None:
+    """The header line, then one line per row of ``len(header)`` numbers.
+
+    The whole table is formatted by one ``%.17g`` operation: 17 significant
+    digits give every float an exact round trip, and integers and flags
+    print as integers.
+    """
+    values = np.asarray(list(rows), dtype=float).ravel().tolist()
+    line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+        fh.write((line * (len(values) // len(header))) % tuple(values))
 
 
 def write_sidecar(path: Path, config: dict, extra: dict | None = None) -> None:
@@ -323,7 +322,7 @@ def solver_config_from(cfg: dict) -> SolverConfig:
     kwargs = {}
     if "modes" in cfg:
         kwargs["n_modes"] = int(cfg["modes"])
-        kwargs["max_modes"] = max(512, kwargs["n_modes"])
+        kwargs["max_modes"] = max(SolverConfig.max_modes, kwargs["n_modes"])
     if "max_modes" in cfg:
         kwargs["max_modes"] = int(cfg["max_modes"])
     if "a1_step" in cfg:
@@ -463,42 +462,44 @@ def load_branch(csv_path: str | Path) -> BifurcationBranch:
     return BifurcationBranch(params=params, model=model, points=points)
 
 
-def _branch_models(cfg: dict) -> list[IceModel]:
-    """The models `--model` selects; with `resume`, only the prior branch's
-    model, which `--model` must include."""
+def _saved_branches(cfg: dict):
+    """Continue, save and yield the branch of each model `--model` selects.
+
+    With `resume` (branch only), the prior branch is loaded once: `--model`
+    must include its model, and its points head the continued branch.  A
+    branch that stalls at a fold is saved as far as it got before
+    StepUnderflow propagates.
+    """
     models = models_from(str(cfg["model"]))
-    if not cfg.get("resume"):
-        return models
-    try:
-        prior = load_branch(cfg["resume"]).model
-    except (OSError, KeyError, ValueError) as exc:
-        raise ConfigError(f"cannot resume from {cfg['resume']}: {exc}") from exc
-    if prior not in models:
-        raise ConfigError(f"--model {cfg['model']} does not include the {prior.value} model of {cfg['resume']}")
-    return [prior]
-
-
-def _compute_branch(cfg: dict, model: IceModel, solver_cfg: SolverConfig) -> BifurcationBranch:
-    a1_max = float(cfg["a1_max"])
-    if not cfg.get("resume"):
-        return continue_branch(params_from(cfg), model, a1_max, solver_cfg)
-    prior = load_branch(cfg["resume"])
-    branch = continue_branch(prior.params, prior.model, a1_max, solver_cfg, start=prior.points[-1])
-    branch.points = list(prior.points) + branch.points
-    return branch
+    prior_points, start = [], None
+    if cfg.get("resume"):
+        try:
+            prior = load_branch(cfg["resume"])
+        except (OSError, KeyError, ValueError) as exc:
+            raise ConfigError(f"cannot resume from {cfg['resume']}: {exc}") from exc
+        if prior.model not in models:
+            raise ConfigError(
+                f"--model {cfg['model']} does not include the {prior.model.value} model of {cfg['resume']}"
+            )
+        models, prior_points, start = [prior.model], prior.points, prior.points[-1]
+    out = out_dir(cfg)
+    solver_cfg = solver_config_from(cfg)
+    params = params_from(cfg) if start is None else start.params
+    for model in models:
+        try:
+            branch = continue_branch(params, model, float(cfg["a1_max"]), solver_cfg, start=start)
+        except StepUnderflow as exc:
+            exc.branch.points[:0] = prior_points
+            save_branch(out, exc.branch, cfg, solver_cfg)
+            raise
+        branch.points[:0] = prior_points
+        save_branch(out, branch, cfg, solver_cfg)
+        yield branch
 
 
 def cmd_branch(cfg: dict) -> None:
-    models = _branch_models(cfg)
-    out = out_dir(cfg)
-    solver_cfg = solver_config_from(cfg)
-    for model in models:
-        try:
-            branch = _compute_branch(cfg, model, solver_cfg)
-        except StepUnderflow as exc:
-            save_branch(out, exc.branch, cfg, solver_cfg)
-            raise
-        save_branch(out, branch, cfg, solver_cfg)
+    for _ in _saved_branches(cfg):
+        pass  # each branch is saved as it is computed
 
 
 def _select_waves(branch: BifurcationBranch, cfg: dict) -> list[TravelingWave]:
@@ -509,25 +510,25 @@ def _select_waves(branch: BifurcationBranch, cfg: dict) -> list[TravelingWave]:
 
 
 def _floquet_runs(cfg: dict, overlay: dict[IceModel, NlsCoefficients] | None) -> None:
-    """Per model: compute and save the branch, sweep each selected wave once,
-    write its spectrum and classify it.  Given the NLS coefficients of each
-    model, also write each wave's overlay curve, under `compare`'s file names;
-    both files hold (mu, Re lambda, Im lambda) rows, so each overlay point
-    pairs with the FFH slice at its mu."""
-    models = _branch_models(cfg)
+    """Per model: compute and save the branch, sweep each selected wave once
+    over `mu-count` uniform exponents in [-1/2, 1/2), write its spectrum and
+    classify it.  Given the NLS coefficients of each model, also write each
+    wave's overlay curve, under `compare`'s file names; both files hold
+    (mu, Re lambda, Im lambda) rows, so each overlay point pairs with the
+    FFH slice at its mu."""
     out = out_dir(cfg)
-    solver_cfg = solver_config_from(cfg)
     mu_count = int(cfg["mu_count"])
+    mu_values = np.linspace(-0.5, 0.5, mu_count, endpoint=False)
     spectrum_tag, meta_tag = ("spectrum", "stability") if overlay is None else ("compare_ffh", "compare")
     header = ["mu", "re_lambda", "im_lambda"]
-    for model in models:
-        branch = _compute_branch(cfg, model, solver_cfg)
-        save_branch(out, branch, cfg, solver_cfg)
+    for branch in _saved_branches(cfg):
+        model = branch.model
         reports = []
         for idx, wave in enumerate(_select_waves(branch, cfg)):
-            spectrum = sweep_floquet(wave, mu_count, n_modes=cfg.get("floquet_modes"))
+            spectrum = sweep_floquet(wave, mu_values, n_modes=cfg.get("floquet_modes"))
             mus, lams = spectrum.flattened()
-            write_csv(out / f"{spectrum_tag}_{model.value}_{idx}.csv", header, zip(mus, lams.real, lams.imag))
+            rows = np.column_stack([mus, lams.real, lams.imag])
+            write_csv(out / f"{spectrum_tag}_{model.value}_{idx}.csv", header, rows)
             report = classify(spectrum)
             reports.append(
                 {
@@ -561,7 +562,8 @@ def cmd_stability(cfg: dict) -> None:
 def cmd_compare(cfg: dict) -> None:
     # the overlay can fail (finite depth, Wilton pole): find out before any branch or sweep
     params = params_from(cfg)
-    _floquet_runs(cfg, overlay={model: nls_coefficients(model, 1, params) for model in _branch_models(cfg)})
+    models = models_from(str(cfg["model"]))
+    _floquet_runs(cfg, overlay={model: nls_coefficients(model, 1, params) for model in models})
 
 
 COMMANDS = {

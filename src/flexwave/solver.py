@@ -16,7 +16,9 @@ derivatives of the weight and of the kernel are evaluated on the grid for all
 unknowns at once and projected with two matrix products.  Newton evaluates
 the surface (eta, the radicand, the weight and the kernels) once per iterate,
 for both F and J.  Its stop test, its step limit and the tail test of mode
-doubling are the constants RESIDUAL_TOL, MAX_NEWTON_ITERS and TAIL_THRESHOLD.
+doubling are the constants RESIDUAL_TOL, MAX_NEWTON_ITERS and TAIL_THRESHOLD;
+continuation stops at a fold once its step falls below MIN_STEP_FRACTION of
+the configured step.
 """
 
 from __future__ import annotations
@@ -68,7 +70,8 @@ class SingularJacobian(RuntimeError):
 
 
 class StepUnderflow(RuntimeError):
-    """Continuation step shrank below 1e-9 without convergence.
+    """Continuation step shrank below ``MIN_STEP_FRACTION`` of the
+    configured a_1 step without convergence.
 
     Signals a fold or breakdown (e.g. approaching limiting waves).  The
     ``branch`` attribute carries the points computed so far.
@@ -85,6 +88,9 @@ RESIDUAL_TOL = 1e-10
 MAX_NEWTON_ITERS = 50
 #: Relative size of the last Fourier coefficient that triggers mode doubling.
 TAIL_THRESHOLD = 1e-12
+#: Continuation gives up (:class:`StepUnderflow`) once repeated halving has
+#: cut the a_1 step below this fraction of ``SolverConfig.amplitude_step``.
+MIN_STEP_FRACTION = 2**-10
 
 
 @dataclass(frozen=True)
@@ -273,7 +279,7 @@ def continue_branch(params: PhysicalParams, model: IceModel, a1_max: float,
                 wave = newton_solve(guess, a1_try, params, model)
         except (NoConvergence, SingularJacobian, NonpositiveRadicand):
             step *= 0.5
-            if step < 1e-9:
+            if step < config.amplitude_step * MIN_STEP_FRACTION:
                 raise StepUnderflow(f"continuation stalled at a1 = {a1:.6g}", branch) from None
             continue
         branch.points.append(wave)

@@ -81,6 +81,14 @@ __all__ = [
 #: arises only on the QZ fallback.
 GROWTH_THRESHOLD = 1e-8
 
+#: Unstable eigenvalues at adjacent exponents of the sweep join one cluster
+#: when they lie within this distance in the complex plane.
+CLUSTER_RADIUS = 0.05
+
+#: A cluster is modulational when it reaches the Doppler line through the
+#: origin, Im(lambda) = mu (c - omega'(1)), within this distance.
+DOPPLER_TOL = 0.05
+
 #: Largest cond(C) at which the sweep eliminates C and solves the reduced
 #: standard eigenproblem; above it, QZ on the full pencil.  Converged waves
 #: at 12 to 32 Floquet modes stay below 1e2.
@@ -97,7 +105,6 @@ class FloquetSpectrum:
 
     mu_values: np.ndarray
     eigenvalues: list[np.ndarray]
-    n_modes: int
     failures: list[tuple[float, str]] = field(default_factory=list)
     #: Exponents solved by QZ because cond(C) exceeded REDUCED_COND_LIMIT.
     qz_mu: list[float] = field(default_factory=list)
@@ -114,13 +121,6 @@ class FloquetSpectrum:
         )
         lams = np.concatenate(self.eigenvalues) if self.eigenvalues else np.array([])
         return mus, lams
-
-    def max_growth(self) -> float:
-        mx = 0.0
-        for lams in self.eigenvalues:
-            if lams.size:
-                mx = max(mx, float(lams.real.max()))
-        return mx
 
 
 class InstabilityKind(Enum):
@@ -331,34 +331,22 @@ def solve_spectrum(l1: np.ndarray, l2: np.ndarray) -> np.ndarray:
     return alpha[finite] / beta[finite]
 
 
-def sweep_floquet(
-    base: TravelingWave,
-    mu_count: int,
-    n_modes: int | None = None,
-    mu_values: np.ndarray | None = None,
-) -> FloquetSpectrum:
-    """Solve the eigenvalue problem over a sweep of Floquet exponents.
+def sweep_floquet(base: TravelingWave, mu_values, n_modes: int | None = None) -> FloquetSpectrum:
+    """Solve the eigenvalue problem at each Floquet exponent of ``mu_values``.
 
-    Defaults to ``mu_count`` uniform exponents in [-1/2, 1/2); an explicit
-    ``mu_values`` array overrides the uniform grid (e.g. for refinement near
-    eigenvalue collisions).  Slot i holds the eigenvalues at ``mu_values[i]``;
-    a failed mu is recorded, with an empty slot, without aborting the sweep.
+    The grid is the caller's: uniform over [-1/2, 1/2) for a survey, or
+    refined near eigenvalue collisions.  Slot i holds the eigenvalues at
+    ``mu_values[i]``; a failed mu is recorded, with an empty slot, without
+    aborting the sweep.
     The wave's mu-independent blocks are built once; each mu is solved as a
     reduced real standard eigenproblem, or by QZ where cond(C) exceeds
     ``REDUCED_COND_LIMIT`` (recorded in ``qz_mu``).
     """
-    if mu_values is None:
-        if mu_count < 2:
-            raise ValueError("mu_count must be at least 2")
-        mu_values = np.linspace(-0.5, 0.5, mu_count, endpoint=False)
-    else:
-        mu_values = np.asarray(mu_values, dtype=float)
-    n_modes = _floquet_modes(base, n_modes)
-    operator = _FloquetOperator(base, n_modes)
+    mu_values = np.asarray(mu_values, dtype=float)
+    operator = _FloquetOperator(base, _floquet_modes(base, n_modes))
     spectrum = FloquetSpectrum(
         mu_values=mu_values,
         eigenvalues=[],
-        n_modes=n_modes,
         c_minus_vg=base.c - dispersion_derivatives(1.0, base.params)[1],
     )
     for mu in mu_values:
@@ -375,33 +363,26 @@ def sweep_floquet(
     return spectrum
 
 
-def classify(
-    spectrum: FloquetSpectrum,
-    threshold: float = GROWTH_THRESHOLD,
-    cluster_radius: float = 0.05,
-    origin_tol: float = 0.05,
-    lambda_cutoff: float | None = None,
-) -> InstabilityReport:
+def classify(spectrum: FloquetSpectrum) -> InstabilityReport:
     """Cluster unstable eigenvalues and label each cluster.
 
-    Points with Re(lambda) > threshold join a cluster when they are within
-    ``cluster_radius`` in the complex plane and adjacent in the mu sweep.  A
-    cluster is modulational when it reaches the smallest nonzero sweep
-    exponents with eigenvalues on the Doppler line through the origin
-    (min |lambda - i mu (c - omega')| below ``origin_tol``, with the
+    Points with Re(lambda) > ``GROWTH_THRESHOLD`` join a cluster when they
+    are within ``CLUSTER_RADIUS`` in the complex plane and adjacent in the
+    mu sweep.  A cluster is modulational when it reaches the smallest
+    nonzero sweep exponents with eigenvalues on the Doppler line through the
+    origin (min |lambda - i mu (c - omega')| below ``DOPPLER_TOL``, with the
     spectrum's ``c_minus_vg``); all other clusters are high-frequency
     (bubble) instabilities born from nonzero collisions.  The distance is
     taken from the line, not from the origin, because |c - omega'| grows
     with the rigidity: at D = 25, c - omega' is about -7.3, so the
     modulational band at mu = 0.024 sits at Im(lambda) = -0.17.  For the
     same reason the band's halves at +mu and -mu can lie farther apart than
-    ``cluster_radius``; all modulational clusters of the spectrum are
+    ``CLUSTER_RADIUS``; all modulational clusters of the spectrum are
     therefore reported as one, over the hull of their mu intervals.
 
-    ``lambda_cutoff`` excludes eigenvalues with |lambda| above it: near the
-    Fourier truncation edge the largest (stiffest) eigenvalues carry
-    truncation noise in their real parts, which would otherwise show up as
-    spurious clusters at very high frequency.
+    Every eigenvalue counts, however large: the reduced real solve puts
+    stable eigenvalues exactly on the imaginary axis, so the stiff modes at
+    the Fourier truncation edge add no noise to Re(lambda).
     """
     order = np.argsort(spectrum.mu_values)
     pts_mu: list[float] = []
@@ -409,12 +390,7 @@ def classify(
     pts_lam: list[complex] = []
     for slice_idx, i in enumerate(order):
         lams = spectrum.eigenvalues[i]
-        if lams.size == 0:
-            continue
-        unstable = lams[lams.real > threshold]
-        if lambda_cutoff is not None:
-            unstable = unstable[np.abs(unstable) <= lambda_cutoff]
-        for lam in unstable:
+        for lam in lams[lams.real > GROWTH_THRESHOLD]:
             pts_mu.append(float(spectrum.mu_values[i]))
             pts_slice.append(slice_idx)
             pts_lam.append(complex(lam))
@@ -435,7 +411,7 @@ def classify(
 
     for i in range(n_pts):
         for j in range(i + 1, n_pts):
-            if abs(pts_slice[i] - pts_slice[j]) <= 1 and abs(pts_lam[i] - pts_lam[j]) < cluster_radius:
+            if abs(pts_slice[i] - pts_slice[j]) <= 1 and abs(pts_lam[i] - pts_lam[j]) < CLUSTER_RADIUS:
                 union(i, j)
 
     sorted_mu = np.sort(np.unique(spectrum.mu_values))
@@ -462,7 +438,7 @@ def classify(
     for members in groups.values():
         touches_axis = min(abs(pts_mu[i]) for i in members) <= touch_mu
         on_doppler_line = (
-            min(abs(pts_lam[i] - 1j * pts_mu[i] * spectrum.c_minus_vg) for i in members) <= origin_tol
+            min(abs(pts_lam[i] - 1j * pts_mu[i] * spectrum.c_minus_vg) for i in members) <= DOPPLER_TOL
         )
         if touches_axis and on_doppler_line:
             modulational += members
@@ -480,7 +456,7 @@ def classify(
     return InstabilityReport(max_growth=max_growth, argmax_mu=argmax_mu, clusters=tuple(clusters))
 
 
-def nls_overlay(coeffs: NlsCoefficients, a: float, c: float, mu_grid: int = 201) -> np.ndarray:
+def nls_overlay(coeffs: NlsCoefficients, a: float, c: float, mu_grid: int) -> np.ndarray:
     """Asymptotic eigenvalue curve predicted by the envelope equation.
 
     Returns rows (mu, Re, Im) = (mu, Omega(mu), mu (c - omega')) at

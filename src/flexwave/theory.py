@@ -248,9 +248,7 @@ def _flat_imag(mu: np.ndarray, m: int, sign: int, c: float, params: PhysicalPara
     return c * s + sign * np.sqrt(radicand)
 
 
-def find_collisions(
-    params: PhysicalParams, c: float, mu_grid: int = 2001, m_range: int = 10
-) -> list[CollisionRecord]:
+def find_collisions(params: PhysicalParams, c: float, mu_grid: int, m_range: int) -> list[CollisionRecord]:
     """Locate collisions lambda^{s1}_{mu+m1} = lambda^{s2}_{mu+m2} of the
     flat-water eigenvalue branches.
 

@@ -398,6 +398,14 @@ class TestConfigHandling:
         assert rc == 2
 
 
+def test_write_csv_round_trips_floats_and_prints_integers(tmp_path):
+    path = tmp_path / "t.csv"
+    cli.write_csv(path, ["x", "k", "flag"], [(0.1, 7, True), (math.nan, -0.0, np.float64(1 / 3))])
+    assert path.read_text() == "x,k,flag\n0.10000000000000001,7,1\nnan,-0,0.33333333333333331\n"
+    cli.write_csv(path, ["mu", "re_lambda", "im_lambda"], np.empty((0, 3)))
+    assert path.read_text() == "mu,re_lambda,im_lambda\n"
+
+
 class TestFailurePaths:
     def test_compare_checks_overlay_before_any_work(self, tmp_path):
         # the NLS overlay exists only in infinite depth: compare must fail
@@ -412,15 +420,28 @@ class TestFailurePaths:
         assert not list(tmp_path.glob("compare_ffh_*"))
         assert not list(tmp_path.glob("branch_*"))
 
-    def test_numerical_failure_persists_partials_and_error_record(self, tmp_path):
+    @pytest.mark.parametrize("command, extra", [("branch", []), ("stability", ["--mu-count", "5"])],
+                             ids=["branch", "stability"])
+    def test_numerical_failure_persists_partials_and_error_record(self, tmp_path, command, extra):
         # shallow water cannot reach a1 = 0.1; the run must fail with exit 3
         # but keep the partial branch and write a machine-readable record
         rc = main(
-            ["branch", "--D", "0", "--h", "0.05", "--model", "linear", "--a1-max", "0.1",
-             "--modes", "8", "--max-modes", "8", "--a1-step", "0.005", "--out", str(tmp_path)]
+            [command, "--D", "0", "--h", "0.05", "--model", "linear", "--a1-max", "0.1",
+             "--modes", "8", "--max-modes", "8", "--a1-step", "0.005", *extra, "--out", str(tmp_path)]
         )
         assert rc == 3
         record = json.loads((tmp_path / "error.json").read_text())
         assert record["error"] == "StepUnderflow"
         branch = load_branch(tmp_path / "branch_linear.csv")
         assert len(branch.points) > 0
+
+    def test_resumed_branch_that_stalls_keeps_the_prior_points(self, tmp_path):
+        fold = ["branch", "--model", "linear", "--modes", "8", "--max-modes", "8", "--a1-step", "0.005"]
+        assert main(fold + ["--D", "0", "--h", "0.05", "--a1-max", "0.02", "--out", str(tmp_path)]) == 0
+        prior = load_branch(tmp_path / "branch_linear.csv")
+        out2 = tmp_path / "resumed"
+        rc = main(fold + ["--a1-max", "0.1", "--resume", str(tmp_path / "branch_linear.csv"), "--out", str(out2)])
+        assert rc == 3
+        resumed = load_branch(out2 / "branch_linear.csv")
+        assert len(resumed.points) > len(prior.points)
+        assert [w.a1 for w in resumed.points[: len(prior.points)]] == [w.a1 for w in prior.points]

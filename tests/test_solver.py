@@ -260,7 +260,9 @@ class TestContinuation:
         cfg = SolverConfig(n_modes=8, max_modes=8, amplitude_step=5e-3)
         with pytest.raises(StepUnderflow) as err:
             continue_branch(p, LIN, 0.1, cfg)
-        assert len(err.value.branch.points) > 0  # partial branch is preserved
+        # the partial branch is preserved, and the step floor, relative to
+        # the configured step, stops the halving soon after the fold
+        assert 0 < len(err.value.branch.points) < 100
 
     def test_resume_from_converged_point(self, branch_cache):
         base = branch_cache(0.01, LIN, 0.006)

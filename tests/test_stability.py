@@ -36,6 +36,11 @@ LIN = IceModel.LINEAR_BIHARMONIC
 NL = IceModel.NONLINEAR_COSSERAT
 
 
+def uniform_mu(count):
+    """The CLI's sweep grid: ``count`` uniform exponents in [-1/2, 1/2)."""
+    return np.linspace(-0.5, 0.5, count, endpoint=False)
+
+
 def flat_wave(params, c, model=LIN, n=4):
     return TravelingWave(profile=SpectralProfile(np.zeros(n)), c=c, params=params, model=model)
 
@@ -139,7 +144,7 @@ class TestFlatOracle:
         # the same oracle through the sweep's reduced standard eigenproblem
         p = PhysicalParams(D=d, h=h)
         c = bifurcation_speed(p)
-        spec = sweep_floquet(flat_wave(p, c), 0, n_modes=8, mu_values=[0.0, 0.25])
+        spec = sweep_floquet(flat_wave(p, c), [0.0, 0.25], n_modes=8)
         assert spec.qz_mu == []
         assert spec.max_cond_c == pytest.approx(1.0)  # C = i I on flat water
         for mu, lams in zip(spec.mu_values, spec.eigenvalues):
@@ -191,22 +196,22 @@ class TestSweep:
     def test_flat_water_is_spectrally_stable(self):
         p = PhysicalParams(D=0.1)
         base = flat_wave(p, bifurcation_speed(p))
-        spec = sweep_floquet(base, mu_count=21, n_modes=8)
-        assert spec.max_growth() < 1e-8
+        spec = sweep_floquet(base, uniform_mu(21), n_modes=8)
+        assert classify(spec).max_growth < 1e-8
 
     def test_results_keyed_by_mu_not_completion_order(self, small_wave_d001):
         # slot i of an unsorted sweep holds exactly the spectrum at mu_values[i]
         mus = np.array([0.3, -0.1, 0.02])
-        spec = sweep_floquet(small_wave_d001, 0, n_modes=12, mu_values=mus)
+        spec = sweep_floquet(small_wave_d001, mus, n_modes=12)
         assert_array_equal(spec.mu_values, mus)
         for mu, lams in zip(mus, spec.eigenvalues):
-            single = sweep_floquet(small_wave_d001, 0, n_modes=12, mu_values=[mu])
+            single = sweep_floquet(small_wave_d001, [mu], n_modes=12)
             assert lams.size > 0
             assert_array_equal(np.sort_complex(lams), np.sort_complex(single.eigenvalues[0]))
 
     def test_quadruple_symmetry_for_converged_wave(self, small_wave_d001):
         mus = np.array([-0.25, -0.1, 0.0, 0.1, 0.25])
-        spec = sweep_floquet(small_wave_d001, 0, n_modes=16, mu_values=mus)
+        spec = sweep_floquet(small_wave_d001, mus, n_modes=16)
         lams = np.concatenate(spec.eigenvalues)
         for target in (-lams.conj(), lams.conj()):
             dist = np.abs(lams[None, :] - target[:, None]).min(axis=1)
@@ -216,8 +221,8 @@ class TestSweep:
         mus = np.linspace(0.0, 0.05, 11)  # covers the unstable band
         growth = {}
         for n in (16, 32):
-            spec = sweep_floquet(small_wave_d001, 0, n_modes=n, mu_values=mus)
-            growth[n] = spec.max_growth()
+            spec = sweep_floquet(small_wave_d001, mus, n_modes=n)
+            growth[n] = classify(spec).max_growth
         assert abs(growth[32] - growth[16]) < 1e-6
 
 
@@ -238,7 +243,7 @@ class TestReducedSolve:
     def test_matches_qz_on_converged_waves(self, branch_cache, model, h, d, tol):
         wave = branch_cache(d, model, 0.02, h=h).points[-1]
         for n in (12, 16, 32):
-            spec = sweep_floquet(wave, 0, n_modes=n, mu_values=self.MUS)
+            spec = sweep_floquet(wave, self.MUS, n_modes=n)
             assert spec.qz_mu == [] and spec.failures == []
             assert 1.0 <= spec.max_cond_c < stability.REDUCED_COND_LIMIT
             for mu, lams in zip(self.MUS, spec.eigenvalues):
@@ -269,7 +274,7 @@ class TestReducedSolve:
     def test_stable_wave_has_purely_imaginary_spectrum(self, branch_cache):
         # the real form puts every stable eigenvalue exactly on the axis
         wave = branch_cache(25.0, LIN, 0.05).points[-1]
-        spec = sweep_floquet(wave, 21, n_modes=16)
+        spec = sweep_floquet(wave, uniform_mu(21), n_modes=16)
         assert spec.qz_mu == [] and spec.failures == []
         for lams in spec.eigenvalues:
             assert lams.size == 66
@@ -278,8 +283,8 @@ class TestReducedSolve:
     def test_unstable_eigenvalues_pair_with_their_mirror(self, branch_cache):
         # reversibility: lambda and -conj(lambda) at the same mu
         wave = branch_cache(0.01, NL, 0.02).points[-1]
-        spec = sweep_floquet(wave, 0, n_modes=16, mu_values=np.linspace(-0.1, 0.1, 9))
-        assert spec.max_growth() > 1e-5
+        spec = sweep_floquet(wave, np.linspace(-0.1, 0.1, 9), n_modes=16)
+        assert classify(spec).max_growth > 1e-5
         for lams in spec.eigenvalues:
             off_axis = lams[lams.real != 0]
             for lam in off_axis:
@@ -288,7 +293,7 @@ class TestReducedSolve:
     def test_fallback_is_qz_bitwise(self, small_wave_d001, monkeypatch):
         monkeypatch.setattr(stability, "REDUCED_COND_LIMIT", 0.0)
         mus = [-0.2, 0.0, 0.35]
-        spec = sweep_floquet(small_wave_d001, 0, n_modes=12, mu_values=mus)
+        spec = sweep_floquet(small_wave_d001, mus, n_modes=12)
         assert spec.qz_mu == mus
         for mu, lams in zip(mus, spec.eigenvalues):
             assert_array_equal(lams, solve_spectrum(*assemble_matrices(small_wave_d001, mu, 12)))
@@ -321,7 +326,7 @@ class TestReducedSolve:
             " SolverConfig(n_modes=12, amplitude_step=2e-3))\n"
             "before = 'scipy' in sys.modules\n"
             "stability.REDUCED_COND_LIMIT = 0.0\n"
-            "spec = stability.sweep_floquet(branch.points[-1], 4, n_modes=12)\n"
+            "spec = stability.sweep_floquet(branch.points[-1], [-0.5, -0.25, 0.0, 0.25], n_modes=12)\n"
             "print(json.dumps([before, 'scipy' in sys.modules, spec.qz_mu, spec.mu_values.tolist()]))"
         )
         before, after, qz_mu, mu_values = json.loads(fresh_python(code))
@@ -334,12 +339,12 @@ class TestClassify:
         """points: list of (mu, [lambda, ...]) pairs."""
         mus = np.array([mu for mu, _ in points])
         eigs = [np.array(lams, dtype=complex) for _, lams in points]
-        return FloquetSpectrum(mu_values=mus, eigenvalues=eigs, n_modes=4)
+        return FloquetSpectrum(mu_values=mus, eigenvalues=eigs)
 
     def test_flat_spectrum_has_empty_classification(self):
         p = PhysicalParams(D=0.1)
         base = flat_wave(p, bifurcation_speed(p))
-        spec = sweep_floquet(base, mu_count=11, n_modes=8)
+        spec = sweep_floquet(base, uniform_mu(11), n_modes=8)
         report = classify(spec)
         assert report.clusters == ()
         assert report.max_growth == 0.0
@@ -369,7 +374,7 @@ class TestClassify:
         # its two halves are one cluster.  The linear model is
         # modulationally stable there
         toland = branch_cache(25.0, NL, 0.05).points[-1]
-        spec = sweep_floquet(toland, 21, n_modes=16)
+        spec = sweep_floquet(toland, uniform_mu(21), n_modes=16)
         assert spec.c_minus_vg == toland.c - dispersion_derivatives(1.0, toland.params)[1]
         assert spec.c_minus_vg == pytest.approx(-7.26, abs=0.01)
         report = classify(spec)
@@ -379,13 +384,18 @@ class TestClassify:
         assert band.max_growth == report.max_growth
         assert abs(band.centroid.imag) < 1e-10  # mean of the mirror halves
         linear = branch_cache(25.0, LIN, 0.05).points[-1]
-        assert classify(sweep_floquet(linear, 21, n_modes=16)).clusters == ()
+        assert classify(sweep_floquet(linear, uniform_mu(21), n_modes=16)).clusters == ()
 
-    def test_lambda_cutoff_drops_truncation_noise(self):
-        pts = [(0.01 * i, []) for i in range(-5, 6)]
-        pts[7] = (0.02, [complex(1e-5, 2.6e4)])  # edge-mode artifact
-        report = classify(self.synthetic(pts), lambda_cutoff=100.0)
-        assert report.clusters == ()
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_truncation_edge_adds_no_growth(self, branch_cache, n):
+        # classify counts every eigenvalue, however stiff: on the thin-ice
+        # Toland wave of the sweep benchmark, every growing eigenvalue lies
+        # near the origin while the spectrum reaches far beyond 100
+        wave = branch_cache(0.01, NL, 0.05).points[-1]
+        spec = sweep_floquet(wave, uniform_mu(21), n_modes=n)
+        lams = np.concatenate(spec.eigenvalues)
+        assert np.abs(lams[lams.real > stability.GROWTH_THRESHOLD]).max() < 1.0
+        assert np.abs(lams).max() > 100.0
 
 
 class TestOverlay:
@@ -417,7 +427,7 @@ class TestOverlay:
             assert lin_bigger is lin_outside
 
     def test_defocusing_curve_is_empty(self):
-        assert nls_overlay(self.coeffs(0.05), 0.01, 1.0).size == 0
+        assert nls_overlay(self.coeffs(0.05), 0.01, 1.0, mu_grid=201).size == 0
 
     def test_imaginary_part_is_the_doppler_shift(self):
         co = self.coeffs(0.01)
