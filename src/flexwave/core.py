@@ -27,7 +27,6 @@ __all__ = [
     "depth_factor",
     "eval_profile",
     "grid_derivative",
-    "profile_coefficients",
     "p_flex_grid",
     "toland_frechet_coeffs",
     "p_flex_derivative_grid",
@@ -166,13 +165,6 @@ def grid_derivative(values: GridFunction, order: int) -> GridFunction:
     if order % 2 == 1 and m % 2 == 0:
         spec[..., -1] = 0.0  # Nyquist mode has no well-defined odd derivative
     return np.fft.irfft(spec, n=m)
-
-
-def profile_coefficients(values: GridFunction, n_modes: int) -> np.ndarray:
-    """Cosine coefficients a_1..a_N recovered from grid samples (round trip)."""
-    m = values.size
-    spec = np.fft.rfft(values)
-    return 2.0 * spec[1 : n_modes + 1].real / m
 
 
 def p_flex_grid(eta: GridFunction, model: IceModel) -> GridFunction:

@@ -34,11 +34,14 @@ which pins every sign and index convention used below.
 Every wave is reversible: eta0 is a cosine series, so eta0, qx0, Ct_m, St_m
 and the Toland coefficients b2, s1 are even, eta0_x, f, b1 and s2 are odd,
 and an even (odd) real grid function has real (imaginary) Fourier
-coefficients.  With the imaginary
-multipliers D_x = i(mu+n), the blocks of L1 = [[A, -I], [C, 0]] and
-L2 = [[S, T], [U, V]] have fixed phases: A, C, T and V are imaginary, S and
-U are real.  Hence each mu is a real eigenproblem (see
-``_FloquetOperator.solve``), and the spectrum at each mu is symmetric under
+coefficients.  With D_x = i(mu+n), the blocks of L1 = [[A, -I], [C, 0]] and
+L2 = [[S, T], [U, V]] are A = i a, C = i c^, T = i t and V = i v, with a, c^,
+t, v, S and U real.  With q1 = i q' and nu = i lambda the problem is real,
+
+    nu [[a, -I], [c^, 0]] x = [[S, -t], [U, -v]] x,
+
+and only this pencil is built and solved; lambda = -i nu is applied at the
+end, so the spectrum at each mu is exactly symmetric under
 lambda -> -conj(lambda).
 """
 
@@ -76,9 +79,9 @@ __all__ = [
 ]
 
 #: Re(lambda) above this counts as growth; an order above the flat-water
-#: assembly/eigensolver error.  The reduced real solve puts stable
-#: eigenvalues exactly on the imaginary axis, so round-off in Re(lambda)
-#: arises only on the QZ fallback.
+#: assembly/eigensolver error.  Both eigensolver paths solve a real pencil
+#: and put stable eigenvalues exactly on the imaginary axis, so Re(lambda)
+#: carries no round-off.
 GROWTH_THRESHOLD = 1e-8
 
 #: Unstable eigenvalues at adjacent exponents of the sweep join one cluster
@@ -89,9 +92,9 @@ CLUSTER_RADIUS = 0.05
 #: origin, Im(lambda) = mu (c - omega'(1)), within this distance.
 DOPPLER_TOL = 0.05
 
-#: Largest cond(C) at which the sweep eliminates C and solves the reduced
-#: standard eigenproblem; above it, QZ on the full pencil.  Converged waves
-#: at 12 to 32 Floquet modes stay below 1e2.
+#: Largest cond(c^) at which the sweep eliminates c^ and solves the reduced
+#: real standard eigenproblem; above it, real QZ on the same pencil.
+#: Converged small-amplitude waves at 12 to 32 Floquet modes stay below 1e2.
 REDUCED_COND_LIMIT = 1e6
 
 
@@ -106,9 +109,9 @@ class FloquetSpectrum:
     mu_values: np.ndarray
     eigenvalues: list[np.ndarray]
     failures: list[tuple[float, str]] = field(default_factory=list)
-    #: Exponents solved by QZ because cond(C) exceeded REDUCED_COND_LIMIT.
+    #: Exponents solved by QZ because cond(c^) exceeded REDUCED_COND_LIMIT.
     qz_mu: list[float] = field(default_factory=list)
-    #: Largest 2-norm condition number of C over the solved exponents.
+    #: Largest 2-norm condition number of c^ over the solved exponents.
     max_cond_c: float = 0.0
     #: c - omega'(1): near mu = 0 the modulational eigenvalues leave the
     #: origin along the Doppler line Im(lambda) = mu (c - omega'(1)).
@@ -158,37 +161,41 @@ def _grid_for(base: TravelingWave, n_modes: int) -> int:
     return default_grid_size(max(base.profile.n_modes, n_modes))
 
 
-def _row_coeffs(rows: np.ndarray, n_modes: int) -> np.ndarray:
-    """Row-dependent convolution: entry (m, n) = rows_hat[m, m-n].  A single
-    row a(x), of shape (1, M), gives multiplication by a: a_hat[m-n]."""
+def _row_coeffs(rows: np.ndarray, n_modes: int, odd: bool) -> np.ndarray:
+    """Row-dependent convolution: entry (m, n) = rows_hat[m, m-n], divided
+    by i for odd rows.  A single row a(x), of shape (1, M), gives
+    multiplication by a.  The other part of the coefficients is round-off
+    for a reversible wave; this is the one place it is dropped."""
     m_grid = rows.shape[1]
     coeffs = np.fft.fft(rows, axis=1) / m_grid
+    coeffs = coeffs.imag if odd else coeffs.real
     modes = _mode_numbers(n_modes)
     idx = (modes[:, None] - modes[None, :]) % m_grid
     return np.take_along_axis(coeffs, idx, axis=1)
 
 
 def _flex_blocks(eta: np.ndarray, model: IceModel, n_modes: int) -> tuple[np.ndarray, ...] | None:
-    """Convolution blocks (b2, b1, s2, s1) of the Toland operator at eta, or
-    None for the constant-coefficient linear model."""
+    """Real convolution blocks (b2, b1 / i, s2 / i, s1) of the Toland
+    operator at eta, or None for the constant-coefficient linear model."""
     if model is IceModel.LINEAR_BIHARMONIC:
         return None
-    return tuple(_row_coeffs(coeff[None, :], n_modes) for coeff in toland_frechet_coeffs(eta))
+    parities = (False, True, True, False)
+    return tuple(_row_coeffs(b[None, :], n_modes, odd) for b, odd in zip(toland_frechet_coeffs(eta), parities))
 
 
-def _flex_matrix(blocks: tuple[np.ndarray, ...] | None, dxm: np.ndarray) -> np.ndarray:
-    """G(eta0; .) on modes with D_x multipliers ``dxm``: the diagonal D_x
-    factors are applied as row and column scalings of the blocks."""
+def _flex_matrix(blocks: tuple[np.ndarray, ...] | None, s: np.ndarray) -> np.ndarray:
+    """Real G(eta0; .) on modes of wavenumbers ``s``: with D_x = i s and the
+    blocks b1, s2 divided by i, G = s_m^2 (b2 s_n^2 + b1 s_n) + s_m (s2 s_n^2 - s1 s_n)."""
+    sq = s * s
     if blocks is None:
-        return np.diag(dxm**4)
+        return np.diag(sq * sq)
     b2, b1, s2, s1 = blocks
-    d2 = dxm * dxm
-    return d2[:, None] * (b2 * d2 + b1 * dxm) + dxm[:, None] * (s2 * d2 + s1 * dxm)
+    return sq[:, None] * (b2 * sq + b1 * s) + s[:, None] * (s2 * sq - s1 * s)
 
 
 def linearized_flex(base: TravelingWave, model: IceModel, mu: float, n_modes: int) -> np.ndarray:
-    """Matrix of the linearized ice-pressure operator G(eta0; .) on Floquet
-    modes e^{i(mu+n)x}, n = -N..N.
+    """Real matrix of the linearized ice-pressure operator G(eta0; .) on
+    Floquet modes e^{i(mu+n)x}, n = -N..N.
 
     For the linear model G is the constant-coefficient operator D_x^4.  For
     the Toland model it is
@@ -199,7 +206,7 @@ def linearized_flex(base: TravelingWave, model: IceModel, mu: float, n_modes: in
     from their FFT coefficients on the grid.
     """
     eta = eval_profile(base.profile, _grid_for(base, n_modes))
-    return _flex_matrix(_flex_blocks(eta, model, n_modes), 1j * (mu + _mode_numbers(n_modes)))
+    return _flex_matrix(_flex_blocks(eta, model, n_modes), mu + _mode_numbers(n_modes))
 
 
 class _FloquetOperator:
@@ -208,7 +215,7 @@ class _FloquetOperator:
     Everything that does not depend on mu -- the wave's grid functions and
     the mu-independent convolution blocks -- is built once, here; each mu
     adds only the depth factors, the cosh/sinh row coefficients and the
-    D_x = i(mu+n) scalings.
+    wavenumber scalings.
     """
 
     def __init__(self, base: TravelingWave, n_modes: int):
@@ -218,25 +225,20 @@ class _FloquetOperator:
         self.ex = grid_derivative(self.eta, 1)
         self.qx = qx_on_grid(self.eta, base.c, params, base.model)
         f = self.ex * (self.qx - base.c) / (1.0 + self.ex**2)
-        self.a_blk = _row_coeffs(f[None, :], n_modes)
-        self.s_conv = _row_coeffs((f**2 * self.ex - f * (self.qx - base.c))[None, :], n_modes)
-        self.t_conv = _row_coeffs(((self.qx - base.c) - f * self.ex)[None, :], n_modes)
+        self.a_blk = _row_coeffs(f[None, :], n_modes, odd=True)
+        self.s_conv = _row_coeffs((f**2 * self.ex - f * (self.qx - base.c))[None, :], n_modes, odd=True)
+        self.t_conv = _row_coeffs(((self.qx - base.c) - f * self.ex)[None, :], n_modes, odd=False)
         self.flex = _flex_blocks(self.eta, base.model, n_modes)
 
     def blocks(self, mu: float) -> tuple[np.ndarray, ...]:
-        """(A, C, S, T, U, V) of the pencil L1 = [[A, -I], [C, 0]],
-        L2 = [[S, T], [U, V]] at Floquet exponent mu."""
+        """The real blocks (a, c^, S, t, U, v) at Floquet exponent mu (see the
+        module docstring)."""
         params, c, n_modes = self.params, self.c, self.n_modes
-        s = mu + _mode_numbers(n_modes)
-        dxm = 1j * s  # D_x multiplier of column mode n
+        s = mu + _mode_numbers(n_modes)  # D_x = i s on column mode n
 
-        # local equation: lambda (A eta1 - q1) = S eta1 + T q1
-        s_blk = (
-            params.g * np.eye(s.size)
-            + self.s_conv * dxm[None, :]
-            + params.D * _flex_matrix(self.flex, dxm)
-        )
-        t_blk = self.t_conv * dxm[None, :]
+        # local equation
+        s_blk = params.g * np.eye(s.size) - self.s_conv * s[None, :] + params.D * _flex_matrix(self.flex, s)
+        t_blk = self.t_conv * s[None, :]
 
         # nonlocal equation at row m, bounded depth factors
         t_depth = np.asarray(depth_factor(s, params.h), dtype=float)
@@ -245,72 +247,62 @@ class _FloquetOperator:
         c_til = ch + t_depth[:, None] * sh
         s_til = sh + t_depth[:, None] * ch
 
-        c_conv = _row_coeffs(c_til, n_modes)
-        c_blk = 1j * c_conv
+        c_hat = _row_coeffs(c_til, n_modes, odd=False)
         u_blk = (
-            c_conv * (1j * c) * dxm[None, :]
-            + (1j * c * s)[:, None] * _row_coeffs(self.ex[None, :] * s_til, n_modes)
-            + s[:, None] * _row_coeffs(self.qx[None, :] * c_til, n_modes)
+            -c * c_hat * s[None, :]
+            - (c * s)[:, None] * _row_coeffs(self.ex[None, :] * s_til, n_modes, odd=True)
+            + s[:, None] * _row_coeffs(self.qx[None, :] * c_til, n_modes, odd=False)
         )
-        v_blk = _row_coeffs(s_til, n_modes) * dxm[None, :]
-        return self.a_blk, c_blk, s_blk, t_blk, u_blk, v_blk
+        v_blk = _row_coeffs(s_til, n_modes, odd=False) * s[None, :]
+        return self.a_blk, c_hat, s_blk, t_blk, u_blk, v_blk
 
     def solve(self, mu: float) -> tuple[np.ndarray, float, bool]:
-        """(eigenvalues, cond(C), whether QZ ran) at mu.
+        """(eigenvalues, cond(c^), whether QZ ran) at mu.
 
-        L1 has the inverse [[0, C^-1], [-I, A C^-1]], so while C is well
-        conditioned the eigenvalues are those of the standard problem
-        L1^-1 L2 = [[C^-1 U, C^-1 V], [A C^-1 U - S, A C^-1 V - T]], all
-        finite.  Because eta0 is even and D_x is imaginary, A = i a,
-        C = i c^, T = i t and V = i v with a, c^, t and v real, and S and U
-        are real (see the module docstring).  With X = c^-1 U and
-        Y = c^-1 v, L1^-1 L2 is similar, through diag(I, i I), to -i B with
-        the real matrix
-
-            B = [[X, -Y], [a X - S, t - a Y]],
-
-        so lambda = -i eig(B), from a real solve and a real eigensolve.  A
-        real eigenvalue of B gives a lambda exactly on the imaginary axis;
-        a conjugate pair gives an exact pair lambda, -conj(lambda).  The
-        parts of the blocks left out are round-off, and cond(c^) = cond(C).
-        Above ``REDUCED_COND_LIMIT`` (or for a NaN estimate) QZ
-        solves the pencil itself, through :func:`solve_spectrum`, which is
-        the only place scipy is loaded.  Only numpy's LAPACK runs on the
-        reduced path: alternating it with scipy's within the sweep makes the
-        two libraries' BLAS thread pools compete.
+        Both paths solve the one real pencil nu L1 x = L2 x.  L1 has the
+        inverse [[0, c^-1], [-I, a c^-1]], so while c^ is well conditioned nu
+        are the eigenvalues of B = L1^-1 L2 = [[c^-1 L2_bottom],
+        [a c^-1 L2_bottom - L2_top]], from one real solve and one real
+        eigensolve.  Above ``REDUCED_COND_LIMIT`` (or for a NaN estimate) real
+        QZ solves the pencil, through :func:`solve_spectrum`, the only place
+        scipy is loaded: alternating numpy's LAPACK with scipy's within the
+        sweep makes the two libraries' BLAS thread pools compete.  Either way
+        a real nu gives lambda = -i nu exactly on the imaginary axis, and a
+        conjugate pair gives an exact pair lambda, -conj(lambda).
         """
-        blocks = self.blocks(mu)
-        a_blk, c_blk, s_blk, t_blk, u_blk, v_blk = blocks
+        l1, l2 = _pencil(*self.blocks(mu))
+        k = l1.shape[0] // 2
         try:
-            c_hat = c_blk.imag
-            cond_c = float(np.linalg.cond(c_hat))
-            if cond_c <= REDUCED_COND_LIMIT:
-                top = np.linalg.solve(c_hat, np.hstack([u_blk.real, -v_blk.imag]))  # [X, -Y]
-                b_real = np.vstack([top, a_blk.imag @ top - np.hstack([s_blk.real, -t_blk.imag])])
-                nu = np.linalg.eigvals(b_real)
-                return nu.imag - 1j * nu.real, cond_c, False
+            cond_c = float(np.linalg.cond(l1[k:, :k]))
+            reduced = cond_c <= REDUCED_COND_LIMIT
+            if reduced:
+                top = np.linalg.solve(l1[k:, :k], l2[k:])
+                nu = np.linalg.eigvals(np.vstack([top, l1[:k, :k] @ top - l2[:k]]))
+            else:
+                nu = solve_spectrum(l1, l2)
         except np.linalg.LinAlgError as exc:
             raise EigSolverFailure(str(exc)) from exc
-        return solve_spectrum(*_pencil(*blocks)), cond_c, True
+        return nu.imag - 1j * nu.real, cond_c, not reduced
 
 
-def _pencil(a_blk, c_blk, s_blk, t_blk, u_blk, v_blk) -> tuple[np.ndarray, np.ndarray]:
-    """(L1, L2) = ([[A, -I], [C, 0]], [[S, T], [U, V]])."""
+def _pencil(a_blk, c_hat, s_blk, t_blk, u_blk, v_blk) -> tuple[np.ndarray, np.ndarray]:
+    """The real pencil (L1, L2) = ([[a, -I], [c^, 0]], [[S, -t], [U, -v]])."""
     dim = a_blk.shape[0]
-    zero = np.zeros((dim, dim), dtype=complex)
-    l1 = np.block([[a_blk, -np.eye(dim)], [c_blk, zero]])
-    l2 = np.block([[s_blk, t_blk], [u_blk, v_blk]])
+    l1 = np.block([[a_blk, -np.eye(dim)], [c_hat, np.zeros((dim, dim))]])
+    l2 = np.block([[s_blk, -t_blk], [u_blk, -v_blk]])
     return l1, l2
 
 
 def assemble_matrices(base: TravelingWave, mu: float, n_modes: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Build the pencil (L1, L2) of the linearized problem at Floquet exponent mu."""
+    """Build the real pencil (L1, L2) of the linearized problem at Floquet
+    exponent mu.  Its finite generalized eigenvalues nu give the Floquet
+    eigenvalues lambda = -i nu."""
     n_modes = _floquet_modes(base, n_modes)
     return _pencil(*_FloquetOperator(base, n_modes).blocks(mu))
 
 
 def solve_spectrum(l1: np.ndarray, l2: np.ndarray) -> np.ndarray:
-    """All finite generalized eigenvalues of lambda L1 U = L2 U via QZ.
+    """All finite generalized eigenvalues w of w L1 x = L2 x via QZ.
 
     Pairs with |beta| below 1e-12 (relative to sqrt(|alpha|^2+|beta|^2))
     are eigenvalues at infinity and are excluded from growth statistics.
@@ -338,9 +330,9 @@ def sweep_floquet(base: TravelingWave, mu_values, n_modes: int | None = None) ->
     refined near eigenvalue collisions.  Slot i holds the eigenvalues at
     ``mu_values[i]``; a failed mu is recorded, with an empty slot, without
     aborting the sweep.
-    The wave's mu-independent blocks are built once; each mu is solved as a
-    reduced real standard eigenproblem, or by QZ where cond(C) exceeds
-    ``REDUCED_COND_LIMIT`` (recorded in ``qz_mu``).
+    The wave's mu-independent blocks are built once; each mu's real pencil
+    is solved as a reduced standard eigenproblem, or by QZ where cond(c^)
+    exceeds ``REDUCED_COND_LIMIT`` (recorded in ``qz_mu``).
     """
     mu_values = np.asarray(mu_values, dtype=float)
     operator = _FloquetOperator(base, _floquet_modes(base, n_modes))
@@ -380,9 +372,10 @@ def classify(spectrum: FloquetSpectrum) -> InstabilityReport:
     ``CLUSTER_RADIUS``; all modulational clusters of the spectrum are
     therefore reported as one, over the hull of their mu intervals.
 
-    Every eigenvalue counts, however large: the reduced real solve puts
-    stable eigenvalues exactly on the imaginary axis, so the stiff modes at
-    the Fourier truncation edge add no noise to Re(lambda).
+    Every eigenvalue counts, however large: the real pencil puts stable
+    eigenvalues exactly on the imaginary axis on either eigensolver path, so
+    the stiff modes at the Fourier truncation edge add no noise to
+    Re(lambda).
     """
     order = np.argsort(spectrum.mu_values)
     pts_mu: list[float] = []

@@ -53,12 +53,18 @@ def modes(n):
     return np.arange(-n, n + 1)
 
 
+def qz_eigenvalues(base, mu, n_modes):
+    """lambda = -i nu from QZ on the real pencil of ``assemble_matrices``."""
+    return -1j * solve_spectrum(*assemble_matrices(base, mu, n_modes))
+
+
 class TestLinearizedFlex:
     def test_flat_linear_is_biharmonic_symbol(self):
         base = flat_wave(PhysicalParams(D=1.0), 1.0)
         mu = 0.3
         g = linearized_flex(base, LIN, mu, 6)
-        assert_allclose(g, np.diag((mu + modes(6)) ** 4).astype(complex), atol=1e-14)
+        assert g.dtype == np.float64
+        assert_allclose(g, np.diag((mu + modes(6)) ** 4), atol=1e-14)
 
     def test_flat_nonlinear_reduces_to_linear(self):
         base = flat_wave(PhysicalParams(D=1.0), 1.0)
@@ -132,8 +138,7 @@ class TestFlatOracle:
         c = bifurcation_speed(p)
         base = flat_wave(p, c)
         for mu in (0.0, 0.25):
-            l1, l2 = assemble_matrices(base, mu, n_modes=8)
-            lams = solve_spectrum(l1, l2)
+            lams = qz_eigenvalues(base, mu, 8)
             for m in range(-6, 7):
                 for lam in flat_eigenvalues(mu, m, c, p):
                     assert np.min(np.abs(lams - lam)) < 1e-8
@@ -156,8 +161,7 @@ class TestFlatOracle:
     def test_rest_frame_has_no_doppler_shift(self):
         p = PhysicalParams(D=0.1)
         base = flat_wave(p, 0.0)
-        l1, l2 = assemble_matrices(base, 0.3, n_modes=6)
-        lams = solve_spectrum(l1, l2)
+        lams = qz_eigenvalues(base, 0.3, 6)
         for m in range(-4, 5):
             lam_p, lam_m = flat_eigenvalues(0.3, m, 0.0, p)
             assert np.min(np.abs(lams - lam_p)) < 1e-9
@@ -247,7 +251,8 @@ class TestReducedSolve:
             assert spec.qz_mu == [] and spec.failures == []
             assert 1.0 <= spec.max_cond_c < stability.REDUCED_COND_LIMIT
             for mu, lams in zip(self.MUS, spec.eigenvalues):
-                qz = solve_spectrum(*assemble_matrices(wave, mu, n))
+                assert all(m.dtype == np.float64 for m in assemble_matrices(wave, mu, n))
+                qz = qz_eigenvalues(wave, mu, n)
                 assert lams.size == qz.size == 2 * (2 * n + 1)
                 assert normwise_hausdorff(lams, qz) <= tol
 
@@ -256,34 +261,49 @@ class TestReducedSolve:
     @pytest.mark.parametrize("d, tol", [(0.01, 1e-15), (25.0, 1e-13)])
     @pytest.mark.parametrize("h", [INFINITE_DEPTH, 1.0])
     @pytest.mark.parametrize("model", [LIN, NL])
-    def test_blocks_have_the_phases_of_a_reversible_wave(self, branch_cache, model, h, d, tol):
-        # eta0 is even and D_x = i(mu+n): in L1 = [[A, -I], [C, 0]] and
-        # L2 = [[S, T], [U, V]], A, C, T and V are imaginary and S and U
-        # real, up to round-off relative to the largest entry of L1 or L2
+    def test_blocks_have_the_phases_of_a_reversible_wave(self, branch_cache, monkeypatch, model, h, d, tol):
+        # eta0 is even, so the convolutions keep only the real coefficients
+        # of even grid functions and the imaginary ones of odd grid
+        # functions.  Flipping that choice assembles the discarded parts
+        # with the pencil's own multipliers (up to the signs of the terms);
+        # less the parts that use no convolution, they must be round-off
+        # relative to the largest entry of L1 or L2
         wave = branch_cache(d, model, 0.02, h=h).points[-1]
-        k = 2 * 16 + 1
+        keep = stability._row_coeffs
         for mu in self.MUS:
-            l1, l2 = assemble_matrices(wave, mu, 16)
-            imaginary = [(l1[:k, :k], l1), (l1[k:, :k], l1), (l2[:k, k:], l2), (l2[k:, k:], l2)]
-            real = [(l2[:k, :k], l2), (l2[k:, :k], l2)]
-            for blk, pencil in imaginary:
-                assert np.abs(blk.real).max() <= tol * np.abs(pencil).max()
-            for blk, pencil in real:
-                assert np.abs(blk.imag).max() <= tol * np.abs(pencil).max()
+            pencil = assemble_matrices(wave, mu, 16)
+            monkeypatch.setattr(stability, "_row_coeffs", lambda rows, n, odd: keep(rows, n, not odd))
+            discarded = assemble_matrices(wave, mu, 16)
+            monkeypatch.setattr(stability, "_row_coeffs", lambda rows, n, odd: 0.0 * keep(rows, n, odd))
+            no_convolution = assemble_matrices(wave, mu, 16)
+            monkeypatch.setattr(stability, "_row_coeffs", keep)
+            for full, part, fixed in zip(pencil, discarded, no_convolution):
+                assert np.abs(part - fixed).max() <= tol * np.abs(full).max()
 
-    def test_stable_wave_has_purely_imaginary_spectrum(self, branch_cache):
-        # the real form puts every stable eigenvalue exactly on the axis
+    @pytest.fixture(params=["reduced", "qz"])
+    def solver_path(self, request, monkeypatch):
+        """Runs a test on the reduced solve and on the forced QZ fallback."""
+        if request.param == "qz":
+            monkeypatch.setattr(stability, "REDUCED_COND_LIMIT", 0.0)
+        return request.param
+
+    def test_stable_wave_has_purely_imaginary_spectrum(self, branch_cache, solver_path):
+        # the real pencil puts every stable eigenvalue exactly on the axis,
+        # on either path
         wave = branch_cache(25.0, LIN, 0.05).points[-1]
-        spec = sweep_floquet(wave, uniform_mu(21), n_modes=16)
-        assert spec.qz_mu == [] and spec.failures == []
+        mus = uniform_mu(21)
+        spec = sweep_floquet(wave, mus, n_modes=16)
+        assert spec.qz_mu == (mus.tolist() if solver_path == "qz" else []) and spec.failures == []
         for lams in spec.eigenvalues:
             assert lams.size == 66
             assert_array_equal(lams.real, 0.0)
 
-    def test_unstable_eigenvalues_pair_with_their_mirror(self, branch_cache):
+    def test_unstable_eigenvalues_pair_with_their_mirror(self, branch_cache, solver_path):
         # reversibility: lambda and -conj(lambda) at the same mu
         wave = branch_cache(0.01, NL, 0.02).points[-1]
-        spec = sweep_floquet(wave, np.linspace(-0.1, 0.1, 9), n_modes=16)
+        mus = np.linspace(-0.1, 0.1, 9)
+        spec = sweep_floquet(wave, mus, n_modes=16)
+        assert spec.qz_mu == (mus.tolist() if solver_path == "qz" else [])
         assert classify(spec).max_growth > 1e-5
         for lams in spec.eigenvalues:
             off_axis = lams[lams.real != 0]
@@ -296,7 +316,7 @@ class TestReducedSolve:
         spec = sweep_floquet(small_wave_d001, mus, n_modes=12)
         assert spec.qz_mu == mus
         for mu, lams in zip(mus, spec.eigenvalues):
-            assert_array_equal(lams, solve_spectrum(*assemble_matrices(small_wave_d001, mu, 12)))
+            assert_array_equal(lams, qz_eigenvalues(small_wave_d001, mu, 12))
 
     def test_reduced_path_uses_no_scipy(self, fresh_python, tmp_path):
         # whole stability and compare runs in a new interpreter: no module

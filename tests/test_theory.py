@@ -21,7 +21,7 @@ from flexwave.theory import (
     resonant_rigidity,
     second_harmonic,
 )
-from flexwave.solver import bifurcation_speed
+from flexwave.solver import RESIDUAL_TOL, bifurcation_speed
 
 LIN = IceModel.LINEAR_BIHARMONIC
 NL = IceModel.NONLINEAR_COSSERAT
@@ -184,6 +184,16 @@ class TestSecondHarmonic:
     def test_blowup_near_pole(self):
         val = second_harmonic(1.0, 1, deep(1.0 / 14.0 - 1e-8))
         assert abs(val) > 1e6
+
+    @pytest.mark.parametrize("model", [LIN, NL])
+    @pytest.mark.parametrize("d", [0.01, 0.1, 25.0])
+    def test_stokes_expansion_of_converged_branches(self, branch_cache, d, model):
+        # a_2 = 2 * second_harmonic(a_1 / 2) + O(a_1^4) on both sides of the
+        # Wilton pole at D = 1/14; the second term is Newton's residual floor
+        for wave in branch_cache(d, model, 0.02).points:
+            a1, a2 = wave.profile.coeffs[:2]
+            pred = 2.0 * second_harmonic(a1 / 2.0, 1, wave.params)
+            assert abs(a2 - pred) <= 10.0 * a1**2 * abs(pred) + RESIDUAL_TOL
 
 
 class TestResonantRigidity:
