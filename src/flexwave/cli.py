@@ -208,7 +208,7 @@ def _add_flags(p: argparse.ArgumentParser, command: str) -> None:
         p.add_argument("--a1-step", type=float, default=None, help="continuation step in a1")
     if command in FLOQUET_COMMANDS:
         p.add_argument("--mu-count", type=int, default=None, help="number of Floquet exponents in a sweep")
-        p.add_argument("--a1-list", type=str, default=None, help="branch amplitudes to analyze")
+        p.add_argument("--a1-list", type=str, default=None, help="branch amplitudes to analyze, each in (0, a1-max]")
         p.add_argument("--floquet-modes", type=int, default=None)
     if command == "dispersion":
         p.add_argument("--k-list", type=str, default=None, help="wavenumbers (default 1)")
@@ -301,6 +301,8 @@ def _check_ranges(command: str, cfg: dict) -> None:
             raise ConfigError(f"mu-count must be at least 2, got {cfg['mu_count']}")
         if cfg.get("floquet_modes") is not None and cfg["floquet_modes"] < 1:
             raise ConfigError(f"floquet-modes must be at least 1, got {cfg['floquet_modes']}")
+        if cfg.get("a1_list") and not all(0 < t <= cfg["a1_max"] for t in setting(cfg, "a1_list")):
+            raise ConfigError(f"a1-list values must lie in (0, a1-max = {cfg['a1_max']}], got {cfg['a1_list']!r}")
     if command == "dispersion" and 0.0 in setting(cfg, "k_list"):
         raise ConfigError("dispersion is undefined at k = 0")
 

@@ -25,6 +25,7 @@ __all__ = [
     "grid_points",
     "default_grid_size",
     "depth_factor",
+    "depth_kernels",
     "eval_profile",
     "grid_derivative",
     "p_flex_grid",
@@ -138,6 +139,22 @@ def depth_factor(k, h: float):
     return np.tanh(k * h)
 
 
+def depth_kernels(s, eta: GridFunction, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Depth kernels K_s = sinh(s eta) + T_s cosh(s eta) and K'_s = cosh(s eta)
+    + T_s sinh(s eta), T_s = tanh(s h), for real s of any shape, as arrays of
+    shape s.shape + eta.shape.  The bounded tanh form never overflows at large
+    s*h; in infinite depth T_s = sign(s), so K'_s = exp(|s| eta) and K_s = sign(s) K'_s.
+    """
+    s = np.asarray(s, dtype=float)
+    if math.isinf(h):
+        slope = np.exp(np.multiply.outer(np.abs(s), eta))
+        return np.sign(s)[..., None] * slope, slope
+    arg = np.multiply.outer(s, eta)
+    sh, ch = np.sinh(arg), np.cosh(arg)
+    t = depth_factor(s, h)[..., None]
+    return sh + t * ch, ch + t * sh
+
+
 def eval_profile(profile: SpectralProfile, m: int) -> GridFunction:
     """Sample eta(x) = sum a_j cos(j x) on the M-point grid.
 
@@ -188,27 +205,26 @@ def p_flex_grid(eta: GridFunction, model: IceModel) -> GridFunction:
     return bending + stretch
 
 
-def toland_frechet_coeffs(eta: GridFunction) -> tuple[GridFunction, GridFunction, GridFunction, GridFunction]:
-    """Grid coefficients (b2, b1, s2, s1) of the Toland pressure's Frechet
+def toland_frechet_coeffs(eta: GridFunction) -> tuple[GridFunction, GridFunction, GridFunction]:
+    """Grid coefficients (b2, s2, s1) of the Toland pressure's Frechet
     derivative at eta (Toland 2008, ARMA 189):
 
-        P'(eta)[v] = d^2/dx^2 [ b2 v_xx + b1 v_x ] + d/dx [ s2 v_xx + s1 v_x ],
+        P'(eta)[v] = d^2/dx^2 [ b2 v_xx - s2 v_x ] + d/dx [ s2 v_xx + s1 v_x ],
 
-        b2 = R^(-5/2),               b1 = -5 eta_xx eta_x R^(-7/2),
-        s2 = 5 eta_xx eta_x R^(-7/2),
+        b2 = R^(-5/2),    s2 = 5 eta_xx eta_x R^(-7/2),
         s1 = (5/2) (eta_xx^2 R^(-7/2) - 7 eta_xx^2 eta_x^2 R^(-9/2)),
 
-    with R = 1 + eta_x^2.  The single definition shared by the Newton
-    Jacobian and the Floquet operator.
+    with R = 1 + eta_x^2.  The v_x coefficient inside d^2/dx^2, b1 = -5 eta_xx
+    eta_x R^(-7/2), is -s2 exactly.  The single definition shared by the
+    Newton Jacobian and the Floquet operator.
     """
     ex = grid_derivative(eta, 1)
     exx = grid_derivative(eta, 2)
     r = 1.0 + ex**2
     b2 = r ** (-2.5)
-    b1 = -5.0 * exx * ex * r ** (-3.5)
     s2 = 5.0 * exx * ex * r ** (-3.5)
     s1 = 2.5 * (exx**2 * r ** (-3.5) - 7.0 * exx**2 * ex**2 * r ** (-4.5))
-    return b2, b1, s2, s1
+    return b2, s2, s1
 
 
 def p_flex_derivative_grid(eta: GridFunction, v: np.ndarray, model: IceModel) -> np.ndarray:
@@ -219,10 +235,10 @@ def p_flex_derivative_grid(eta: GridFunction, v: np.ndarray, model: IceModel) ->
     """
     if model is IceModel.LINEAR_BIHARMONIC:
         return grid_derivative(v, 4)
-    b2, b1, s2, s1 = toland_frechet_coeffs(eta)
+    b2, s2, s1 = toland_frechet_coeffs(eta)
     vx = grid_derivative(v, 1)
     vxx = grid_derivative(v, 2)
-    return grid_derivative(b2 * vxx + b1 * vx, 2) + grid_derivative(s2 * vxx + s1 * vx, 1)
+    return grid_derivative(b2 * vxx - s2 * vx, 2) + grid_derivative(s2 * vxx + s1 * vx, 1)
 
 
 def bernoulli_radicand(eta: GridFunction, c: float, params: PhysicalParams, model: IceModel) -> GridFunction:

@@ -7,9 +7,9 @@ is the cos(m x) projection of
 
     sqrt((1+eta_x^2)(c^2 - 2 g eta - 2 D P_flex)) * (sinh(m eta) + cosh(m eta) tanh(m h)),
 
-computed by trapezoidal quadrature on the 4x oversampled collocation grid; in
-infinite depth the kernel is exp(m eta).  The depth dependence is kept in the
-bounded tanh form so large m*h never overflows.
+computed by trapezoidal quadrature on the 4x oversampled collocation grid.
+The kernel K_m and its slope K'_m come from `core.depth_kernels`, the one
+definition the Floquet operator shares; in infinite depth both are exp(m eta).
 
 Newton's method uses the exact Jacobian of this discrete residual: the
 derivatives of the weight and of the kernel are evaluated on the grid for all
@@ -38,6 +38,7 @@ from .core import (
     TravelingWave,
     bernoulli_radicand,
     default_grid_size,
+    depth_kernels,
     eval_profile,
     grid_derivative,
     grid_points,
@@ -139,20 +140,6 @@ def _trig_tables(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(jx), np.sin(jx)
 
 
-def _kernels(eta, n, h):
-    """K_m(eta) and K'_m = dK_m/d(m eta) for m = 1..n, as (n, M) arrays.
-
-    K'_m = cosh(m eta) + sinh(m eta) tanh(m h); in deep water both are exp(m eta).
-    """
-    marg = np.outer(np.arange(1, n + 1), eta)
-    if math.isinf(h):
-        kernel = np.exp(marg)
-        return kernel, kernel
-    sh, ch = np.sinh(marg), np.cosh(marg)
-    th = np.tanh(np.arange(1, n + 1) * h)[:, None]
-    return sh + ch * th, ch + sh * th
-
-
 def _evaluate(z, a1, params, model):
     """F at the unknowns z, and the surface its Jacobian needs: grid size M,
     the samples of eta, eta_x, the radicand R and the weight
@@ -163,7 +150,7 @@ def _evaluate(z, a1, params, model):
     ex = grid_derivative(eta, 1)
     radicand = bernoulli_radicand(eta, z[0], params, model)
     weight = np.sqrt((1.0 + ex**2) * radicand)
-    kernel, kernel_slope = _kernels(eta, n, params.h)
+    kernel, kernel_slope = depth_kernels(np.arange(1, n + 1), eta, params.h)
     f = (2.0 * np.pi / m_grid) * np.einsum("ni,ni->n", _trig_tables(n, m_grid)[0], weight[None, :] * kernel)
     return f, (m_grid, eta, ex, radicand, weight, kernel, kernel_slope)
 

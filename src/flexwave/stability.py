@@ -23,16 +23,16 @@ divided through by cosh((mu+m) h) so only bounded depth factors remain, reads
     lambda i Ct_m eta1 = i c Ct_m D_x eta1 + i c (mu+m) eta0_x St_m eta1
                          + (mu+m) qx0 Ct_m eta1 + i St_m D_x q1,
 
-where Ct_m = cosh((mu+m) eta0) + T_m sinh((mu+m) eta0), St_m the same with
-sinh and cosh swapped, and T_m = tanh((mu+m) h) (sign(mu+m) in infinite
-depth).  At zero amplitude the eigenvalues reduce to
+where St_m = K_{mu+m}(eta0) and Ct_m = K'_{mu+m}(eta0) are the depth kernels of
+`core.depth_kernels`, with T_m = tanh((mu+m) h) (sign(mu+m) in infinite depth).
+At zero amplitude the eigenvalues reduce to
 
     lambda_pm = i c (mu+m) +/- i sqrt[(g (mu+m) + D (mu+m)^5) tanh((mu+m) h)],
 
 which pins every sign and index convention used below.
 
 Every wave is reversible: eta0 is a cosine series, so eta0, qx0, Ct_m, St_m
-and the Toland coefficients b2, s1 are even, eta0_x, f, b1 and s2 are odd,
+and the Toland coefficients b2, s1 are even, eta0_x, f and s2 are odd,
 and an even (odd) real grid function has real (imaginary) Fourier
 coefficients.  With D_x = i(mu+n), the blocks of L1 = [[A, -I], [C, 0]] and
 L2 = [[S, T], [U, V]] are A = i a, C = i c^, T = i t and V = i v, with a, c^,
@@ -56,7 +56,7 @@ from .core import (
     IceModel,
     TravelingWave,
     default_grid_size,
-    depth_factor,
+    depth_kernels,
     eval_profile,
     grid_derivative,
     qx_on_grid,
@@ -175,22 +175,22 @@ def _row_coeffs(rows: np.ndarray, n_modes: int, odd: bool) -> np.ndarray:
 
 
 def _flex_blocks(eta: np.ndarray, model: IceModel, n_modes: int) -> tuple[np.ndarray, ...] | None:
-    """Real convolution blocks (b2, b1 / i, s2 / i, s1) of the Toland
-    operator at eta, or None for the constant-coefficient linear model."""
+    """Real convolution blocks (b2, s2 / i, s1) of the Toland operator at
+    eta, or None for the constant-coefficient linear model."""
     if model is IceModel.LINEAR_BIHARMONIC:
         return None
-    parities = (False, True, True, False)
+    parities = (False, True, False)
     return tuple(_row_coeffs(b[None, :], n_modes, odd) for b, odd in zip(toland_frechet_coeffs(eta), parities))
 
 
 def _flex_matrix(blocks: tuple[np.ndarray, ...] | None, s: np.ndarray) -> np.ndarray:
     """Real G(eta0; .) on modes of wavenumbers ``s``: with D_x = i s and the
-    blocks b1, s2 divided by i, G = s_m^2 (b2 s_n^2 + b1 s_n) + s_m (s2 s_n^2 - s1 s_n)."""
+    block s2 divided by i, G = s_m^2 (b2 s_n^2 - s2 s_n) + s_m (s2 s_n^2 - s1 s_n)."""
     sq = s * s
     if blocks is None:
         return np.diag(sq * sq)
-    b2, b1, s2, s1 = blocks
-    return sq[:, None] * (b2 * sq + b1 * s) + s[:, None] * (s2 * sq - s1 * s)
+    b2, s2, s1 = blocks
+    return sq[:, None] * (b2 * sq - s2 * s) + s[:, None] * (s2 * sq - s1 * s)
 
 
 def linearized_flex(base: TravelingWave, model: IceModel, mu: float, n_modes: int) -> np.ndarray:
@@ -200,10 +200,10 @@ def linearized_flex(base: TravelingWave, model: IceModel, mu: float, n_modes: in
     For the linear model G is the constant-coefficient operator D_x^4.  For
     the Toland model it is
 
-        D_x^2 [ b2 v_xx + b1 v_x ] + D_x [ s2 v_xx + s1 v_x ],
+        D_x^2 [ b2 v_xx - s2 v_x ] + D_x [ s2 v_xx + s1 v_x ],
 
-    with the coefficients of :func:`core.toland_frechet_coeffs`, assembled
-    from their FFT coefficients on the grid.
+    with the three coefficients of :func:`core.toland_frechet_coeffs`,
+    assembled from their FFT coefficients on the grid.
     """
     eta = eval_profile(base.profile, _grid_for(base, n_modes))
     return _flex_matrix(_flex_blocks(eta, model, n_modes), mu + _mode_numbers(n_modes))
@@ -214,8 +214,8 @@ class _FloquetOperator:
 
     Everything that does not depend on mu -- the wave's grid functions and
     the mu-independent convolution blocks -- is built once, here; each mu
-    adds only the depth factors, the cosh/sinh row coefficients and the
-    wavenumber scalings.
+    adds only the depth kernels' row coefficients and the wavenumber
+    scalings.
     """
 
     def __init__(self, base: TravelingWave, n_modes: int):
@@ -240,12 +240,8 @@ class _FloquetOperator:
         s_blk = params.g * np.eye(s.size) - self.s_conv * s[None, :] + params.D * _flex_matrix(self.flex, s)
         t_blk = self.t_conv * s[None, :]
 
-        # nonlocal equation at row m, bounded depth factors
-        t_depth = np.asarray(depth_factor(s, params.h), dtype=float)
-        se = s[:, None] * self.eta[None, :]
-        ch, sh = np.cosh(se), np.sinh(se)
-        c_til = ch + t_depth[:, None] * sh
-        s_til = sh + t_depth[:, None] * ch
+        # nonlocal equation at row m, bounded depth kernels
+        s_til, c_til = depth_kernels(s, self.eta, params.h)
 
         c_hat = _row_coeffs(c_til, n_modes, odd=False)
         u_blk = (
@@ -375,7 +371,8 @@ def classify(spectrum: FloquetSpectrum) -> InstabilityReport:
     Every eigenvalue counts, however large: the real pencil puts stable
     eigenvalues exactly on the imaginary axis on either eigensolver path, so
     the stiff modes at the Fourier truncation edge add no noise to
-    Re(lambda).
+    Re(lambda).  The one exception is mu = 0, where the four eigenvalues
+    nearest the origin, the split four-fold eigenvalue 0, count as stable.
     """
     order = np.argsort(spectrum.mu_values)
     pts_mu: list[float] = []
@@ -383,7 +380,13 @@ def classify(spectrum: FloquetSpectrum) -> InstabilityReport:
     pts_lam: list[complex] = []
     for slice_idx, i in enumerate(order):
         lams = spectrum.eigenvalues[i]
-        for lam in lams[lams.real > GROWTH_THRESHOLD]:
+        growing = lams.real > GROWTH_THRESHOLD
+        if spectrum.mu_values[i] == 0.0:
+            # lambda = 0 is four-fold here (translation and the potential's
+            # additive constant, each with a generalized eigenvector), and
+            # round-off splits it with Re(lambda) up to about 1e-6
+            growing[np.argsort(np.abs(lams))[:4]] = False
+        for lam in lams[growing]:
             pts_mu.append(float(spectrum.mu_values[i]))
             pts_slice.append(slice_idx)
             pts_lam.append(complex(lam))

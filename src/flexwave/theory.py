@@ -219,14 +219,14 @@ def curvature_sign_change_rigidity(k: int = 1, g: float = 1.0) -> float:
     return u / k**4
 
 
-def flat_eigenvalues(mu: float, m: int, c: float, params: PhysicalParams) -> tuple[complex, complex]:
-    """Purely imaginary spectrum of the flat state in the frame moving at c:
+def flat_eigenvalues(mu, m: int, c: float, params: PhysicalParams) -> tuple[np.ndarray, np.ndarray]:
+    """Purely imaginary spectrum of the flat state in the frame moving at c,
+    at one Floquet exponent or an array of them:
 
         lambda_pm = i c (mu+m) +/- i sqrt[(g (mu+m) + D (mu+m)^5) tanh((mu+m) h)].
     """
-    s = mu + m
-    radicand = (params.g * s + params.D * s**5) * float(depth_factor(s, params.h))
-    root = math.sqrt(radicand)
+    s = np.asarray(mu, dtype=float) + m
+    root = np.sqrt((params.g * s + params.D * s**5) * depth_factor(s, params.h))
     return 1j * (c * s + root), 1j * (c * s - root)
 
 
@@ -240,12 +240,6 @@ class CollisionRecord:
     s1: int
     s2: int
     lam: complex
-
-
-def _flat_imag(mu: np.ndarray, m: int, sign: int, c: float, params: PhysicalParams) -> np.ndarray:
-    s = mu + m
-    radicand = (params.g * s + params.D * s**5) * depth_factor(s, params.h)
-    return c * s + sign * np.sqrt(radicand)
 
 
 def find_collisions(params: PhysicalParams, c: float, mu_grid: int, m_range: int) -> list[CollisionRecord]:
@@ -262,7 +256,7 @@ def find_collisions(params: PhysicalParams, c: float, mu_grid: int, m_range: int
         raise ValueError("mu_grid must be at least 2")
     mu = np.linspace(-0.5, 0.5, mu_grid)
     branches = [(m, s) for m in range(-m_range, m_range + 1) for s in (+1, -1)]
-    values = {b: _flat_imag(mu, b[0], b[1], c, params) for b in branches}
+    values = {b: _branch_imag(mu, b, c, params) for b in branches}
 
     records: list[CollisionRecord] = []
     for i, b1 in enumerate(branches):
@@ -270,7 +264,7 @@ def find_collisions(params: PhysicalParams, c: float, mu_grid: int, m_range: int
             diff = values[b1] - values[b2]
             roots = _scan_roots(mu, diff, b1, b2, c, params)
             for mu_star in roots:
-                lam = _flat_imag(np.array([mu_star]), b1[0], b1[1], c, params)[0]
+                lam = _branch_imag(np.array([mu_star]), b1, c, params)[0]
                 records.append(
                     CollisionRecord(mu=float(mu_star), m1=b1[0], m2=b2[0], s1=b1[1], s2=b2[1], lam=1j * lam)
                 )
@@ -278,10 +272,15 @@ def find_collisions(params: PhysicalParams, c: float, mu_grid: int, m_range: int
     return records
 
 
+def _branch_imag(mu: np.ndarray, branch: tuple[int, int], c: float, params: PhysicalParams) -> np.ndarray:
+    """Im lambda on the flat-water branch (m, sign) at exponents mu, from :func:`flat_eigenvalues`."""
+    return flat_eigenvalues(mu, branch[0], c, params)[0 if branch[1] > 0 else 1].imag
+
+
 def _scan_roots(mu, diff, b1, b2, c, params) -> list[float]:
     def gap(x: float) -> float:
         arr = np.array([x])
-        return float(_flat_imag(arr, b1[0], b1[1], c, params)[0] - _flat_imag(arr, b2[0], b2[1], c, params)[0])
+        return float(_branch_imag(arr, b1, c, params)[0] - _branch_imag(arr, b2, c, params)[0])
 
     roots: list[float] = []
     exact = np.flatnonzero(diff == 0.0)

@@ -307,12 +307,16 @@ class TestConfigHandling:
             ["nls", "--D-grid", "0 inf 3"],
             ["collisions", "--c", "nan"],
             ["collisions", "--c", "inf"],
+            ["stability", "--a1-list", "0.005 -1"],
+            ["compare", "--a1-list", "0"],
+            ["stability", "--model", "linear", "--a1-max", "0.004", "--a1-list", "0.5 0.001"],
         ],
         ids=["h", "D", "K-list", "k-list", "a1-list", "D-grid", "mu-grid", "mu-count", "mu-count-compare",
              "floquet-modes", "floquet-modes-compare", "k-zero", "a1-max-negative", "a1-max-zero", "modes",
              "a1-step", "max-modes", "g", "D-count", "D-list-dispersion", "D-list-nls", "D-grid-negative",
              "D-nan", "D-inf", "a1-step-nan", "g-inf", "a1-max-inf", "a1-list-nan", "D-nan-dispersion",
-             "k-list-inf", "D-nan-nls", "D-grid-inf", "c-nan", "c-inf"],
+             "k-list-inf", "D-nan-nls", "D-grid-inf", "c-nan", "c-inf",
+             "a1-list-negative", "a1-list-zero-compare", "a1-list-above-a1-max"],
     )
     def test_bad_setting_is_a_config_error(self, tmp_path, capsys, argv):
         out = tmp_path / "out"

@@ -12,6 +12,7 @@ from flexwave.core import (
     NonpositiveRadicand,
     PhysicalParams,
     SpectralProfile,
+    depth_kernels,
     eval_profile,
     grid_derivative,
     grid_points,
@@ -142,6 +143,48 @@ class TestPFlex:
         m = 128
         vals = p_flex_grid(eval_profile(cosine(0.1, -0.03, 0.02), m), model)
         assert_allclose(vals[1:], vals[1:][::-1], atol=1e-12)
+
+
+class TestDepthKernels:
+    eta = eval_profile(cosine(0.3, -0.05, 0.01), 64)
+
+    def test_deep_water_is_exponential(self):
+        s = np.array([-3.5, -1.0, -0.25, 0.0, 0.25, 1.0, 7.0])
+        kernel, slope = depth_kernels(s, self.eta, INFINITE_DEPTH)
+        assert kernel.shape == slope.shape == (s.size, self.eta.size)
+        assert np.array_equal(slope, np.exp(np.abs(s)[:, None] * self.eta))
+        assert np.array_equal(kernel, np.sign(s)[:, None] * slope)
+        assert np.array_equal(kernel[3], np.zeros_like(self.eta))
+        assert np.array_equal(slope[3], np.ones_like(self.eta))
+
+    def test_finite_depth_matches_unbounded_form(self):
+        # K_s = sinh(s (eta + h)) / cosh(s h), K'_s = cosh(s (eta + h)) / cosh(s h)
+        h = 1.0
+        s = np.array([-2.75, -1.0, 0.0, 0.4, 3.0])
+        kernel, slope = depth_kernels(s, self.eta, h)
+        arg = s[:, None] * (self.eta + h)
+        scale = np.cosh(s * h)[:, None]
+        assert_allclose(kernel, np.sinh(arg) / scale, rtol=1e-13, atol=1e-15)
+        assert_allclose(slope, np.cosh(arg) / scale, rtol=1e-13)
+
+    def test_scalar_wavenumber(self):
+        kernel, slope = depth_kernels(-2.0, self.eta, INFINITE_DEPTH)
+        assert kernel.shape == slope.shape == self.eta.shape
+        assert_allclose(kernel, -np.exp(2.0 * self.eta), rtol=1e-15)
+
+    @pytest.mark.parametrize("h", [INFINITE_DEPTH, 1.0, 0.3])
+    def test_integer_wavenumbers_are_the_steady_kernels_bitwise(self, h):
+        # the steady solver's kernels for m = 1..N in their direct form:
+        # exp(m eta) in deep water, sinh + tanh(m h) cosh and cosh + tanh(m h) sinh
+        n = 16
+        marg = np.outer(np.arange(1, n + 1), self.eta)
+        if math.isinf(h):
+            expected = np.exp(marg), np.exp(marg)
+        else:
+            th = np.tanh(np.arange(1, n + 1) * h)[:, None]
+            expected = np.sinh(marg) + np.cosh(marg) * th, np.cosh(marg) + np.sinh(marg) * th
+        for got, want in zip(depth_kernels(np.arange(1, n + 1), self.eta, h), expected):
+            assert np.array_equal(got, want)
 
 
 class TestQx:

@@ -406,6 +406,36 @@ class TestClassify:
         linear = branch_cache(25.0, LIN, 0.05).points[-1]
         assert classify(sweep_floquet(linear, uniform_mu(21), n_modes=16)).clusters == ()
 
+    @pytest.mark.parametrize("model", [LIN, NL])
+    def test_origin_quadruplet_at_mu_zero_is_not_growth(self, branch_cache, model):
+        # at mu = 0 the eigenvalue 0 is four-fold; round-off splits it into a
+        # pair with Re(lambda) near 1e-6, which must not read as a cluster
+        wave = branch_cache(0.05, model, 0.02, h=1.0).points[-1]
+        spec = sweep_floquet(wave, [-0.01, 0.0, 0.01], n_modes=16)
+        dist = np.sort(np.abs(spec.eigenvalues[1]))
+        assert dist[3] < 1e-5 and dist[4] > 0.05
+        assert classify(spec).clusters == ()
+        assert classify(spec).max_growth == 0.0
+
+    def test_mu_zero_keeps_growth_away_from_origin(self):
+        # only the four eigenvalues nearest the origin are set aside
+        near = [complex(1e-6, 0.0), complex(-1e-6, 0.0), 0.0, 0.0]
+        pts = [(-0.01, []), (0.0, near + [complex(1e-3, 0.9)]), (0.01, [])]
+        report = classify(self.synthetic(pts))
+        (bubble,) = report.clusters
+        assert bubble.kind is InstabilityKind.HIGH_FREQUENCY
+        assert report.max_growth == 1e-3
+
+    @pytest.mark.parametrize("d", [0.01, 0.05, 0.1, 0.2, 0.3, 1.0])
+    @pytest.mark.parametrize("model", [LIN, NL])
+    def test_modulational_exactly_where_nls_focuses(self, branch_cache, model, d):
+        # the paper's claim (ii), one rigidity per NLS window, clear of the
+        # Wilton pole at D = 1/14; the grid holds mu = 0
+        wave = branch_cache(d, model, 0.02).points[-1]
+        report = classify(sweep_floquet(wave, np.linspace(-0.05, 0.05, 41), n_modes=16))
+        modulational = any(c.kind is InstabilityKind.MODULATIONAL for c in report.clusters)
+        assert modulational == nls_coefficients(model, 1, wave.params).focusing
+
     @pytest.mark.parametrize("n", [16, 32])
     def test_truncation_edge_adds_no_growth(self, branch_cache, n):
         # classify counts every eigenvalue, however stiff: on the thin-ice
