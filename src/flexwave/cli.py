@@ -47,7 +47,6 @@ from .solver import (
     bifurcation_speed,
     branch_direction,
     continue_branch,
-    residual,
 )
 from .stability import EigSolverFailure, classify, nls_overlay, sweep_floquet
 from .theory import (
@@ -119,7 +118,7 @@ def write_sidecar(path: Path, config: dict, extra: dict | None = None) -> None:
     if extra:
         payload.update(extra)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=str)
+        json.dump(payload, fh, indent=2, sort_keys=True, default=str, allow_nan=False)
         fh.write("\n")
 
 
@@ -406,6 +405,9 @@ def cmd_collisions(cfg: dict) -> None:
 
 
 def save_branch(out: Path, branch: BifurcationBranch, cfg: dict, solver_cfg: SolverConfig) -> None:
+    """The branch CSV, its sidecar with each point's Newton record, and in
+    deep water the NLS speed of each point.  Infinite depth is written as
+    "inf", so the sidecar is strict JSON."""
     tag = branch.model.value
     n_max = max((w.profile.n_modes for w in branch.points), default=0)
     header = ["c"] + [f"a{j}" for j in range(1, n_max + 1)]
@@ -415,15 +417,14 @@ def save_branch(out: Path, branch: BifurcationBranch, cfg: dict, solver_cfg: Sol
         coeffs = np.zeros(n_max)
         coeffs[: wave.profile.n_modes] = wave.profile.coeffs
         rows.append((wave.c, *coeffs))
-        z = np.concatenate(([wave.c], wave.profile.coeffs[1:]))
-        res = residual(z, wave.a1, branch.params, branch.model)
         meta_points.append(
             {"a1": wave.a1, "c": wave.c, "n_modes": wave.profile.n_modes,
-             "residual_inf": float(np.max(np.abs(res)))}
+             "residual_inf": wave.residual_inf, "newton_steps": wave.newton_steps}
         )
     write_csv(out / f"branch_{tag}.csv", header, rows)
     extra = {
-        "params": {"g": branch.params.g, "h": branch.params.h, "D": branch.params.D},
+        "params": {"g": branch.params.g, "h": "inf" if branch.params.infinite_depth else branch.params.h,
+                   "D": branch.params.D},
         "model": branch.model.value,
         "solver": asdict(solver_cfg),
         "points": meta_points,
@@ -442,7 +443,8 @@ def save_branch(out: Path, branch: BifurcationBranch, cfg: dict, solver_cfg: Sol
 
 
 def load_branch(csv_path: str | Path) -> BifurcationBranch:
-    """Reload a persisted branch; params/model come from the sidecar."""
+    """Reload a persisted branch; params, model and each point's Newton
+    record come from the sidecar."""
     csv_path = Path(csv_path)
     meta_path = csv_path.parent / (csv_path.stem + ".meta.json")
     with open(meta_path) as fh:
@@ -455,11 +457,12 @@ def load_branch(csv_path: str | Path) -> BifurcationBranch:
     model = IceModel(meta["model"])
     data = np.genfromtxt(csv_path, delimiter=",", skip_header=1, ndmin=2)
     points = []
-    for row in data:
+    for row, record in zip(data, meta["points"], strict=True):
         c, coeffs = row[0], row[1:]
         n = np.max(np.nonzero(coeffs)) + 1 if np.any(coeffs) else 1
         points.append(
-            TravelingWave(profile=SpectralProfile(coeffs[:n]), c=float(c), params=params, model=model)
+            TravelingWave(profile=SpectralProfile(coeffs[:n]), c=float(c), params=params, model=model,
+                          residual_inf=record["residual_inf"], newton_steps=record.get("newton_steps"))
         )
     return BifurcationBranch(params=params, model=model, points=points)
 

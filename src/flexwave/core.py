@@ -103,12 +103,19 @@ class SpectralProfile:
 
 @dataclass(frozen=True)
 class TravelingWave:
-    """One point on a bifurcation branch: profile plus frame speed c."""
+    """One point on a bifurcation branch: profile plus frame speed c.
+
+    A wave computed by Newton's method carries its record: ``residual_inf``,
+    |F|_inf at the wave, and ``newton_steps``, the Newton steps (one Jacobian
+    each) taken to compute it.  Both are None for a wave built any other way.
+    """
 
     profile: SpectralProfile
     c: float
     params: PhysicalParams
     model: IceModel
+    residual_inf: float | None = None
+    newton_steps: int | None = None
 
     @property
     def a1(self) -> float:

@@ -15,16 +15,22 @@ Newton's method uses the exact Jacobian of this discrete residual: the
 derivatives of the weight and of the kernel are evaluated on the grid for all
 unknowns at once and projected with two matrix products.  Newton evaluates
 the surface (eta, the radicand, the weight and the kernels) once per iterate,
-for both F and J.  Its stop test, its step limit and the tail test of mode
-doubling are the constants RESIDUAL_TOL, MAX_NEWTON_ITERS and TAIL_THRESHOLD;
-continuation stops at a fold once its step falls below MIN_STEP_FRACTION of
-the configured step.
+for both F and J.  Once |F|_inf meets RESIDUAL_TOL, one chord step with the
+last Jacobian follows, and the iterate with the smaller |F|_inf is kept, so
+every returned point sits at the rounding floor of the residual rather than
+just under the tolerance.  Newton's step limit and the tail test of mode
+doubling are the constants MAX_NEWTON_ITERS and TAIL_THRESHOLD.
+
+Continuation predicts each point from the quadratic in a_1 through the last
+three accepted points (fewer at the start of a branch or after a resume),
+so that one Newton step usually suffices; it stops at a fold once its step
+falls below MIN_STEP_FRACTION of the configured step.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 
@@ -201,28 +207,48 @@ def jacobian(z: np.ndarray, a1: float, params: PhysicalParams, model: IceModel) 
 
 
 def newton_solve(z0: np.ndarray, a1: float, params: PhysicalParams, model: IceModel) -> TravelingWave:
-    """Solve F(z) = 0 by Newton's method with the exact :func:`jacobian`.
+    """Solve F(z) = 0 by Newton's method with the exact :func:`jacobian`,
+    finished by one chord step.
 
-    Returns the converged wave; raises :class:`NoConvergence` after
-    ``MAX_NEWTON_ITERS`` steps or once F is not finite, :class:`SingularJacobian`
-    if the Jacobian is undefined or the linear solve fails, or propagates
-    :class:`NonpositiveRadicand` from a bad iterate.
+    Newton steps until |F|_inf <= ``RESIDUAL_TOL``.  After at least one step,
+    one chord step with the last Jacobian follows, and of the last Newton
+    iterate and the chord iterate the one with the smaller |F|_inf is
+    returned: the chord step costs one residual and no Jacobian and takes a
+    point that has just met the tolerance to the rounding floor, and keeping
+    the smaller means that rounding noise in the chord step never makes the
+    result worse.  A guess that already meets the tolerance is returned
+    unchanged.  The wave records |F|_inf at the returned iterate and the
+    number of Newton steps taken (``residual_inf``, ``newton_steps``).
+
+    Raises :class:`NoConvergence` after ``MAX_NEWTON_ITERS`` steps or once F
+    is not finite, :class:`SingularJacobian` if the Jacobian is undefined or
+    the linear solve fails, or propagates :class:`NonpositiveRadicand` from a
+    bad iterate.
     """
     z = np.asarray(z0, dtype=float).copy()
-    for iteration in range(MAX_NEWTON_ITERS + 1):
-        f, surface = _evaluate(z, a1, params, model)
-        f_inf = np.max(np.abs(f))
+    f, surface = _evaluate(z, a1, params, model)
+    f_inf = np.max(np.abs(f))
+    for steps in range(MAX_NEWTON_ITERS + 1):
         if f_inf <= RESIDUAL_TOL:
             break
-        if not np.isfinite(f_inf) or iteration == MAX_NEWTON_ITERS:
-            raise NoConvergence(f"|F|_inf = {f_inf:.3e} after {iteration} iterations")
+        if not np.isfinite(f_inf) or steps == MAX_NEWTON_ITERS:
+            raise NoConvergence(f"|F|_inf = {f_inf:.3e} after {steps} iterations")
+        jac = _jacobian_at(surface, z, a1, params, model)
         try:
-            dz = np.linalg.solve(_jacobian_at(surface, z, a1, params, model), f)
+            z = z - np.linalg.solve(jac, f)
         except np.linalg.LinAlgError as exc:
             raise SingularJacobian(str(exc)) from exc
-        z = z - dz
+        f, surface = _evaluate(z, a1, params, model)
+        f_inf = np.max(np.abs(f))
+    if steps:
+        # the same matrix was solved without error one step ago
+        z_chord = z - np.linalg.solve(jac, f)
+        f_chord = np.max(np.abs(_evaluate(z_chord, a1, params, model)[0]))
+        if f_chord < f_inf:
+            z, f_inf = z_chord, f_chord
     coeffs = np.concatenate(([a1], z[1:]))
-    return TravelingWave(profile=SpectralProfile(coeffs), c=float(z[0]), params=params, model=model)
+    return TravelingWave(profile=SpectralProfile(coeffs), c=float(z[0]), params=params, model=model,
+                         residual_inf=float(f_inf), newton_steps=steps)
 
 
 def _tail_ratio(wave: TravelingWave) -> float:
@@ -231,39 +257,60 @@ def _tail_ratio(wave: TravelingWave) -> float:
     return coeffs[-1] / peak if peak > 0 else 0.0
 
 
+def _unknowns(wave: TravelingWave) -> np.ndarray:
+    return np.concatenate(([wave.c], wave.profile.coeffs[1:]))
+
+
+def _predict(history: list[tuple[float, np.ndarray]], a1: float) -> np.ndarray:
+    """The polynomial in a_1 through the accepted points (a_1, z) of
+    ``history``, evaluated at ``a1``; shorter z are padded with zeros, the
+    coefficients of the modes they lack."""
+    guess = np.zeros(max(z.size for _, z in history))
+    for i, (a_i, z_i) in enumerate(history):
+        weight = math.prod((a1 - a_j) / (a_i - a_j) for j, (a_j, _) in enumerate(history) if j != i)
+        guess[: z_i.size] += weight * z_i
+    return guess
+
+
 def continue_branch(params: PhysicalParams, model: IceModel, a1_max: float,
                     config: SolverConfig | None = None,
                     start: TravelingWave | None = None) -> BifurcationBranch:
     """Continue the branch from the flat-water bifurcation point up to a1_max.
 
-    Each converged point seeds the next guess with a larger a_1; the step
-    halves on Newton failure and the mode count doubles whenever the last
-    Fourier coefficient fails the relative tail test.  Passing a converged
-    ``start`` wave resumes continuation from there instead of the
-    bifurcation point.
+    Each guess is the quadratic in a_1 through the last three accepted
+    points, the bifurcation point included; at the start, and after a
+    resume from a converged ``start`` wave, fewer points give a constant or
+    linear guess.  A point accepted after a mode doubling enters the
+    predictor as it is, and the earlier points are padded with zeros.  The
+    step halves on Newton failure and the mode count doubles whenever the
+    last Fourier coefficient fails the relative tail test.  Every point is
+    returned by :func:`newton_solve`, so it sits at the rounding floor of
+    the residual and carries its Newton record; its ``newton_steps`` counts
+    the steps of every solve at its a_1, those after a mode doubling
+    included.
     """
     if not 0 < a1_max < math.inf:
         raise ValueError(f"a1_max must be positive and finite, got {a1_max}")
     config = config or SolverConfig()
     if start is not None:
-        z = np.concatenate(([start.c], start.profile.coeffs[1:]))
-        a1 = start.a1
+        history = [(start.a1, _unknowns(start))]
     else:
         z = np.zeros(config.n_modes)
         z[0] = bifurcation_speed(params)
-        a1 = 0.0
+        history = [(0.0, z)]
+    a1 = history[-1][0]
     branch = BifurcationBranch(params=params, model=model, points=[])
 
     step = min(config.amplitude_step, max(a1_max - a1, config.amplitude_step * 1e-6))
     while a1 < a1_max - 1e-15:
         a1_try = min(a1 + step, a1_max)
-        guess = z
         try:
-            wave = newton_solve(guess, a1_try, params, model)
+            wave = newton_solve(_predict(history, a1_try), a1_try, params, model)
             while _tail_ratio(wave) > TAIL_THRESHOLD and 2 * wave.profile.n_modes <= config.max_modes:
                 n = 2 * wave.profile.n_modes
-                guess = np.concatenate(([wave.c], wave.profile.coeffs[1:], np.zeros(n - wave.profile.n_modes)))
-                wave = newton_solve(guess, a1_try, params, model)
+                guess = np.concatenate((_unknowns(wave), np.zeros(n - wave.profile.n_modes)))
+                refined = newton_solve(guess, a1_try, params, model)
+                wave = replace(refined, newton_steps=wave.newton_steps + refined.newton_steps)
         except (NoConvergence, SingularJacobian, NonpositiveRadicand):
             step *= 0.5
             if step < config.amplitude_step * MIN_STEP_FRACTION:
@@ -271,7 +318,7 @@ def continue_branch(params: PhysicalParams, model: IceModel, a1_max: float,
             continue
         branch.points.append(wave)
         a1 = a1_try
-        z = np.concatenate(([wave.c], wave.profile.coeffs[1:]))
+        history = [*history[-2:], (a1, _unknowns(wave))]
         step = min(step * 2.0, config.amplitude_step, max(a1_max - a1, 1e-15))
     return branch
 

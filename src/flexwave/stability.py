@@ -143,6 +143,9 @@ class SpectralCluster:
 
 @dataclass(frozen=True)
 class InstabilityReport:
+    """The largest growth rate of a spectrum, the |mu| where it occurs (growth
+    is even in mu, since lambda(-mu) = conj(lambda(mu))), and the clusters."""
+
     max_growth: float
     argmax_mu: float
     clusters: tuple[SpectralCluster, ...]
@@ -356,7 +359,12 @@ def classify(spectrum: FloquetSpectrum) -> InstabilityReport:
 
     Points with Re(lambda) > ``GROWTH_THRESHOLD`` join a cluster when they
     are within ``CLUSTER_RADIUS`` in the complex plane and adjacent in the
-    mu sweep.  A cluster is modulational when it reaches the smallest
+    mu sweep.  Since mu and mu + 1 give the same spectrum, the last and first
+    slices are adjacent too when the sweep closes around the circle: when the
+    gap across mu = +-1/2 is no larger than the largest gap between
+    consecutive slices.  A band across +-1/2 is written with its members
+    below the gap shifted by +1, so its interval may end above 1/2.  A
+    cluster is modulational when it reaches the smallest
     nonzero sweep exponents with eigenvalues on the Doppler line through the
     origin (min |lambda - i mu (c - omega')| below ``DOPPLER_TOL``, with the
     spectrum's ``c_minus_vg``); all other clusters are high-frequency
@@ -405,12 +413,17 @@ def classify(spectrum: FloquetSpectrum) -> InstabilityReport:
         if ri != rj:
             parent[rj] = ri
 
+    sorted_mu = np.sort(np.unique(spectrum.mu_values))
+    last_slice = order.size - 1
+    # the wrap gap is a sum of values up to 1/2, so it is exact only to spacing(1)
+    wraps = sorted_mu.size > 2 and sorted_mu[0] + 1.0 - sorted_mu[-1] <= np.diff(sorted_mu).max() + np.spacing(1.0)
+
     for i in range(n_pts):
         for j in range(i + 1, n_pts):
-            if abs(pts_slice[i] - pts_slice[j]) <= 1 and abs(pts_lam[i] - pts_lam[j]) < CLUSTER_RADIUS:
+            apart = abs(pts_slice[i] - pts_slice[j])
+            if (apart <= 1 or (wraps and apart == last_slice)) and abs(pts_lam[i] - pts_lam[j]) < CLUSTER_RADIUS:
                 union(i, j)
 
-    sorted_mu = np.sort(np.unique(spectrum.mu_values))
     nonzero = np.abs(sorted_mu[np.abs(sorted_mu) > 0])
     mu_step = float(np.diff(sorted_mu).min()) if sorted_mu.size > 1 else 0.0
     touch_mu = (nonzero.min() if nonzero.size else 0.0) + 0.5 * mu_step
@@ -420,11 +433,20 @@ def classify(spectrum: FloquetSpectrum) -> InstabilityReport:
         groups.setdefault(find(i), []).append(i)
 
     def cluster(kind: InstabilityKind, members: list[int]) -> SpectralCluster:
-        mus = [pts_mu[i] for i in members]
+        mus = np.unique([pts_mu[i] for i in members])
         lams = [pts_lam[i] for i in members]
+        # the interval is the complement of the largest gap between members
+        # on the circle; a gap inside the sweep wider than the one across
+        # +-1/2 marks a band that wraps
+        gaps = np.diff(mus)
+        if gaps.size and gaps.max() > mus[0] + 1.0 - mus[-1]:
+            k = int(np.argmax(gaps))
+            interval = (float(mus[k + 1]), float(mus[k] + 1.0))
+        else:
+            interval = (float(mus[0]), float(mus[-1]))
         return SpectralCluster(
             kind=kind,
-            mu_interval=(min(mus), max(mus)),
+            mu_interval=interval,
             centroid=complex(np.mean(lams)),
             max_growth=max(l.real for l in lams),
         )
@@ -446,7 +468,7 @@ def classify(spectrum: FloquetSpectrum) -> InstabilityReport:
 
     if n_pts:
         best = int(np.argmax([l.real for l in pts_lam]))
-        max_growth, argmax_mu = pts_lam[best].real, pts_mu[best]
+        max_growth, argmax_mu = pts_lam[best].real, abs(pts_mu[best])
     else:
         max_growth, argmax_mu = 0.0, 0.0
     return InstabilityReport(max_growth=max_growth, argmax_mu=argmax_mu, clusters=tuple(clusters))

@@ -163,6 +163,20 @@ class TestBranchCommand:
         names = sorted(p.name for p in out2.iterdir())
         assert names == ["branch_linear.csv", "branch_linear.meta.json", "branch_nls_linear.csv"]
 
+    @pytest.mark.parametrize("model", ["linear", "nonlinear"])
+    def test_sidecar_holds_each_points_newton_record(self, tmp_path, model):
+        argv = ["branch", "--D", "0.01", "--model", model, "--a1-max", "0.004",
+                "--modes", "12", "--a1-step", "0.001", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        points = json.loads((tmp_path / f"branch_{model}.meta.json").read_text())["points"]
+        branch = load_branch(tmp_path / f"branch_{model}.csv")
+        for wave, point in zip(branch.points, points, strict=True):
+            z = np.concatenate(([wave.c], wave.profile.coeffs[1:]))
+            res = residual(z, wave.a1, branch.params, branch.model)
+            assert point["residual_inf"] == float(np.max(np.abs(res)))
+            assert point["newton_steps"] in (0, 1, 2)
+            assert (wave.residual_inf, wave.newton_steps) == (point["residual_inf"], point["newton_steps"])
+
     def test_metadata_sidecar(self, tmp_path):
         assert main(self.ARGS + ["--out", str(tmp_path)]) == 0
         meta = json.loads((tmp_path / "branch_linear.meta.json").read_text())
@@ -185,6 +199,34 @@ class TestStabilityCommand:
         assert report["reports"][0]["max_growth"] < 1e-6  # defocusing regime
         assert report["reports"][0]["qz_mu"] == []  # every mu took the reduced path
         assert 1.0 <= report["reports"][0]["max_cond_c"] < 1e2
+
+
+    def test_band_across_half_is_one_cluster(self, tmp_path):
+        # at D = 0.05, h = 1 each model has two high-frequency bands, and both
+        # cross mu = +-1/2
+        rc = main(["stability", "--D", "0.05", "--h", "1", "--a1-max", "0.02", "--modes", "16",
+                   "--mu-count", "100", "--out", str(tmp_path)])
+        assert rc == 0
+        for model in ("linear", "nonlinear"):
+            (report,) = json.loads((tmp_path / f"stability_{model}.meta.json").read_text())["reports"]
+            assert [c["kind"] for c in report["clusters"]] == ["high_frequency"] * 2
+            assert all(c["mu_interval"][1] > 0.5 for c in report["clusters"])
+            assert report["argmax_mu"] > 0
+
+    def test_deep_water_sidecars_are_strict_json(self, tmp_path):
+        common = ["--a1-max", "0.004", "--modes", "12", "--a1-step", "0.002", "--mu-count", "5"]
+        assert main(["stability", "--D", "0.05", *common, "--out", str(tmp_path / "stability")]) == 0
+        assert main(["compare", "--D", "0.01", *common, "--out", str(tmp_path / "compare")]) == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        sidecars = sorted(tmp_path.glob("*/*.meta.json"))
+        assert len(sidecars) == 8  # a branch and a report sidecar per model and command
+        for sidecar in sidecars:
+            meta = json.loads(sidecar.read_text(), parse_constant=reject)
+            if "params" in meta:
+                assert meta["params"]["h"] == "inf"
 
 
 class TestCompareCommand:

@@ -106,19 +106,21 @@ def _central_difference_jacobian(z, a1, params, model, step=1e-8):
 
 
 def _forward_difference_newton(z, a1, params, model, step=1e-7):
-    """Reference Newton iteration with a forward-difference Jacobian."""
+    """Reference Newton iteration with a forward-difference Jacobian, run to
+    its own rounding floor: it keeps stepping while |F|_inf decreases."""
     z = z.copy()
     f = residual(z, a1, params, model)
     for _ in range(solver.MAX_NEWTON_ITERS):
-        if np.max(np.abs(f)) <= solver.RESIDUAL_TOL:
-            break
         jac = np.empty((z.size, z.size))
         for j in range(z.size):
             zj = z.copy()
             zj[j] += step
             jac[:, j] = (residual(zj, a1, params, model) - f) / step
-        z = z - np.linalg.solve(jac, f)
-        f = residual(z, a1, params, model)
+        z_next = z - np.linalg.solve(jac, f)
+        f_next = residual(z_next, a1, params, model)
+        if not np.max(np.abs(f_next)) < np.max(np.abs(f)):
+            break
+        z, f = z_next, f_next
     assert np.max(np.abs(f)) <= solver.RESIDUAL_TOL
     return z
 
@@ -192,7 +194,8 @@ class TestNewton:
 
     @pytest.mark.parametrize("model", [LIN, NL])
     def test_one_surface_evaluation_per_iterate(self, monkeypatch, model):
-        # each Newton step projects one Jacobian, which calls P_flex' once
+        # each Newton step projects one Jacobian, which calls P_flex' once;
+        # the iterates are the guess, one per Newton step and the chord step's
         calls = {"eval_profile": 0, "p_flex_derivative_grid": 0}
         for name in calls:
             def counted(*args, _fn=getattr(solver, name), _name=name):
@@ -205,7 +208,7 @@ class TestNewton:
         newton_solve(z0, 5e-3, p, model)
         steps = calls["p_flex_derivative_grid"]
         assert steps >= 2
-        assert calls["eval_profile"] == steps + 1
+        assert calls["eval_profile"] == steps + 2
 
 
 class TestContinuation:
@@ -263,6 +266,46 @@ class TestContinuation:
         # the partial branch is preserved, and the step floor, relative to
         # the configured step, stops the halving soon after the fold
         assert 0 < len(err.value.branch.points) < 100
+
+    @pytest.mark.parametrize("model", [LIN, NL])
+    def test_one_jacobian_per_point_after_the_third(self, monkeypatch, model):
+        # the quadratic predictor puts each guess one Newton step from the
+        # branch, and the chord finish takes no Jacobian
+        jacobians, per_solve = [0], []
+        real_jacobian, real_solve = solver._jacobian_at, solver.newton_solve
+
+        def counted_jacobian(*args):
+            jacobians[0] += 1
+            return real_jacobian(*args)
+
+        def counted_solve(*args):
+            before = jacobians[0]
+            wave = real_solve(*args)
+            per_solve.append(jacobians[0] - before)
+            return wave
+
+        monkeypatch.setattr(solver, "_jacobian_at", counted_jacobian)
+        monkeypatch.setattr(solver, "newton_solve", counted_solve)
+        cfg = SolverConfig(n_modes=16, amplitude_step=2e-3)
+        branch = continue_branch(PhysicalParams(h=1.0, D=0.01), model, 0.03, cfg)
+        assert len(per_solve) == len(branch.points) == 15  # no failed solve, no mode doubling
+        assert max(per_solve[3:]) <= 1
+        assert per_solve == [w.newton_steps for w in branch.points]
+
+    @pytest.mark.parametrize("model", [LIN, NL])
+    def test_branch_across_mode_doubling_matches_floor_reference(self, model):
+        # the points after the doubling are predicted from zero-padded ones
+        params = deep(0.01)
+        branch = continue_branch(params, model, 0.03, SolverConfig(n_modes=8, max_modes=64, amplitude_step=2e-3))
+        sizes = [w.profile.n_modes for w in branch.points]
+        assert sizes[0] == 8 and sizes[-1] == 16
+        z = np.zeros(8)
+        z[0] = bifurcation_speed(params)
+        for wave in branch.points:
+            z = np.concatenate((z, np.zeros(wave.profile.n_modes - z.size)))
+            z = _forward_difference_newton(z, wave.a1, params, model)
+            assert abs(z[0] - wave.c) <= 1e-12
+            assert np.max(np.abs(z[1:] - wave.profile.coeffs[1:])) <= 1e-12
 
     def test_resume_from_converged_point(self, branch_cache):
         base = branch_cache(0.01, LIN, 0.006)

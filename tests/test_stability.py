@@ -448,6 +448,32 @@ class TestClassify:
         assert np.abs(lams).max() > 100.0
 
 
+    @pytest.mark.parametrize("minus_wins", [False, True])
+    def test_argmax_mu_ignores_round_off_ties(self, minus_wins):
+        # growth is even in mu: a one-ulp difference between the rates at
+        # -mu and +mu must not decide the sign of argmax_mu
+        low, high = 1e-3, np.nextafter(1e-3, 1.0)
+        rates = (high, low) if minus_wins else (low, high)
+        spec = self.synthetic([(-0.1, [complex(rates[0], 0.2)]), (0.1, [complex(rates[1], -0.2)])])
+        assert classify(spec).argmax_mu == 0.1
+
+    def test_band_across_half_is_one_cluster(self):
+        # mu and mu + 1 give the same spectrum, so on a sweep of [-1/2, 1/2)
+        # a band on the last and the first slices is one cluster
+        pts = [(mu, []) for mu in uniform_mu(10)]
+        for i, growth in ((8, 1e-3), (9, 2e-3), (0, 2e-3), (1, 1e-3)):
+            pts[i] = (pts[i][0], [complex(growth, 0.5)])
+        (band,) = classify(self.synthetic(pts)).clusters
+        assert band.kind is InstabilityKind.HIGH_FREQUENCY
+        assert_allclose(band.mu_interval, (0.3, 0.6), rtol=0, atol=1e-15)
+        # a sweep of [-0.45, 0.45] does not close around the circle
+        pts = [(mu, []) for mu in np.linspace(-0.45, 0.45, 19)]
+        for i in (0, 1, 17, 18):
+            pts[i] = (pts[i][0], [complex(1e-3, 0.5)])
+        clusters = classify(self.synthetic(pts)).clusters
+        assert_allclose(sorted(c.mu_interval for c in clusters), [(-0.45, -0.4), (0.4, 0.45)], rtol=0, atol=1e-15)
+
+
 class TestOverlay:
     def coeffs(self, d, model=LIN):
         return nls_coefficients(model, 1, PhysicalParams(D=d))
