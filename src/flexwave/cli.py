@@ -286,6 +286,10 @@ def _check_ranges(command: str, cfg: dict) -> None:
                 params_from(cfg, d_value=float(d))
     if command == "collisions" and cfg["mu_grid"] < 2:
         raise ConfigError(f"mu-grid must be at least 2, got {cfg['mu_grid']}")
+    if command == "collisions" and cfg["m_range"] < 0:
+        raise ConfigError(f"m-range must be nonnegative, got {cfg['m_range']}")
+    if command == "resonance" and any(k < 2 for k in setting(cfg, "K_list")):
+        raise ConfigError(f"K-list modes must be at least 2, got {cfg['K_list']!r}")
     if command in BRANCH_COMMANDS:
         solver_config_from(cfg)
         if not 0 < cfg["a1_max"] < math.inf:

@@ -1,9 +1,11 @@
 """Domain types and pseudospectral machinery for periodic wave profiles.
 
 Profiles are even, zero-mean and 2*pi-periodic, represented by their cosine
-coefficients ``a_1..a_N``.  All pointwise operations (ice pressure, surface
-velocity) are evaluated on a uniform collocation grid ``x_i = 2*pi*i/M`` with
-derivatives taken in Fourier space.
+coefficients ``a_1..a_N``.  `eval_profile` forms eta's derivatives, once,
+from the coefficients: the (5, M) stack ``surface`` = eta, eta_x, ...,
+eta_xxxx on the grid ``x_i = 2*pi*i/M``.  The pointwise operators take that
+stack, so no sample of eta is differentiated spectrally; only the ice
+pressure's Frechet derivative differentiates grid samples, of its directions.
 """
 
 from __future__ import annotations
@@ -162,17 +164,16 @@ def depth_kernels(s, eta: GridFunction, h: float) -> tuple[np.ndarray, np.ndarra
     return sh + t * ch, ch + t * sh
 
 
-def eval_profile(profile: SpectralProfile, m: int) -> GridFunction:
-    """Sample eta(x) = sum a_j cos(j x) on the M-point grid.
-
-    Exact to rounding for band-limited input; requires M >= 2N+2 so that no
-    mode aliases.
+def eval_profile(profile: SpectralProfile, m: int) -> np.ndarray:
+    """The (5, M) stack eta, eta_x, ..., eta_xxxx of eta(x) = sum a_j cos(j x)
+    on the M-point grid, from one inverse FFT of the coefficients scaled by
+    (i j)^k.  Requires M >= 2N+2 so that no mode aliases.
     """
     n = profile.n_modes
     if m < 2 * n + 2:
         raise ValueError(f"grid size {m} aliases a profile with {n} modes; need M >= {2 * n + 2}")
-    spec = np.zeros(m // 2 + 1, dtype=complex)
-    spec[1 : n + 1] = 0.5 * m * profile.coeffs
+    spec = np.zeros((5, m // 2 + 1), dtype=complex)
+    spec[:, 1 : n + 1] = 0.5 * m * profile.coeffs * (1j * np.arange(1, n + 1)) ** np.arange(5)[:, None]
     return np.fft.irfft(spec, n=m)
 
 
@@ -191,30 +192,27 @@ def grid_derivative(values: GridFunction, order: int) -> GridFunction:
     return np.fft.irfft(spec, n=m)
 
 
-def p_flex_grid(eta: GridFunction, model: IceModel) -> GridFunction:
-    """Ice-pressure operator applied to grid samples of any periodic profile.
+def p_flex_grid(surface: np.ndarray, model: IceModel) -> GridFunction:
+    """Ice pressure on the grid, pointwise in the stack ``surface``.
 
     Linear model: eta_4x.  Nonlinear (Toland/Cosserat) model:
 
-        d^2/dx^2 [ eta_xx / (1+eta_x^2)^(5/2) ]
-        + (5/2) d/dx [ eta_xx^2 eta_x / (1+eta_x^2)^(7/2) ]
+        d^2/dx^2 [ eta_xx R^(-5/2) ] + (5/2) d/dx [ eta_xx^2 eta_x R^(-7/2) ]
+        = eta_4x R^(-5/2) - 10 eta_x eta_xx eta_xxx R^(-7/2)
+          + (15 eta_x^2 - 5/2) eta_xx^3 R^(-9/2),
 
-    evaluated pseudospectrally: derivatives in Fourier space, algebra
-    pointwise, outer derivatives back in Fourier space.
+    with R = 1 + eta_x^2: the chain rule leaves no product to differentiate.
     """
     if model is IceModel.LINEAR_BIHARMONIC:
-        return grid_derivative(eta, 4)
-    ex = grid_derivative(eta, 1)
-    exx = grid_derivative(eta, 2)
+        return surface[4]
+    _, ex, exx, exxx, e4x = surface
     r = 1.0 + ex**2
-    bending = grid_derivative(exx * r ** (-2.5), 2)
-    stretch = 2.5 * grid_derivative(exx**2 * ex * r ** (-3.5), 1)
-    return bending + stretch
+    return e4x * r ** (-2.5) - 10.0 * ex * exx * exxx * r ** (-3.5) + (15.0 * ex**2 - 2.5) * exx**3 * r ** (-4.5)
 
 
-def toland_frechet_coeffs(eta: GridFunction) -> tuple[GridFunction, GridFunction, GridFunction]:
+def toland_frechet_coeffs(surface: np.ndarray) -> tuple[GridFunction, GridFunction, GridFunction]:
     """Grid coefficients (b2, s2, s1) of the Toland pressure's Frechet
-    derivative at eta (Toland 2008, ARMA 189):
+    derivative at ``surface`` (Toland 2008, ARMA 189):
 
         P'(eta)[v] = d^2/dx^2 [ b2 v_xx - s2 v_x ] + d/dx [ s2 v_xx + s1 v_x ],
 
@@ -225,8 +223,7 @@ def toland_frechet_coeffs(eta: GridFunction) -> tuple[GridFunction, GridFunction
     eta_x R^(-7/2), is -s2 exactly.  The single definition shared by the
     Newton Jacobian and the Floquet operator.
     """
-    ex = grid_derivative(eta, 1)
-    exx = grid_derivative(eta, 2)
+    ex, exx = surface[1], surface[2]
     r = 1.0 + ex**2
     b2 = r ** (-2.5)
     s2 = 5.0 * exx * ex * r ** (-3.5)
@@ -234,7 +231,7 @@ def toland_frechet_coeffs(eta: GridFunction) -> tuple[GridFunction, GridFunction
     return b2, s2, s1
 
 
-def p_flex_derivative_grid(eta: GridFunction, v: np.ndarray, model: IceModel) -> np.ndarray:
+def p_flex_derivative_grid(surface: np.ndarray, v: np.ndarray, model: IceModel) -> np.ndarray:
     """Directional derivative P_flex'(eta)[v] of the ice pressure on the grid.
 
     ``v`` holds the grid samples of one direction, or a stack of directions
@@ -242,13 +239,13 @@ def p_flex_derivative_grid(eta: GridFunction, v: np.ndarray, model: IceModel) ->
     """
     if model is IceModel.LINEAR_BIHARMONIC:
         return grid_derivative(v, 4)
-    b2, s2, s1 = toland_frechet_coeffs(eta)
+    b2, s2, s1 = toland_frechet_coeffs(surface)
     vx = grid_derivative(v, 1)
     vxx = grid_derivative(v, 2)
     return grid_derivative(b2 * vxx - s2 * vx, 2) + grid_derivative(s2 * vxx + s1 * vx, 1)
 
 
-def bernoulli_radicand(eta: GridFunction, c: float, params: PhysicalParams, model: IceModel) -> GridFunction:
+def bernoulli_radicand(surface: np.ndarray, c: float, params: PhysicalParams, model: IceModel) -> GridFunction:
     """Bernoulli radicand c^2 - 2 g eta - 2 D P_flex on the grid, checked.
 
     A vanishing radicand is tolerated only where it is identically zero
@@ -256,7 +253,7 @@ def bernoulli_radicand(eta: GridFunction, c: float, params: PhysicalParams, mode
     not everywhere, puts the wave outside the admissible set and raises
     :class:`NonpositiveRadicand`.
     """
-    radicand = c**2 - 2.0 * params.g * eta - 2.0 * params.D * p_flex_grid(eta, model)
+    radicand = c**2 - 2.0 * params.g * surface[0] - 2.0 * params.D * p_flex_grid(surface, model)
     low = radicand.min()
     if low < 0.0 or (low == 0.0 and radicand.max() > 0.0):
         raise NonpositiveRadicand(
@@ -265,8 +262,6 @@ def bernoulli_radicand(eta: GridFunction, c: float, params: PhysicalParams, mode
     return radicand
 
 
-def qx_on_grid(eta: GridFunction, c: float, params: PhysicalParams, model: IceModel) -> GridFunction:
+def qx_on_grid(surface: np.ndarray, c: float, params: PhysicalParams, model: IceModel) -> GridFunction:
     """q_x = c - sqrt((1+eta_x^2)(c^2 - 2 g eta - 2 D P_flex)) on the grid."""
-    ex = grid_derivative(eta, 1)
-    return c - np.sqrt((1.0 + ex**2) * bernoulli_radicand(eta, c, params, model))
-
+    return c - np.sqrt((1.0 + surface[1] ** 2) * bernoulli_radicand(surface, c, params, model))

@@ -11,11 +11,11 @@ computed by trapezoidal quadrature on the 4x oversampled collocation grid.
 The kernel K_m and its slope K'_m come from `core.depth_kernels`, the one
 definition the Floquet operator shares; in infinite depth both are exp(m eta).
 
-Newton's method uses the exact Jacobian of this discrete residual: the
-derivatives of the weight and of the kernel are evaluated on the grid for all
-unknowns at once and projected with two matrix products.  Newton evaluates
-the surface (eta, the radicand, the weight and the kernels) once per iterate,
-for both F and J.  Once |F|_inf meets RESIDUAL_TOL, one chord step with the
+Newton's Jacobian is exact for the linear ice model; for the Toland model
+it differs from dF only by the aliasing in `core.p_flex_derivative_grid`.
+It is evaluated on the grid for all unknowns at once and projected with two
+matrix products.  Newton evaluates the surface (eta and its derivatives, the
+radicand, the weight and the kernels) once per iterate, for both F and J.  Once |F|_inf meets RESIDUAL_TOL, one chord step with the
 last Jacobian follows, and the iterate with the smaller |F|_inf is kept, so
 every returned point sits at the rounding floor of the residual rather than
 just under the tolerance.  Newton's step limit and the tail test of mode
@@ -46,7 +46,7 @@ from .core import (
     default_grid_size,
     depth_kernels,
     eval_profile,
-    grid_derivative,
+    grid_derivative,  # not called here; perfbench/test_bench.py probes this binding
     grid_points,
     p_flex_derivative_grid,
 )
@@ -148,33 +148,32 @@ def _trig_tables(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _evaluate(z, a1, params, model):
     """F at the unknowns z, and the surface its Jacobian needs: grid size M,
-    the samples of eta, eta_x, the radicand R and the weight
-    W = sqrt((1+eta_x^2) R), and the kernels K_m, K'_m."""
+    the stack eta, eta_x, ..., eta_xxxx of `core.eval_profile`, the radicand
+    R and the weight W = sqrt((1+eta_x^2) R), and the kernels K_m, K'_m."""
     n = z.size
     m_grid = default_grid_size(n)
     eta = eval_profile(SpectralProfile(np.concatenate(([a1], z[1:]))), m_grid)
-    ex = grid_derivative(eta, 1)
     radicand = bernoulli_radicand(eta, z[0], params, model)
-    weight = np.sqrt((1.0 + ex**2) * radicand)
-    kernel, kernel_slope = depth_kernels(np.arange(1, n + 1), eta, params.h)
+    weight = np.sqrt((1.0 + eta[1] ** 2) * radicand)
+    kernel, kernel_slope = depth_kernels(np.arange(1, n + 1), eta[0], params.h)
     f = (2.0 * np.pi / m_grid) * np.einsum("ni,ni->n", _trig_tables(n, m_grid)[0], weight[None, :] * kernel)
-    return f, (m_grid, eta, ex, radicand, weight, kernel, kernel_slope)
+    return f, (m_grid, eta, radicand, weight, kernel, kernel_slope)
 
 
 def _jacobian_at(surface, z, a1, params, model):
     """:func:`jacobian` from the surface that :func:`_evaluate` returned at z."""
-    m_grid, eta, ex, radicand, weight, kernel, kernel_slope = surface
+    m_grid, eta, radicand, weight, kernel, kernel_slope = surface
     if weight.min() <= 0.0:
         raise SingularJacobian(f"the weight W vanishes at a1={a1:.3e}, c={z[0]:.6g}")
     n = z.size
-    s = 1.0 + ex**2
+    s = 1.0 + eta[1] ** 2
     cos_mx, sin_mx = _trig_tables(n, m_grid)
     v = cos_mx[1:]
     v_x = -np.arange(2, n + 1)[:, None] * sin_mx[1:]
     d_rad = -2.0 * params.g * v - 2.0 * params.D * p_flex_derivative_grid(eta, v, model)
     d_weight = np.empty((n, m_grid))
     d_weight[0] = s * z[0] / weight
-    d_weight[1:] = (2.0 * ex * v_x * radicand + s * d_rad) / (2.0 * weight)
+    d_weight[1:] = (2.0 * eta[1] * v_x * radicand + s * d_rad) / (2.0 * weight)
     jac = (cos_mx * kernel) @ d_weight.T
     jac[:, 1:] += (np.arange(1, n + 1)[:, None] * cos_mx * weight * kernel_slope) @ v.T
     return (2.0 * np.pi / m_grid) * jac
@@ -190,7 +189,7 @@ def residual(z: np.ndarray, a1: float, params: PhysicalParams, model: IceModel) 
 
 
 def jacobian(z: np.ndarray, a1: float, params: PhysicalParams, model: IceModel) -> np.ndarray:
-    """Exact Jacobian dF_m/dz_j of :func:`residual`, as an (N, N) array.
+    """Jacobian dF_m/dz_j of :func:`residual`, as an (N, N) array.
 
     With S = 1+eta_x^2, R the radicand and W = sqrt(S R), column 0 (the
     speed) uses dW/dc = S c / W.  Column j >= 1 perturbs eta by v = cos((j+1) x):
@@ -207,7 +206,7 @@ def jacobian(z: np.ndarray, a1: float, params: PhysicalParams, model: IceModel) 
 
 
 def newton_solve(z0: np.ndarray, a1: float, params: PhysicalParams, model: IceModel) -> TravelingWave:
-    """Solve F(z) = 0 by Newton's method with the exact :func:`jacobian`,
+    """Solve F(z) = 0 by Newton's method with :func:`jacobian`,
     finished by one chord step.
 
     Newton steps until |F|_inf <= ``RESIDUAL_TOL``.  After at least one step,

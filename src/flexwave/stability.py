@@ -58,7 +58,7 @@ from .core import (
     default_grid_size,
     depth_kernels,
     eval_profile,
-    grid_derivative,
+    grid_derivative,  # not called here; perfbench/test_bench.py probes this binding
     qx_on_grid,
     toland_frechet_coeffs,
 )
@@ -177,13 +177,13 @@ def _row_coeffs(rows: np.ndarray, n_modes: int, odd: bool) -> np.ndarray:
     return np.take_along_axis(coeffs, idx, axis=1)
 
 
-def _flex_blocks(eta: np.ndarray, model: IceModel, n_modes: int) -> tuple[np.ndarray, ...] | None:
+def _flex_blocks(surface: np.ndarray, model: IceModel, n_modes: int) -> tuple[np.ndarray, ...] | None:
     """Real convolution blocks (b2, s2 / i, s1) of the Toland operator at
-    eta, or None for the constant-coefficient linear model."""
+    ``surface``, or None for the constant-coefficient linear model."""
     if model is IceModel.LINEAR_BIHARMONIC:
         return None
     parities = (False, True, False)
-    return tuple(_row_coeffs(b[None, :], n_modes, odd) for b, odd in zip(toland_frechet_coeffs(eta), parities))
+    return tuple(_row_coeffs(b[None, :], n_modes, odd) for b, odd in zip(toland_frechet_coeffs(surface), parities))
 
 
 def _flex_matrix(blocks: tuple[np.ndarray, ...] | None, s: np.ndarray) -> np.ndarray:
@@ -208,8 +208,8 @@ def linearized_flex(base: TravelingWave, model: IceModel, mu: float, n_modes: in
     with the three coefficients of :func:`core.toland_frechet_coeffs`,
     assembled from their FFT coefficients on the grid.
     """
-    eta = eval_profile(base.profile, _grid_for(base, n_modes))
-    return _flex_matrix(_flex_blocks(eta, model, n_modes), mu + _mode_numbers(n_modes))
+    surface = eval_profile(base.profile, _grid_for(base, n_modes))
+    return _flex_matrix(_flex_blocks(surface, model, n_modes), mu + _mode_numbers(n_modes))
 
 
 class _FloquetOperator:
@@ -224,14 +224,14 @@ class _FloquetOperator:
     def __init__(self, base: TravelingWave, n_modes: int):
         params = base.params
         self.c, self.params, self.n_modes = base.c, params, n_modes
-        self.eta = eval_profile(base.profile, _grid_for(base, n_modes))
-        self.ex = grid_derivative(self.eta, 1)
-        self.qx = qx_on_grid(self.eta, base.c, params, base.model)
+        surface = eval_profile(base.profile, _grid_for(base, n_modes))
+        self.eta, self.ex = surface[0], surface[1]
+        self.qx = qx_on_grid(surface, base.c, params, base.model)
         f = self.ex * (self.qx - base.c) / (1.0 + self.ex**2)
         self.a_blk = _row_coeffs(f[None, :], n_modes, odd=True)
         self.s_conv = _row_coeffs((f**2 * self.ex - f * (self.qx - base.c))[None, :], n_modes, odd=True)
         self.t_conv = _row_coeffs(((self.qx - base.c) - f * self.ex)[None, :], n_modes, odd=False)
-        self.flex = _flex_blocks(self.eta, base.model, n_modes)
+        self.flex = _flex_blocks(surface, base.model, n_modes)
 
     def blocks(self, mu: float) -> tuple[np.ndarray, ...]:
         """The real blocks (a, c^, S, t, U, v) at Floquet exponent mu (see the

@@ -177,6 +177,13 @@ class TestBranchCommand:
             assert point["newton_steps"] in (0, 1, 2)
             assert (wave.residual_inf, wave.newton_steps) == (point["residual_inf"], point["newton_steps"])
 
+    def test_thick_ice_reaches_large_amplitude(self, tmp_path):
+        assert main(["branch", "--D", "25", "--a1-max", "0.3", "--model", "both", "--out", str(tmp_path)]) == 0
+        for model in ("linear", "nonlinear"):
+            points = json.loads((tmp_path / f"branch_{model}.meta.json").read_text())["points"]
+            assert len(points) == 300
+            assert all(pt["residual_inf"] <= 1e-10 for pt in points)
+
     def test_metadata_sidecar(self, tmp_path):
         assert main(self.ARGS + ["--out", str(tmp_path)]) == 0
         meta = json.loads((tmp_path / "branch_linear.meta.json").read_text())
@@ -352,13 +359,17 @@ class TestConfigHandling:
             ["stability", "--a1-list", "0.005 -1"],
             ["compare", "--a1-list", "0"],
             ["stability", "--model", "linear", "--a1-max", "0.004", "--a1-list", "0.5 0.001"],
+            ["resonance", "--K-list", "1"],
+            ["resonance", "--K-list", "7 0"],
+            ["collisions", "--m-range", "-1"],
         ],
         ids=["h", "D", "K-list", "k-list", "a1-list", "D-grid", "mu-grid", "mu-count", "mu-count-compare",
              "floquet-modes", "floquet-modes-compare", "k-zero", "a1-max-negative", "a1-max-zero", "modes",
              "a1-step", "max-modes", "g", "D-count", "D-list-dispersion", "D-list-nls", "D-grid-negative",
              "D-nan", "D-inf", "a1-step-nan", "g-inf", "a1-max-inf", "a1-list-nan", "D-nan-dispersion",
              "k-list-inf", "D-nan-nls", "D-grid-inf", "c-nan", "c-inf",
-             "a1-list-negative", "a1-list-zero-compare", "a1-list-above-a1-max"],
+             "a1-list-negative", "a1-list-zero-compare", "a1-list-above-a1-max",
+             "K-list-one", "K-list-zero", "m-range-negative"],
     )
     def test_bad_setting_is_a_config_error(self, tmp_path, capsys, argv):
         out = tmp_path / "out"

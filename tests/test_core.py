@@ -47,15 +47,15 @@ class TestParams:
 
 class TestEvalProfile:
     def test_zero_profile(self):
-        vals = eval_profile(cosine(0.0, 0.0), 8)
+        vals = eval_profile(cosine(0.0, 0.0), 8)[0]
         assert_allclose(vals, np.zeros(8), atol=0)
 
     def test_single_cosine_on_four_points(self):
-        vals = eval_profile(cosine(1.0), 4)
+        vals = eval_profile(cosine(1.0), 4)[0]
         assert_allclose(vals, [1.0, 0.0, -1.0, 0.0], atol=1e-15)
 
     def test_two_modes_at_pi(self):
-        vals = eval_profile(cosine(0.1, 0.01), 16)
+        vals = eval_profile(cosine(0.1, 0.01), 16)[0]
         assert vals[8] == pytest.approx(-0.09, abs=1e-15)
 
     def test_grid_too_small_raises(self):
@@ -68,24 +68,40 @@ class TestEvalProfile:
         prof = SpectralProfile(coeffs)
         x = grid_points(64)
         direct = sum(a * np.cos((j + 1) * x) for j, a in enumerate(coeffs))
-        assert_allclose(eval_profile(prof, 64), direct, atol=1e-12)
+        assert_allclose(eval_profile(prof, 64)[0], direct, atol=1e-12)
 
 
 class TestSpectralDerivative:
     def test_first_derivative_of_cos(self):
         m = 32
-        vals = grid_derivative(eval_profile(cosine(1.0), m), 1)
-        assert_allclose(vals, -np.sin(grid_points(m)), atol=1e-13)
+        x = grid_points(m)
+        assert_allclose(eval_profile(cosine(1.0), m)[1], -np.sin(x), atol=1e-13)
+        assert_allclose(grid_derivative(np.cos(x), 1), -np.sin(x), atol=1e-13)
 
+    # the fourth derivative multiplies the round-off of np.cos samples by up
+    # to (M/2)^4, past these bounds, so grid_derivative gets the band-limited
+    # samples of eval_profile's row 0
     def test_fourth_derivative_of_cos2x(self):
         m = 32
-        vals = grid_derivative(eval_profile(cosine(0.0, 1.0), m), 4)
-        assert_allclose(vals, 16.0 * np.cos(2 * grid_points(m)), atol=1e-12)
+        surface = eval_profile(cosine(0.0, 1.0), m)
+        assert_allclose(surface[4], 16.0 * np.cos(2 * grid_points(m)), atol=1e-12)
+        assert_allclose(grid_derivative(surface[0], 4), 16.0 * np.cos(2 * grid_points(m)), atol=1e-12)
 
     def test_cos_is_biharmonic_eigenfunction(self):
         m = 32
-        vals = grid_derivative(eval_profile(cosine(1.0), m), 4)
-        assert_allclose(vals, np.cos(grid_points(m)), atol=1e-12)
+        surface = eval_profile(cosine(1.0), m)
+        assert_allclose(surface[4], np.cos(grid_points(m)), atol=1e-12)
+        assert_allclose(grid_derivative(surface[0], 4), np.cos(grid_points(m)), atol=1e-12)
+
+    def test_rows_are_the_analytic_derivatives(self):
+        # d^k/dx^k cos(j x) = j^k cos(j x + k pi/2)
+        coeffs = np.array([0.3, -0.05, 0.01, 0.002])
+        x = grid_points(64)
+        surface = eval_profile(SpectralProfile(coeffs), 64)
+        assert surface.shape == (5, 64)
+        k = np.arange(5)[:, None]
+        exact = sum(a * j**k * np.cos(j * x + k * np.pi / 2) for j, a in enumerate(coeffs, 1))
+        assert_allclose(surface, exact, rtol=0, atol=1e-14)
 
 
 def fd_toland(eta):
@@ -132,11 +148,20 @@ class TestPFlex:
     def test_toland_against_finite_differences(self):
         prof = cosine(0.1, 0.05, 0.02)
         m = 4096
-        eta = eval_profile(prof, m)
-        spectral = p_flex_grid(eta, NL)
-        fd = fd_toland(eta)
+        surface = eval_profile(prof, m)
+        spectral = p_flex_grid(surface, NL)
+        fd = fd_toland(surface[0])
         scale = np.max(np.abs(spectral))
         assert np.max(np.abs(spectral - fd)) / scale < 1e-3
+
+    @pytest.mark.parametrize("model", [LIN, NL])
+    @pytest.mark.parametrize("coeffs", [(0.1, 0.05, 0.02), (0.3, -0.05, 0.01), 0.2 * 0.4 ** np.arange(12)])
+    def test_grid_independent_at_shared_nodes(self, model, coeffs):
+        # pointwise in eta's exact derivatives, so refining the grid 16-fold
+        # changes nothing but round-off
+        coarse = p_flex_grid(eval_profile(cosine(*coeffs), 64), model)
+        fine = p_flex_grid(eval_profile(cosine(*coeffs), 1024), model)
+        assert np.max(np.abs(fine[::16] - coarse)) <= 1e-13 * np.max(np.abs(coarse))
 
     @pytest.mark.parametrize("model", [LIN, NL])
     def test_even_profile_gives_even_pressure(self, model):
@@ -146,7 +171,7 @@ class TestPFlex:
 
 
 class TestDepthKernels:
-    eta = eval_profile(cosine(0.3, -0.05, 0.01), 64)
+    eta = eval_profile(cosine(0.3, -0.05, 0.01), 64)[0]
 
     def test_deep_water_is_exponential(self):
         s = np.array([-3.5, -1.0, -0.25, 0.0, 0.25, 1.0, 7.0])

@@ -89,7 +89,7 @@ class TestRadicandRule:
     def test_both_layers_accept_water_at_rest(self):
         z = np.zeros(8)
         assert np.all(residual(z, 0.0, deep(0.1), NL) == 0.0)
-        assert np.all(qx_on_grid(np.zeros(64), 0.0, deep(0.1), NL) == 0.0)
+        assert np.all(qx_on_grid(np.zeros((5, 64)), 0.0, deep(0.1), NL) == 0.0)
         # F = 0 already, so Newton returns without needing the Jacobian
         assert newton_solve(z, 0.0, deep(0.1), NL).c == 0.0
         with pytest.raises(SingularJacobian):
@@ -161,6 +161,23 @@ class TestJacobian:
 
 
 class TestNewton:
+    @pytest.mark.parametrize("model", [LIN, NL])
+    @pytest.mark.parametrize("d", [0.01, 25.0])
+    def test_rounding_floor(self, branch_cache, model, d):
+        # Newton past convergence on the a1 = 0.1 wave padded to 64 modes:
+        # the residual settles at the round-off of the quadrature, which a
+        # spectral fourth derivative of grid samples would multiply by (M/2)^4
+        wave = branch_cache(d, model, 0.1, n_modes=32, step=0.01).points[-1]
+        z = np.zeros(64)
+        z[0] = wave.c
+        z[1 : wave.profile.n_modes] = wave.profile.coeffs[1:]
+        floor = []
+        for _ in range(10):
+            f = residual(z, wave.a1, wave.params, model)
+            floor.append(np.max(np.abs(f)))
+            z = z - np.linalg.solve(jacobian(z, wave.a1, wave.params, model), f)
+        assert min(floor[5:]) <= 1e-12
+
     def test_converged_point_is_fixed(self, small_wave_d001):
         w = small_wave_d001
         z = np.concatenate(([w.c], w.profile.coeffs[1:]))

@@ -90,17 +90,20 @@ class TestLinearizedFlex:
         base = TravelingWave(profile=prof, c=1.0, params=PhysicalParams(D=0.3), model=NL)
         n_modes = 12
         m_grid = 128
-        eta = eval_profile(prof, m_grid)
+        surface = eval_profile(prof, m_grid)
         g_mat = linearized_flex(base, NL, 0.0, n_modes)
         rng = np.random.default_rng(3)
         delta = 1e-6
         x = grid_points(m_grid)
+        k = np.arange(5)[:, None]
         for _ in range(5):
             amp_c = rng.normal(size=5) / (1 + np.arange(5)) ** 2
             amp_s = rng.normal(size=5) / (1 + np.arange(5)) ** 2
-            v = sum(a * np.cos((j + 1) * x) for j, a in enumerate(amp_c))
-            v += sum(b * np.sin((j + 1) * x) for j, b in enumerate(amp_s))
-            fd = (p_flex_grid(eta + delta * v, NL) - p_flex_grid(eta - delta * v, NL)) / (2 * delta)
+            # v and its first four derivatives, (d/dx)^k of cos and sin
+            v_stack = sum(a * j**k * np.cos(j * x + k * np.pi / 2) for j, a in enumerate(amp_c, 1))
+            v_stack += sum(b * j**k * np.sin(j * x + k * np.pi / 2) for j, b in enumerate(amp_s, 1))
+            v = v_stack[0]
+            fd = (p_flex_grid(surface + delta * v_stack, NL) - p_flex_grid(surface - delta * v_stack, NL)) / (2 * delta)
             v_hat = np.fft.fft(v) / m_grid
             v_modes = np.concatenate([v_hat[-n_modes:], v_hat[: n_modes + 1]])
             w_modes = g_mat @ np.fft.fftshift(np.fft.fft(v) / m_grid)[
@@ -128,6 +131,15 @@ class TestLinearizedFlex:
         cos_modes = 0.5 * (np.abs(modes(n_modes)) == j)
         floquet_modes = g_mat @ cos_modes
         assert np.max(np.abs(grid_modes - floquet_modes)) <= 1e-10 * np.max(np.abs(floquet_modes))
+
+
+@pytest.mark.parametrize("model", [LIN, NL])
+@pytest.mark.parametrize("h", [INFINITE_DEPTH, 1.0])
+def test_thick_ice_surface_velocity_is_even(branch_cache, model, h):
+    # q_x of an even wave is even; at D = 25 the ice pressure is the largest
+    # term of its radicand, so its round-off would show first
+    qx = stability._FloquetOperator(branch_cache(25.0, model, 0.02, h=h).points[-1], 16).qx
+    assert np.max(np.abs(qx[1:] - qx[1:][::-1])) <= 1e-13 * np.max(np.abs(qx))
 
 
 class TestFlatOracle:
