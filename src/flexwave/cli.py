@@ -106,7 +106,7 @@ def write_csv(path: Path, header: list[str], rows) -> None:
     digits give every float an exact round trip, and integers and flags
     print as integers.
     """
-    values = np.asarray(list(rows), dtype=float).ravel().tolist()
+    values = np.asarray(rows, dtype=float).ravel().tolist()
     line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")

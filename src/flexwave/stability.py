@@ -43,6 +43,10 @@ t, v, S and U real.  With q1 = i q' and nu = i lambda the problem is real,
 and only this pencil is built and solved; lambda = -i nu is applied at the
 end, so the spectrum at each mu is exactly symmetric under
 lambda -> -conj(lambda).
+
+A sweep builds the mu-independent blocks once per wave; each mu costs the
+depth kernels, one rfft of the stack [Ct, eta0_x St, qx0 Ct, St] giving c^, U
+and v, one real solve with c^ and the reduced eigensolve, most of the time.
 """
 
 from __future__ import annotations
@@ -164,29 +168,30 @@ def _grid_for(base: TravelingWave, n_modes: int) -> int:
     return default_grid_size(max(base.profile.n_modes, n_modes))
 
 
-def _row_coeffs(rows: np.ndarray, n_modes: int, odd: bool) -> np.ndarray:
-    """Row-dependent convolution: entry (m, n) = rows_hat[m, m-n], divided
-    by i for odd rows.  A single row a(x), of shape (1, M), gives
-    multiplication by a.  The other part of the coefficients is round-off
-    for a reversible wave; this is the one place it is dropped."""
-    m_grid = rows.shape[1]
-    coeffs = np.fft.fft(rows, axis=1) / m_grid
-    coeffs = coeffs.imag if odd else coeffs.real
+def _row_coeffs(rows: np.ndarray, n_modes: int, odd: bool | np.ndarray) -> np.ndarray:
+    """Row-dependent convolutions of a stack of grid functions of shape
+    (..., r, M), r = 1 or 2N+1, with one parity per leading index (a bool or
+    bool array): entry (m, n) is rows_hat[m, m-n], divided by i for odd rows;
+    r = 1 gives multiplication by the row.  One rfft holds every lag, as
+    M >= 4N, and rows_hat[-k] = conj(rows_hat[k]) gives odd rows the sign of
+    m-n.  The other part is round-off for a reversible wave; this is the one
+    place it is dropped."""
     modes = _mode_numbers(n_modes)
-    idx = (modes[:, None] - modes[None, :]) % m_grid
-    return np.take_along_axis(coeffs, idx, axis=1)
+    lag = modes[:, None] - modes[None, :]
+    coeffs = np.fft.rfft(rows, axis=-1) / rows.shape[-1]
+    gathered = coeffs[..., np.arange(rows.shape[-2])[:, None], np.abs(lag)]
+    return np.where(np.asarray(odd)[..., None, None], np.sign(lag) * gathered.imag, gathered.real)
 
 
-def _flex_blocks(surface: np.ndarray, model: IceModel, n_modes: int) -> tuple[np.ndarray, ...] | None:
+def _flex_blocks(surface: np.ndarray, model: IceModel, n_modes: int) -> np.ndarray | None:
     """Real convolution blocks (b2, s2 / i, s1) of the Toland operator at
-    ``surface``, or None for the constant-coefficient linear model."""
+    ``surface``, stacked, or None for the constant-coefficient linear model."""
     if model is IceModel.LINEAR_BIHARMONIC:
         return None
-    parities = (False, True, False)
-    return tuple(_row_coeffs(b[None, :], n_modes, odd) for b, odd in zip(toland_frechet_coeffs(surface), parities))
+    return _row_coeffs(np.stack(toland_frechet_coeffs(surface))[:, None], n_modes, np.array([False, True, False]))
 
 
-def _flex_matrix(blocks: tuple[np.ndarray, ...] | None, s: np.ndarray) -> np.ndarray:
+def _flex_matrix(blocks: np.ndarray | None, s: np.ndarray) -> np.ndarray:
     """Real G(eta0; .) on modes of wavenumbers ``s``: with D_x = i s and the
     block s2 divided by i, G = s_m^2 (b2 s_n^2 - s2 s_n) + s_m (s2 s_n^2 - s1 s_n)."""
     sq = s * s
@@ -228,9 +233,8 @@ class _FloquetOperator:
         self.eta, self.ex = surface[0], surface[1]
         self.qx = qx_on_grid(surface, base.c, params, base.model)
         f = self.ex * (self.qx - base.c) / (1.0 + self.ex**2)
-        self.a_blk = _row_coeffs(f[None, :], n_modes, odd=True)
-        self.s_conv = _row_coeffs((f**2 * self.ex - f * (self.qx - base.c))[None, :], n_modes, odd=True)
-        self.t_conv = _row_coeffs(((self.qx - base.c) - f * self.ex)[None, :], n_modes, odd=False)
+        local = np.stack([f, f**2 * self.ex - f * (self.qx - base.c), (self.qx - base.c) - f * self.ex])
+        self.a_blk, self.s_conv, self.t_conv = _row_coeffs(local[:, None], n_modes, np.array([True, True, False]))
         self.flex = _flex_blocks(surface, base.model, n_modes)
 
     def blocks(self, mu: float) -> tuple[np.ndarray, ...]:
@@ -243,42 +247,38 @@ class _FloquetOperator:
         s_blk = params.g * np.eye(s.size) - self.s_conv * s[None, :] + params.D * _flex_matrix(self.flex, s)
         t_blk = self.t_conv * s[None, :]
 
-        # nonlocal equation at row m, bounded depth kernels
+        # nonlocal equation at row m, bounded depth kernels: one rfft of the
+        # stack [K'_s, eta_x K_s, q_x K'_s, K_s]
         s_til, c_til = depth_kernels(s, self.eta, params.h)
-
-        c_hat = _row_coeffs(c_til, n_modes, odd=False)
-        u_blk = (
-            -c * c_hat * s[None, :]
-            - (c * s)[:, None] * _row_coeffs(self.ex[None, :] * s_til, n_modes, odd=True)
-            + s[:, None] * _row_coeffs(self.qx[None, :] * c_til, n_modes, odd=False)
-        )
-        v_blk = _row_coeffs(s_til, n_modes, odd=False) * s[None, :]
-        return self.a_blk, c_hat, s_blk, t_blk, u_blk, v_blk
+        rows = np.stack([c_til, self.ex * s_til, self.qx * c_til, s_til])
+        c_hat, ex_s, qx_c, v_conv = _row_coeffs(rows, n_modes, np.array([False, True, False, False]))
+        u_blk = -c * c_hat * s[None, :] - (c * s)[:, None] * ex_s + s[:, None] * qx_c
+        return self.a_blk, c_hat, s_blk, t_blk, u_blk, v_conv * s[None, :]
 
     def solve(self, mu: float) -> tuple[np.ndarray, float, bool]:
         """(eigenvalues, cond(c^), whether QZ ran) at mu.
 
         Both paths solve the one real pencil nu L1 x = L2 x.  L1 has the
         inverse [[0, c^-1], [-I, a c^-1]], so while c^ is well conditioned nu
-        are the eigenvalues of B = L1^-1 L2 = [[c^-1 L2_bottom],
-        [a c^-1 L2_bottom - L2_top]], from one real solve and one real
-        eigensolve.  Above ``REDUCED_COND_LIMIT`` (or for a NaN estimate) real
+        are the eigenvalues of B = L1^-1 L2, with top half c^-1 [U, -v] and
+        bottom half a top - [S, -t]: one real solve and one product, then one
+        real eigensolve.  Above ``REDUCED_COND_LIMIT`` (or for a NaN estimate) real
         QZ solves the pencil, through :func:`solve_spectrum`, the only place
-        scipy is loaded: alternating numpy's LAPACK with scipy's within the
-        sweep makes the two libraries' BLAS thread pools compete.  Either way
-        a real nu gives lambda = -i nu exactly on the imaginary axis, and a
-        conjugate pair gives an exact pair lambda, -conj(lambda).
+        scipy is loaded and the one sweep path that builds L1 and L2: alternating
+        numpy's LAPACK with scipy's within the sweep makes the two libraries'
+        BLAS thread pools compete.  Either way a real nu gives lambda = -i nu
+        exactly on the imaginary axis, and a conjugate pair gives an exact
+        pair lambda, -conj(lambda).
         """
-        l1, l2 = _pencil(*self.blocks(mu))
-        k = l1.shape[0] // 2
+        a_blk, c_hat, s_blk, t_blk, u_blk, v_blk = blocks = self.blocks(mu)
         try:
-            cond_c = float(np.linalg.cond(l1[k:, :k]))
+            cond_c = float(np.linalg.cond(c_hat))
             reduced = cond_c <= REDUCED_COND_LIMIT
             if reduced:
-                top = np.linalg.solve(l1[k:, :k], l2[k:])
-                nu = np.linalg.eigvals(np.vstack([top, l1[:k, :k] @ top - l2[:k]]))
+                top = np.linalg.solve(c_hat, np.hstack([u_blk, -v_blk]))
+                nu = np.linalg.eigvals(np.vstack([top, a_blk @ top - np.hstack([s_blk, -t_blk])]))
             else:
-                nu = solve_spectrum(l1, l2)
+                nu = solve_spectrum(*_pencil(*blocks))
         except np.linalg.LinAlgError as exc:
             raise EigSolverFailure(str(exc)) from exc
         return nu.imag - 1j * nu.real, cond_c, not reduced
@@ -413,7 +413,8 @@ def classify(spectrum: FloquetSpectrum) -> InstabilityReport:
         if ri != rj:
             parent[rj] = ri
 
-    sorted_mu = np.sort(np.unique(spectrum.mu_values))
+    # sorted(set(...)), not np.unique: numpy 2.4's unique imports numpy.ma
+    sorted_mu = np.array(sorted(set(spectrum.mu_values.tolist())))
     last_slice = order.size - 1
     # the wrap gap is a sum of values up to 1/2, so it is exact only to spacing(1)
     wraps = sorted_mu.size > 2 and sorted_mu[0] + 1.0 - sorted_mu[-1] <= np.diff(sorted_mu).max() + np.spacing(1.0)
@@ -433,7 +434,7 @@ def classify(spectrum: FloquetSpectrum) -> InstabilityReport:
         groups.setdefault(find(i), []).append(i)
 
     def cluster(kind: InstabilityKind, members: list[int]) -> SpectralCluster:
-        mus = np.unique([pts_mu[i] for i in members])
+        mus = np.array(sorted({pts_mu[i] for i in members}))
         lams = [pts_lam[i] for i in members]
         # the interval is the complement of the largest gap between members
         # on the circle; a gap inside the sweep wider than the one across
@@ -469,6 +470,9 @@ def classify(spectrum: FloquetSpectrum) -> InstabilityReport:
     if n_pts:
         best = int(np.argmax([l.real for l in pts_lam]))
         max_growth, argmax_mu = pts_lam[best].real, abs(pts_mu[best])
+        # -mu has the same growth: of two mirror slices report the smaller |mu|
+        mirror = [abs(m) for m in pts_mu if abs(m + pts_mu[best]) <= 0.5 * mu_step]
+        argmax_mu = min([argmax_mu, *mirror])
     else:
         max_growth, argmax_mu = 0.0, 0.0
     return InstabilityReport(max_growth=max_growth, argmax_mu=argmax_mu, clusters=tuple(clusters))

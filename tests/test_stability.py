@@ -13,6 +13,7 @@ from flexwave.core import (
     PhysicalParams,
     SpectralProfile,
     TravelingWave,
+    depth_kernels,
     eval_profile,
     grid_points,
     p_flex_derivative_grid,
@@ -284,13 +285,40 @@ class TestReducedSolve:
         keep = stability._row_coeffs
         for mu in self.MUS:
             pencil = assemble_matrices(wave, mu, 16)
-            monkeypatch.setattr(stability, "_row_coeffs", lambda rows, n, odd: keep(rows, n, not odd))
+            monkeypatch.setattr(stability, "_row_coeffs", lambda rows, n, odd: keep(rows, n, np.logical_not(odd)))
             discarded = assemble_matrices(wave, mu, 16)
             monkeypatch.setattr(stability, "_row_coeffs", lambda rows, n, odd: 0.0 * keep(rows, n, odd))
             no_convolution = assemble_matrices(wave, mu, 16)
             monkeypatch.setattr(stability, "_row_coeffs", keep)
             for full, part, fixed in zip(pencil, discarded, no_convolution):
                 assert np.abs(part - fixed).max() <= tol * np.abs(full).max()
+
+    @pytest.mark.parametrize("d", [0.01, 25.0])
+    @pytest.mark.parametrize("h", [INFINITE_DEPTH, 1.0])
+    @pytest.mark.parametrize("model", [LIN, NL])
+    def test_row_coeffs_match_the_full_fft(self, branch_cache, model, h, d):
+        # the one rfft with its conjugate-sign gather against the full
+        # complex FFT gathered at (m - n) mod M, real or imaginary part by parity
+        def full_fft(rows, n, odd):
+            coeffs = np.fft.fft(rows, axis=1) / rows.shape[1]
+            idx = (modes(n)[:, None] - modes(n)[None, :]) % rows.shape[1]
+            return np.take_along_axis(coeffs.imag if odd else coeffs.real, idx, axis=1)
+
+        def assert_close(got, want):
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+        wave = branch_cache(d, model, 0.02, h=h).points[-1]
+        n = 16
+        surface = eval_profile(wave.profile, stability._grid_for(wave, n))
+        k_s, dk_s = depth_kernels(0.31 + modes(n), surface[0], h)
+        stack = np.stack([dk_s, surface[1] * k_s, k_s])  # row-dependent: even, odd, even
+        singles = surface[:3]  # eta, eta_x, eta_xx: even, odd, even
+        parities = np.array([False, True, False])
+        for rows in (stack, singles[:, None]):
+            for got, row, odd in zip(stability._row_coeffs(rows, n, parities), rows, parities):
+                assert_close(got, full_fft(row, n, odd))
+        for row, odd in zip(singles, parities):
+            assert_close(stability._row_coeffs(row[None, :], n, bool(odd)), full_fft(row[None, :], n, odd))
 
     @pytest.fixture(params=["reduced", "qz"])
     def solver_path(self, request, monkeypatch):
@@ -345,6 +373,22 @@ class TestReducedSolve:
         for name in ("stability_linear.meta.json", "compare_linear.meta.json"):
             report = json.loads((tmp_path / name).read_text())["reports"][0]
             assert report["qz_mu"] == [] and report["failed_mu"] == []
+
+    def test_stability_run_leaves_numpy_ma_unloaded(self, fresh_python, tmp_path):
+        # numpy 2.4's np.unique imports numpy.ma, about 18 ms on first use;
+        # classify sorts and de-duplicates without it, cluster path included
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from flexwave import cli\n"
+            "from flexwave.stability import FloquetSpectrum, classify\n"
+            "args = ['--model', 'linear', '--modes', '12', '--mu-count', '5', '--out', sys.argv[1]]\n"
+            "assert cli.main(['stability', '--D', '0.05', '--a1-max', '0.002', *args]) == 0\n"
+            "lams = [np.array([1e-3 + 0.2j]), np.array([1e-3 - 0.2j])]\n"
+            "assert classify(FloquetSpectrum(np.array([-0.1, 0.1]), lams)).clusters\n"
+            "print('numpy.ma' in sys.modules)"
+        )
+        assert fresh_python(code, str(tmp_path)).strip() == "False"
 
     def test_fallback_loads_scipy(self, fresh_python):
         # the import of scipy sits inside solve_spectrum, so the forced
@@ -460,14 +504,24 @@ class TestClassify:
         assert np.abs(lams).max() > 100.0
 
 
+    @pytest.mark.parametrize("mirror", [(-0.1, 0.1), (-0.1, np.nextafter(0.1, 1.0)), (np.nextafter(-0.1, -1.0), 0.1)])
     @pytest.mark.parametrize("minus_wins", [False, True])
-    def test_argmax_mu_ignores_round_off_ties(self, minus_wins):
-        # growth is even in mu: a one-ulp difference between the rates at
-        # -mu and +mu must not decide the sign of argmax_mu
+    def test_argmax_mu_ignores_round_off_ties(self, minus_wins, mirror):
+        # growth is even in mu: neither a one-ulp difference between the
+        # rates at -mu and +mu nor one between their magnitudes, as on
+        # np.linspace(-0.5, 0.5, 21, endpoint=False), may decide argmax_mu
         low, high = 1e-3, np.nextafter(1e-3, 1.0)
         rates = (high, low) if minus_wins else (low, high)
-        spec = self.synthetic([(-0.1, [complex(rates[0], 0.2)]), (0.1, [complex(rates[1], -0.2)])])
+        spec = self.synthetic([(mirror[0], [complex(rates[0], 0.2)]), (mirror[1], [complex(rates[1], -0.2)])])
         assert classify(spec).argmax_mu == 0.1
+
+    @pytest.mark.parametrize("mirror_lams", [[], [complex(-1e-3, 0.2)]])
+    def test_argmax_mu_ignores_a_stable_mirror(self, mirror_lams):
+        # only an unstable slice may lend argmax_mu its magnitude: a failed
+        # or stable slice at -mu saw no growth
+        mu = np.nextafter(0.1, 1.0)
+        spec = self.synthetic([(-0.1, mirror_lams), (mu, [complex(1e-3, -0.2)])])
+        assert classify(spec).argmax_mu == mu
 
     def test_band_across_half_is_one_cluster(self):
         # mu and mu + 1 give the same spectrum, so on a sweep of [-1/2, 1/2)
