@@ -554,7 +554,6 @@ def _floquet_runs(cfg: dict, overlay: dict[IceModel, NlsCoefficients] | None) ->
                         for c in report.clusters
                     ],
                     "failed_mu": [mu for mu, _ in spectrum.failures],
-                    "qz_mu": spectrum.qz_mu,
                     "max_cond_c": spectrum.max_cond_c,
                 }
             )

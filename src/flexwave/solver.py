@@ -130,9 +130,6 @@ class BifurcationBranch:
     model: IceModel
     points: list[TravelingWave]
 
-    def amplitudes(self) -> np.ndarray:
-        return np.array([w.a1 for w in self.points])
-
 
 def bifurcation_speed(params: PhysicalParams) -> float:
     """Speed omega(1) = sqrt(tanh(h)(g + D)) at which the k=1 branch leaves flat water."""

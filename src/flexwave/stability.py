@@ -46,7 +46,9 @@ lambda -> -conj(lambda).
 
 A sweep builds the mu-independent blocks once per wave; each mu costs the
 depth kernels, one rfft of the stack [Ct, eta0_x St, qx0 Ct, St] giving c^, U
-and v, one real solve with c^ and the reduced eigensolve, most of the time.
+and v, one real solve with c^ and one real standard eigensolve.  QZ on the
+full pencil (`assemble_matrices`, `solve_spectrum`) is kept as a reference
+and is never called by a sweep.
 """
 
 from __future__ import annotations
@@ -83,27 +85,23 @@ __all__ = [
 ]
 
 #: Re(lambda) above this counts as growth; an order above the flat-water
-#: assembly/eigensolver error.  Both eigensolver paths solve a real pencil
-#: and put stable eigenvalues exactly on the imaginary axis, so Re(lambda)
-#: carries no round-off.
+#: assembly/eigensolver error.  The sweep solves a real problem and puts
+#: stable eigenvalues exactly on the imaginary axis, so Re(lambda) carries
+#: no round-off.
 GROWTH_THRESHOLD = 1e-8
 
 #: Unstable eigenvalues at adjacent exponents of the sweep join one cluster
-#: when they lie within this distance in the complex plane.
+#: when they lie within this distance in the complex plane, once the Doppler
+#: drift between the two exponents is taken out (see `classify`).
 CLUSTER_RADIUS = 0.05
 
 #: A cluster is modulational when it reaches the Doppler line through the
 #: origin, Im(lambda) = mu (c - omega'(1)), within this distance.
 DOPPLER_TOL = 0.05
 
-#: Largest cond(c^) at which the sweep eliminates c^ and solves the reduced
-#: real standard eigenproblem; above it, real QZ on the same pencil.
-#: Converged small-amplitude waves at 12 to 32 Floquet modes stay below 1e2.
-REDUCED_COND_LIMIT = 1e6
-
 
 class EigSolverFailure(RuntimeError):
-    """The eigensolver (reduced or QZ) did not converge."""
+    """The eigensolve, or the SVD or solve with c^ before it, failed."""
 
 
 @dataclass
@@ -113,9 +111,15 @@ class FloquetSpectrum:
     mu_values: np.ndarray
     eigenvalues: list[np.ndarray]
     failures: list[tuple[float, str]] = field(default_factory=list)
-    #: Exponents solved by QZ because cond(c^) exceeded REDUCED_COND_LIMIT.
-    qz_mu: list[float] = field(default_factory=list)
-    #: Largest 2-norm condition number of c^ over the solved exponents.
+    #: Largest 2-norm condition number of c^ over the solved exponents, a
+    #: record only: the sweep solves with c^ at any value.  It grows like
+    #: exp(n H) with n Floquet modes and wave height H: below 1e2 on
+    #: converged small-amplitude waves at 12 to 32 modes; 5.1e7 to 2.7e10 on
+    #: the D = 0.01 Toland wave at a1 = 0.2 (n = 48, 64) and 1.0e7 to 4.6e12
+    #: on the D = 25 one at a1 = 0.3 (n = 32 to 56), where the largest growth
+    #: rate still matches the resolved one to 1e-12 relative; 3.7e14 on the
+    #: D = 25 wave at n = 64, where the reduced solve and QZ alike show
+    #: spurious growth near |lambda| = 1e5.
     max_cond_c: float = 0.0
     #: c - omega'(1): near mu = 0 the modulational eigenvalues leave the
     #: origin along the Doppler line Im(lambda) = mu (c - omega'(1)).
@@ -255,60 +259,47 @@ class _FloquetOperator:
         u_blk = -c * c_hat * s[None, :] - (c * s)[:, None] * ex_s + s[:, None] * qx_c
         return self.a_blk, c_hat, s_blk, t_blk, u_blk, v_conv * s[None, :]
 
-    def solve(self, mu: float) -> tuple[np.ndarray, float, bool]:
-        """(eigenvalues, cond(c^), whether QZ ran) at mu.
+    def solve(self, mu: float) -> tuple[np.ndarray, float]:
+        """(eigenvalues, cond(c^)) at mu.
 
-        Both paths solve the one real pencil nu L1 x = L2 x.  L1 has the
-        inverse [[0, c^-1], [-I, a c^-1]], so while c^ is well conditioned nu
-        are the eigenvalues of B = L1^-1 L2, with top half c^-1 [U, -v] and
-        bottom half a top - [S, -t]: one real solve and one product, then one
-        real eigensolve.  Above ``REDUCED_COND_LIMIT`` (or for a NaN estimate) real
-        QZ solves the pencil, through :func:`solve_spectrum`, the only place
-        scipy is loaded and the one sweep path that builds L1 and L2: alternating
-        numpy's LAPACK with scipy's within the sweep makes the two libraries'
-        BLAS thread pools compete.  Either way a real nu gives lambda = -i nu
+        L1 has the inverse [[0, c^-1], [-I, a c^-1]], so the eigenvalues nu
+        of the real pencil nu L1 x = L2 x are those of B = L1^-1 L2, with top
+        half c^-1 [U, -v] and bottom half a top - [S, -t]: one real solve and
+        one product, then one real eigensolve.  A real nu gives lambda = -i nu
         exactly on the imaginary axis, and a conjugate pair gives an exact
-        pair lambda, -conj(lambda).
+        pair lambda, -conj(lambda).  cond(c^) is returned as a record; the
+        solve does not depend on it.
         """
-        a_blk, c_hat, s_blk, t_blk, u_blk, v_blk = blocks = self.blocks(mu)
+        a_blk, c_hat, s_blk, t_blk, u_blk, v_blk = self.blocks(mu)
         try:
             cond_c = float(np.linalg.cond(c_hat))
-            reduced = cond_c <= REDUCED_COND_LIMIT
-            if reduced:
-                top = np.linalg.solve(c_hat, np.hstack([u_blk, -v_blk]))
-                nu = np.linalg.eigvals(np.vstack([top, a_blk @ top - np.hstack([s_blk, -t_blk])]))
-            else:
-                nu = solve_spectrum(*_pencil(*blocks))
+            top = np.linalg.solve(c_hat, np.hstack([u_blk, -v_blk]))
+            nu = np.linalg.eigvals(np.vstack([top, a_blk @ top - np.hstack([s_blk, -t_blk])]))
         except np.linalg.LinAlgError as exc:
             raise EigSolverFailure(str(exc)) from exc
-        return nu.imag - 1j * nu.real, cond_c, not reduced
-
-
-def _pencil(a_blk, c_hat, s_blk, t_blk, u_blk, v_blk) -> tuple[np.ndarray, np.ndarray]:
-    """The real pencil (L1, L2) = ([[a, -I], [c^, 0]], [[S, -t], [U, -v]])."""
-    dim = a_blk.shape[0]
-    l1 = np.block([[a_blk, -np.eye(dim)], [c_hat, np.zeros((dim, dim))]])
-    l2 = np.block([[s_blk, -t_blk], [u_blk, -v_blk]])
-    return l1, l2
+        return nu.imag - 1j * nu.real, cond_c
 
 
 def assemble_matrices(base: TravelingWave, mu: float, n_modes: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Build the real pencil (L1, L2) of the linearized problem at Floquet
-    exponent mu.  Its finite generalized eigenvalues nu give the Floquet
-    eigenvalues lambda = -i nu."""
-    n_modes = _floquet_modes(base, n_modes)
-    return _pencil(*_FloquetOperator(base, n_modes).blocks(mu))
+    """Build the real pencil (L1, L2) = ([[a, -I], [c^, 0]], [[S, -t], [U, -v]])
+    of the linearized problem at Floquet exponent mu.  Its finite generalized
+    eigenvalues nu give the Floquet eigenvalues lambda = -i nu."""
+    a_blk, c_hat, s_blk, t_blk, u_blk, v_blk = _FloquetOperator(base, _floquet_modes(base, n_modes)).blocks(mu)
+    l1 = np.block([[a_blk, -np.eye(a_blk.shape[0])], [c_hat, np.zeros_like(c_hat)]])
+    l2 = np.block([[s_blk, -t_blk], [u_blk, -v_blk]])
+    return l1, l2
 
 
 def solve_spectrum(l1: np.ndarray, l2: np.ndarray) -> np.ndarray:
     """All finite generalized eigenvalues w of w L1 x = L2 x via QZ.
 
     Pairs with |beta| below 1e-12 (relative to sqrt(|alpha|^2+|beta|^2))
-    are eigenvalues at infinity and are excluded from growth statistics.
+    are eigenvalues at infinity and are dropped.
 
-    scipy is imported here, not at module load: the sweep's reduced path
-    needs numpy alone, and scipy.linalg adds about 0.4 s and 25 MB to every
-    process that imports it.
+    No sweep calls this: on the pencil of `assemble_matrices` it is the
+    reference that the sweep's reduced solve is checked against.  scipy is
+    imported here, not at module load: the sweep needs numpy alone, and
+    scipy.linalg adds about 0.4 s and 25 MB to every process that imports it.
     """
     import scipy.linalg
 
@@ -330,8 +321,8 @@ def sweep_floquet(base: TravelingWave, mu_values, n_modes: int | None = None) ->
     ``mu_values[i]``; a failed mu is recorded, with an empty slot, without
     aborting the sweep.
     The wave's mu-independent blocks are built once; each mu's real pencil
-    is solved as a reduced standard eigenproblem, or by QZ where cond(c^)
-    exceeds ``REDUCED_COND_LIMIT`` (recorded in ``qz_mu``).
+    is solved as a reduced standard eigenproblem, one solve with c^ and one
+    eigensolve, and the largest cond(c^) is recorded in ``max_cond_c``.
     """
     mu_values = np.asarray(mu_values, dtype=float)
     operator = _FloquetOperator(base, _floquet_modes(base, n_modes))
@@ -342,15 +333,13 @@ def sweep_floquet(base: TravelingWave, mu_values, n_modes: int | None = None) ->
     )
     for mu in mu_values:
         try:
-            lams, cond_c, used_qz = operator.solve(mu)
+            lams, cond_c = operator.solve(mu)
         except EigSolverFailure as exc:
             spectrum.eigenvalues.append(np.array([]))
             spectrum.failures.append((float(mu), str(exc)))
             continue
         spectrum.eigenvalues.append(lams)
         spectrum.max_cond_c = max(spectrum.max_cond_c, cond_c)
-        if used_qz:
-            spectrum.qz_mu.append(float(mu))
     return spectrum
 
 
@@ -358,29 +347,33 @@ def classify(spectrum: FloquetSpectrum) -> InstabilityReport:
     """Cluster unstable eigenvalues and label each cluster.
 
     Points with Re(lambda) > ``GROWTH_THRESHOLD`` join a cluster when they
-    are within ``CLUSTER_RADIUS`` in the complex plane and adjacent in the
-    mu sweep.  Since mu and mu + 1 give the same spectrum, the last and first
-    slices are adjacent too when the sweep closes around the circle: when the
-    gap across mu = +-1/2 is no larger than the largest gap between
-    consecutive slices.  A band across +-1/2 is written with its members
-    below the gap shifted by +1, so its interval may end above 1/2.  A
-    cluster is modulational when it reaches the smallest
-    nonzero sweep exponents with eigenvalues on the Doppler line through the
-    origin (min |lambda - i mu (c - omega')| below ``DOPPLER_TOL``, with the
+    are adjacent in the mu sweep and within ``CLUSTER_RADIUS`` in the
+    Doppler frame, |lambda_i - lambda_j - i dmu (c - omega')| with dmu =
+    mu_i - mu_j taken modulo 1: near mu = 0 a band drifts along the Doppler
+    line, and at D = 25 (c - omega' about -7.3) adjacent slices of the
+    modulational band would lie more than ``CLUSTER_RADIUS`` apart once the
+    step exceeds 0.0068.  Since mu and mu + 1 give the same spectrum, the
+    last and first slices are adjacent too when the sweep closes around the
+    circle: when the gap across mu = +-1/2 is no larger than the largest gap
+    between consecutive slices.  A band across +-1/2 is written with its
+    members below the gap shifted by +1, so its interval may end above 1/2.
+    A cluster is modulational when it reaches the smallest nonzero sweep
+    exponents with eigenvalues on the Doppler line through the origin
+    (min |lambda - i mu (c - omega')| below ``DOPPLER_TOL``, with the
     spectrum's ``c_minus_vg``); all other clusters are high-frequency
     (bubble) instabilities born from nonzero collisions.  The distance is
     taken from the line, not from the origin, because |c - omega'| grows
-    with the rigidity: at D = 25, c - omega' is about -7.3, so the
-    modulational band at mu = 0.024 sits at Im(lambda) = -0.17.  For the
-    same reason the band's halves at +mu and -mu can lie farther apart than
-    ``CLUSTER_RADIUS``; all modulational clusters of the spectrum are
-    therefore reported as one, over the hull of their mu intervals.
+    with the rigidity: at D = 25 the modulational band at mu = 0.024 sits at
+    Im(lambda) = -0.17.  The band's halves at +mu and -mu are not adjacent
+    where the grid holds mu = 0, at which no growth counts; all modulational
+    clusters of the spectrum are therefore reported as one, over the hull of
+    their mu intervals.
 
-    Every eigenvalue counts, however large: the real pencil puts stable
-    eigenvalues exactly on the imaginary axis on either eigensolver path, so
-    the stiff modes at the Fourier truncation edge add no noise to
-    Re(lambda).  The one exception is mu = 0, where the four eigenvalues
-    nearest the origin, the split four-fold eigenvalue 0, count as stable.
+    Every eigenvalue counts, however large: the real solve puts stable
+    eigenvalues exactly on the imaginary axis, so the stiff modes at the
+    Fourier truncation edge add no noise to Re(lambda).  The one exception
+    is mu = 0, where the four eigenvalues nearest the origin, the split
+    four-fold eigenvalue 0, count as stable.
     """
     order = np.argsort(spectrum.mu_values)
     pts_mu: list[float] = []
@@ -419,11 +412,14 @@ def classify(spectrum: FloquetSpectrum) -> InstabilityReport:
     # the wrap gap is a sum of values up to 1/2, so it is exact only to spacing(1)
     wraps = sorted_mu.size > 2 and sorted_mu[0] + 1.0 - sorted_mu[-1] <= np.diff(sorted_mu).max() + np.spacing(1.0)
 
+    drift = 1j * spectrum.c_minus_vg
     for i in range(n_pts):
         for j in range(i + 1, n_pts):
             apart = abs(pts_slice[i] - pts_slice[j])
-            if (apart <= 1 or (wraps and apart == last_slice)) and abs(pts_lam[i] - pts_lam[j]) < CLUSTER_RADIUS:
-                union(i, j)
+            if apart <= 1 or (wraps and apart == last_slice):
+                d_mu = pts_mu[i] - pts_mu[j]
+                if abs(pts_lam[i] - pts_lam[j] - drift * (d_mu - round(d_mu))) < CLUSTER_RADIUS:
+                    union(i, j)
 
     nonzero = np.abs(sorted_mu[np.abs(sorted_mu) > 0])
     mu_step = float(np.diff(sorted_mu).min()) if sorted_mu.size > 1 else 0.0

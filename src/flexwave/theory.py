@@ -30,7 +30,6 @@ __all__ = [
     "c_nls",
     "second_harmonic",
     "resonant_rigidity",
-    "curvature_sign_change_rigidity",
     "flat_eigenvalues",
     "find_collisions",
 ]
@@ -210,13 +209,6 @@ def resonant_rigidity(big_k: int, params: PhysicalParams) -> float:
     if d <= 0:
         raise NoPositiveRoot(f"resonance condition gives D = {d:.3e} <= 0 for K = {big_k}")
     return d
-
-
-def curvature_sign_change_rigidity(k: int = 1, g: float = 1.0) -> float:
-    """Rigidity where omega'' changes sign: positive root of 15 u^2 + 30 g u - g^2 = 0
-    with u = k^4 D."""
-    u = g * (-30.0 + math.sqrt(960.0)) / 30.0
-    return u / k**4
 
 
 def flat_eigenvalues(mu, m: int, c: float, params: PhysicalParams) -> tuple[np.ndarray, np.ndarray]:

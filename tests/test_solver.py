@@ -238,7 +238,7 @@ class TestContinuation:
 
     def test_branch_is_strictly_increasing_in_a1(self, branch_cache):
         branch = branch_cache(0.01, LIN, 0.01)
-        a1 = branch.amplitudes()
+        a1 = np.array([w.a1 for w in branch.points])
         assert np.all(np.diff(a1) > 0)
 
     def test_speed_limit_is_quadratic_in_amplitude(self, branch_cache):

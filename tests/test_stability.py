@@ -20,6 +20,7 @@ from flexwave.core import (
     p_flex_grid,
 )
 from flexwave import stability
+from flexwave.cli import main
 from flexwave.solver import SolverConfig, bifurcation_speed, continue_branch
 from flexwave.stability import (
     FloquetSpectrum,
@@ -163,7 +164,6 @@ class TestFlatOracle:
         p = PhysicalParams(D=d, h=h)
         c = bifurcation_speed(p)
         spec = sweep_floquet(flat_wave(p, c), [0.0, 0.25], n_modes=8)
-        assert spec.qz_mu == []
         assert spec.max_cond_c == pytest.approx(1.0)  # C = i I on flat water
         for mu, lams in zip(spec.mu_values, spec.eigenvalues):
             assert lams.size == 34
@@ -261,8 +261,8 @@ class TestReducedSolve:
         wave = branch_cache(d, model, 0.02, h=h).points[-1]
         for n in (12, 16, 32):
             spec = sweep_floquet(wave, self.MUS, n_modes=n)
-            assert spec.qz_mu == [] and spec.failures == []
-            assert 1.0 <= spec.max_cond_c < stability.REDUCED_COND_LIMIT
+            assert spec.failures == []
+            assert 1.0 <= spec.max_cond_c < 1e6
             for mu, lams in zip(self.MUS, spec.eigenvalues):
                 assert all(m.dtype == np.float64 for m in assemble_matrices(wave, mu, n))
                 qz = qz_eigenvalues(wave, mu, n)
@@ -321,19 +321,19 @@ class TestReducedSolve:
             assert_close(stability._row_coeffs(row[None, :], n, bool(odd)), full_fft(row[None, :], n, odd))
 
     @pytest.fixture(params=["reduced", "qz"])
-    def solver_path(self, request, monkeypatch):
-        """Runs a test on the reduced solve and on the forced QZ fallback."""
-        if request.param == "qz":
-            monkeypatch.setattr(stability, "REDUCED_COND_LIMIT", 0.0)
-        return request.param
+    def solver_path(self, request):
+        """Runs a test on the sweep's reduced solve and on real QZ at the
+        same mu."""
+        if request.param == "reduced":
+            return sweep_floquet
+        return lambda wave, mus, n_modes: FloquetSpectrum(mus, [qz_eigenvalues(wave, mu, n_modes) for mu in mus])
 
     def test_stable_wave_has_purely_imaginary_spectrum(self, branch_cache, solver_path):
         # the real pencil puts every stable eigenvalue exactly on the axis,
-        # on either path
+        # with either solver
         wave = branch_cache(25.0, LIN, 0.05).points[-1]
-        mus = uniform_mu(21)
-        spec = sweep_floquet(wave, mus, n_modes=16)
-        assert spec.qz_mu == (mus.tolist() if solver_path == "qz" else []) and spec.failures == []
+        spec = solver_path(wave, uniform_mu(21), 16)
+        assert spec.failures == []
         for lams in spec.eigenvalues:
             assert lams.size == 66
             assert_array_equal(lams.real, 0.0)
@@ -341,26 +341,17 @@ class TestReducedSolve:
     def test_unstable_eigenvalues_pair_with_their_mirror(self, branch_cache, solver_path):
         # reversibility: lambda and -conj(lambda) at the same mu
         wave = branch_cache(0.01, NL, 0.02).points[-1]
-        mus = np.linspace(-0.1, 0.1, 9)
-        spec = sweep_floquet(wave, mus, n_modes=16)
-        assert spec.qz_mu == (mus.tolist() if solver_path == "qz" else [])
+        spec = solver_path(wave, np.linspace(-0.1, 0.1, 9), 16)
+        assert spec.failures == []
         assert classify(spec).max_growth > 1e-5
         for lams in spec.eigenvalues:
             off_axis = lams[lams.real != 0]
             for lam in off_axis:
                 assert np.abs(off_axis + lam.conj()).min() <= 1e-13
 
-    def test_fallback_is_qz_bitwise(self, small_wave_d001, monkeypatch):
-        monkeypatch.setattr(stability, "REDUCED_COND_LIMIT", 0.0)
-        mus = [-0.2, 0.0, 0.35]
-        spec = sweep_floquet(small_wave_d001, mus, n_modes=12)
-        assert spec.qz_mu == mus
-        for mu, lams in zip(mus, spec.eigenvalues):
-            assert_array_equal(lams, qz_eigenvalues(small_wave_d001, mu, 12))
-
     def test_reduced_path_uses_no_scipy(self, fresh_python, tmp_path):
         # whole stability and compare runs in a new interpreter: no module
-        # imports scipy, and no mu falls back to QZ
+        # imports scipy, and every mu is solved
         code = (
             "import sys\n"
             "from flexwave import cli\n"
@@ -372,7 +363,7 @@ class TestReducedSolve:
         assert fresh_python(code, str(tmp_path)).strip() == "False"
         for name in ("stability_linear.meta.json", "compare_linear.meta.json"):
             report = json.loads((tmp_path / name).read_text())["reports"][0]
-            assert report["qz_mu"] == [] and report["failed_mu"] == []
+            assert report["failed_mu"] == []
 
     def test_stability_run_leaves_numpy_ma_unloaded(self, fresh_python, tmp_path):
         # numpy 2.4's np.unique imports numpy.ma, about 18 ms on first use;
@@ -390,24 +381,61 @@ class TestReducedSolve:
         )
         assert fresh_python(code, str(tmp_path)).strip() == "False"
 
-    def test_fallback_loads_scipy(self, fresh_python):
-        # the import of scipy sits inside solve_spectrum, so the forced
-        # fallback is what loads it
+    def test_only_the_qz_reference_loads_scipy(self, fresh_python):
+        # the import of scipy sits inside solve_spectrum, which no sweep
+        # calls, however ill-conditioned c^ is
         code = (
             "import json, sys\n"
             "from flexwave import stability\n"
             "from flexwave.core import IceModel, PhysicalParams\n"
             "from flexwave.solver import SolverConfig, continue_branch\n"
-            "branch = continue_branch(PhysicalParams(D=0.01), IceModel.LINEAR_BIHARMONIC, 0.004,"
-            " SolverConfig(n_modes=12, amplitude_step=2e-3))\n"
-            "before = 'scipy' in sys.modules\n"
-            "stability.REDUCED_COND_LIMIT = 0.0\n"
-            "spec = stability.sweep_floquet(branch.points[-1], [-0.5, -0.25, 0.0, 0.25], n_modes=12)\n"
-            "print(json.dumps([before, 'scipy' in sys.modules, spec.qz_mu, spec.mu_values.tolist()]))"
+            "wave = continue_branch(PhysicalParams(D=25.0), IceModel.NONLINEAR_COSSERAT, 0.3,"
+            " SolverConfig(n_modes=16, amplitude_step=0.01)).points[-1]\n"
+            "spec = stability.sweep_floquet(wave, [-0.25, 0.0, 0.13], n_modes=32)\n"
+            "swept = 'scipy' in sys.modules\n"
+            "stability.solve_spectrum(*stability.assemble_matrices(wave, 0.13, 8))\n"
+            "print(json.dumps([spec.max_cond_c, len(spec.failures), swept, 'scipy' in sys.modules]))"
         )
-        before, after, qz_mu, mu_values = json.loads(fresh_python(code))
-        assert (before, after) == (False, True)
-        assert qz_mu == mu_values == [-0.5, -0.25, 0.0, 0.25]
+        max_cond_c, failures, swept, after = json.loads(fresh_python(code))
+        assert max_cond_c > 1e6 and failures == 0
+        assert (swept, after) == (False, True)
+
+    # cond(c^) grows like exp(n H): on these waves it passes 1e6 and the
+    # reduced solve must still match QZ and the resolved growth rate.  The
+    # reference truncation is the default max(N, 16): 16 at D = 25, and the
+    # wave's own 32 at D = 0.01, where n = 16 is off by 5e-10 relative
+    @pytest.mark.parametrize("d, a1, n", [(25.0, 0.3, 32), (0.01, 0.2, 48)])
+    def test_ill_conditioned_waves_match_qz(self, branch_cache, d, a1, n):
+        wave = branch_cache(d, NL, a1).points[-1]
+        mus = np.array([-0.3, 0.07, 0.13, 0.31])
+        spec = sweep_floquet(wave, mus, n_modes=n)
+        assert spec.failures == [] and spec.max_cond_c > 1e6
+        for mu, lams in zip(mus, spec.eigenvalues):
+            assert normwise_hausdorff(lams, qz_eigenvalues(wave, mu, n)) <= 1e-9
+        resolved = classify(sweep_floquet(wave, mus)).max_growth
+        assert resolved > 1e-3
+        assert abs(classify(spec).max_growth - resolved) <= 1e-10 * resolved
+
+    def test_failed_mu_is_recorded_and_the_sweep_goes_on(self, small_wave_d001, monkeypatch, tmp_path):
+        # non-finite blocks at mu = 0 make the SVD of cond(c^) fail there
+        blocks = stability._FloquetOperator.blocks
+
+        def broken_at_zero(operator, mu):
+            return tuple(np.full_like(b, np.nan) if mu == 0.0 else b for b in blocks(operator, mu))
+
+        monkeypatch.setattr(stability._FloquetOperator, "blocks", broken_at_zero)
+        with pytest.raises(stability.EigSolverFailure, match="SVD did not converge"):
+            stability._FloquetOperator(small_wave_d001, 12).solve(0.0)
+        spec = sweep_floquet(small_wave_d001, uniform_mu(4), n_modes=12)
+        assert spec.failures == [(0.0, "SVD did not converge")]
+        assert [lams.size for lams in spec.eigenvalues] == [50, 50, 0, 50]
+        argv = ["stability", "--D", "0.01", "--model", "linear", "--a1-max", "0.002", "--modes", "12",
+                "--mu-count", "4", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        (report,) = json.loads((tmp_path / "stability_linear.meta.json").read_text())["reports"]
+        assert report["failed_mu"] == [0.0]
+        rows = np.loadtxt(tmp_path / "spectrum_linear_0.csv", delimiter=",", skiprows=1)
+        assert sorted(set(rows[:, 0])) == [-0.5, -0.25, 0.25]
 
 
 class TestClassify:
@@ -461,6 +489,19 @@ class TestClassify:
         assert abs(band.centroid.imag) < 1e-10  # mean of the mirror halves
         linear = branch_cache(25.0, LIN, 0.05).points[-1]
         assert classify(sweep_floquet(linear, uniform_mu(21), n_modes=16)).clusters == ()
+
+    @pytest.mark.parametrize("count", [100, 101, 401])
+    def test_thick_ice_band_is_one_cluster_at_any_step(self, branch_cache, count):
+        # at D = 25 adjacent slices of the modulational band lie about
+        # 7.3 dmu apart along the Doppler line, farther than CLUSTER_RADIUS
+        # once dmu > 0.0068: the link distance takes that drift out
+        wave = branch_cache(25.0, NL, 0.1).points[-1]
+        report = classify(sweep_floquet(wave, uniform_mu(count), n_modes=16))
+        (band,) = report.clusters
+        assert band.kind is InstabilityKind.MODULATIONAL
+        assert band.max_growth == report.max_growth > 1e-3
+        assert -0.5 < band.mu_interval[0] < 0
+        assert_allclose(band.mu_interval[0], -band.mu_interval[1], rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("model", [LIN, NL])
     def test_origin_quadruplet_at_mu_zero_is_not_growth(self, branch_cache, model):

@@ -12,7 +12,6 @@ from flexwave.theory import (
     FiniteDepthUnsupported,
     WiltonPole,
     c_nls,
-    curvature_sign_change_rigidity,
     dispersion,
     find_collisions,
     flat_eigenvalues,
@@ -80,7 +79,8 @@ class TestNlsCoefficients:
             nls_coefficients(LIN, 1, PhysicalParams(h=1.0))
 
     def test_curvature_sign_change(self):
-        d_star = curvature_sign_change_rigidity()
+        # positive root of 15 u^2 + 30 g u - g^2 = 0, u = k^4 D, at g = k = 1
+        d_star = (-30.0 + math.sqrt(960.0)) / 30.0
         assert d_star == pytest.approx(0.03280, abs=1e-4)
         below = nls_coefficients(LIN, 1, deep(d_star - 1e-3)).omega_pp
         above = nls_coefficients(LIN, 1, deep(d_star + 1e-3)).omega_pp
