@@ -208,7 +208,10 @@ def _add_flags(p: argparse.ArgumentParser, command: str) -> None:
     if command in FLOQUET_COMMANDS:
         p.add_argument("--mu-count", type=int, default=None, help="number of Floquet exponents in a sweep")
         p.add_argument("--a1-list", type=str, default=None, help="branch amplitudes to analyze, each in (0, a1-max]")
-        p.add_argument("--floquet-modes", type=int, default=None)
+        p.add_argument(
+            "--floquet-modes", type=int, default=None,
+            help="Floquet truncation n, modes -n..n (default: the wave's N, at least 16)",
+        )
     if command == "dispersion":
         p.add_argument("--k-list", type=str, default=None, help="wavenumbers (default 1)")
     if command == "nls":
@@ -447,8 +450,8 @@ def save_branch(out: Path, branch: BifurcationBranch, cfg: dict, solver_cfg: Sol
 
 
 def load_branch(csv_path: str | Path) -> BifurcationBranch:
-    """Reload a persisted branch; params, model and each point's Newton
-    record come from the sidecar."""
+    """Reload a persisted branch; params, model and each point's mode count
+    and Newton record come from the sidecar."""
     csv_path = Path(csv_path)
     meta_path = csv_path.parent / (csv_path.stem + ".meta.json")
     with open(meta_path) as fh:
@@ -462,10 +465,9 @@ def load_branch(csv_path: str | Path) -> BifurcationBranch:
     data = np.genfromtxt(csv_path, delimiter=",", skip_header=1, ndmin=2)
     points = []
     for row, record in zip(data, meta["points"], strict=True):
-        c, coeffs = row[0], row[1:]
-        n = np.max(np.nonzero(coeffs)) + 1 if np.any(coeffs) else 1
+        profile = SpectralProfile(row[1 : 1 + record["n_modes"]])
         points.append(
-            TravelingWave(profile=SpectralProfile(coeffs[:n]), c=float(c), params=params, model=model,
+            TravelingWave(profile=profile, c=float(row[0]), params=params, model=model,
                           residual_inf=record["residual_inf"], newton_steps=record.get("newton_steps"))
         )
     return BifurcationBranch(params=params, model=model, points=points)

@@ -90,14 +90,10 @@ __all__ = [
 #: no round-off.
 GROWTH_THRESHOLD = 1e-8
 
-#: Unstable eigenvalues at adjacent exponents of the sweep join one cluster
-#: when they lie within this distance in the complex plane, once the Doppler
-#: drift between the two exponents is taken out (see `classify`).
+#: Unstable eigenvalues in the same or adjacent slices of the sweep join one
+#: cluster when their imaginary parts lie within this distance, once the
+#: Doppler drift between the two exponents is taken out (see `classify`).
 CLUSTER_RADIUS = 0.05
-
-#: A cluster is modulational when it reaches the Doppler line through the
-#: origin, Im(lambda) = mu (c - omega'(1)), within this distance.
-DOPPLER_TOL = 0.05
 
 
 class EigSolverFailure(RuntimeError):
@@ -344,42 +340,48 @@ def sweep_floquet(base: TravelingWave, mu_values, n_modes: int | None = None) ->
 
 
 def classify(spectrum: FloquetSpectrum) -> InstabilityReport:
-    """Cluster unstable eigenvalues and label each cluster.
+    """Cluster unstable eigenvalues by one link rule and label each cluster.
 
-    Points with Re(lambda) > ``GROWTH_THRESHOLD`` join a cluster when they
-    are adjacent in the mu sweep and within ``CLUSTER_RADIUS`` in the
-    Doppler frame, |lambda_i - lambda_j - i dmu (c - omega')| with dmu =
-    mu_i - mu_j taken modulo 1: near mu = 0 a band drifts along the Doppler
-    line, and at D = 25 (c - omega' about -7.3) adjacent slices of the
-    modulational band would lie more than ``CLUSTER_RADIUS`` apart once the
-    step exceeds 0.0068.  Since mu and mu + 1 give the same spectrum, the
-    last and first slices are adjacent too when the sweep closes around the
-    circle: when the gap across mu = +-1/2 is no larger than the largest gap
-    between consecutive slices.  A band across +-1/2 is written with its
-    members below the gap shifted by +1, so its interval may end above 1/2.
-    A cluster is modulational when it reaches the smallest nonzero sweep
-    exponents with eigenvalues on the Doppler line through the origin
-    (min |lambda - i mu (c - omega')| below ``DOPPLER_TOL``, with the
-    spectrum's ``c_minus_vg``); all other clusters are high-frequency
-    (bubble) instabilities born from nonzero collisions.  The distance is
-    taken from the line, not from the origin, because |c - omega'| grows
-    with the rigidity: at D = 25 the modulational band at mu = 0.024 sits at
-    Im(lambda) = -0.17.  The band's halves at +mu and -mu are not adjacent
-    where the grid holds mu = 0, at which no growth counts; all modulational
-    clusters of the spectrum are therefore reported as one, over the hull of
-    their mu intervals.
+    The nodes are the unstable points, Re(lambda) > ``GROWTH_THRESHOLD``, and
+    the origin, lambda = 0 at mu = 0.  Two nodes are linked when they lie in
+    the same or in adjacent slices of the sweep and
+
+        |Im lambda_i - Im lambda_j - (c - omega') (dmu - round(dmu))| < CLUSTER_RADIUS,
+
+    with dmu = mu_i - mu_j and c - omega' the spectrum's ``c_minus_vg``.  The
+    cluster that holds the origin is modulational; every other cluster is a
+    high-frequency (bubble) instability, born from a nonzero collision.
+
+    - The distance is taken in the Doppler frame: near mu = 0 a band drifts
+      along the line Im(lambda) = mu (c - omega'), and at D = 25 (c - omega'
+      about -7.3) adjacent slices of the modulational band lie farther apart
+      than ``CLUSTER_RADIUS`` once the step exceeds 0.0068.
+    - Re(lambda) is left out: near a band edge it falls like a square root.
+      On the D = 25 Toland wave at a1 = 0.3 it drops by 0.0635 from
+      mu = 0.183 to 0.193, while the Doppler-frame Im(lambda) moves 0.0044.
+    - Since mu and mu + 1 give the same spectrum, the last and first slices
+      are adjacent too when the sweep closes around the circle: when the gap
+      across mu = +-1/2 is no larger than the largest gap between consecutive
+      slices.  A band across +-1/2 is written with its members below the gap
+      shifted by +1, so its interval may end above 1/2.
+    - The origin is adjacent to the slices with |mu| up to the smallest
+      nonzero |mu| plus half the smallest step.  Both halves of the
+      modulational band reach it, so they are one cluster even where the grid
+      holds mu = 0, at which no growth counts.
 
     Every eigenvalue counts, however large: the real solve puts stable
     eigenvalues exactly on the imaginary axis, so the stiff modes at the
     Fourier truncation edge add no noise to Re(lambda).  The one exception
     is mu = 0, where the four eigenvalues nearest the origin, the split
-    four-fold eigenvalue 0, count as stable.
+    four-fold eigenvalue 0, count as stable.  Clusters are listed by mu
+    interval, then by the imaginary part of their centroid.
     """
     order = np.argsort(spectrum.mu_values)
-    pts_mu: list[float] = []
-    pts_slice: list[int] = []
-    pts_lam: list[complex] = []
-    for slice_idx, i in enumerate(order):
+    # node 0 is the origin; nodes[k] are the unstable points of slice k
+    node_mu: list[float] = [0.0]
+    node_lam: list[complex] = [0j]
+    nodes: list[list[int]] = []
+    for i in order:
         lams = spectrum.eigenvalues[i]
         growing = lams.real > GROWTH_THRESHOLD
         if spectrum.mu_values[i] == 0.0:
@@ -387,13 +389,12 @@ def classify(spectrum: FloquetSpectrum) -> InstabilityReport:
             # additive constant, each with a generalized eigenvector), and
             # round-off splits it with Re(lambda) up to about 1e-6
             growing[np.argsort(np.abs(lams))[:4]] = False
-        for lam in lams[growing]:
-            pts_mu.append(float(spectrum.mu_values[i]))
-            pts_slice.append(slice_idx)
-            pts_lam.append(complex(lam))
+        grown = lams[growing].tolist()
+        nodes.append(list(range(len(node_lam), len(node_lam) + len(grown))))
+        node_lam += grown
+        node_mu += [float(spectrum.mu_values[i])] * len(grown)
 
-    n_pts = len(pts_lam)
-    parent = list(range(n_pts))
+    parent = list(range(len(node_lam)))
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -401,37 +402,35 @@ def classify(spectrum: FloquetSpectrum) -> InstabilityReport:
             i = parent[i]
         return i
 
-    def union(i: int, j: int):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
+    def link(these: list[int], those: list[int]):
+        for i in these:
+            for j in those:
+                d_mu = node_mu[i] - node_mu[j]
+                drift = spectrum.c_minus_vg * (d_mu - round(d_mu))
+                if abs(node_lam[i].imag - node_lam[j].imag - drift) < CLUSTER_RADIUS:
+                    parent[find(j)] = find(i)
 
     # sorted(set(...)), not np.unique: numpy 2.4's unique imports numpy.ma
     sorted_mu = np.array(sorted(set(spectrum.mu_values.tolist())))
-    last_slice = order.size - 1
     # the wrap gap is a sum of values up to 1/2, so it is exact only to spacing(1)
     wraps = sorted_mu.size > 2 and sorted_mu[0] + 1.0 - sorted_mu[-1] <= np.diff(sorted_mu).max() + np.spacing(1.0)
-
-    drift = 1j * spectrum.c_minus_vg
-    for i in range(n_pts):
-        for j in range(i + 1, n_pts):
-            apart = abs(pts_slice[i] - pts_slice[j])
-            if apart <= 1 or (wraps and apart == last_slice):
-                d_mu = pts_mu[i] - pts_mu[j]
-                if abs(pts_lam[i] - pts_lam[j] - drift * (d_mu - round(d_mu))) < CLUSTER_RADIUS:
-                    union(i, j)
-
     nonzero = np.abs(sorted_mu[np.abs(sorted_mu) > 0])
     mu_step = float(np.diff(sorted_mu).min()) if sorted_mu.size > 1 else 0.0
     touch_mu = (nonzero.min() if nonzero.size else 0.0) + 0.5 * mu_step
 
+    for k, here in enumerate(nodes):
+        link(here, here + (nodes[k + 1] if k + 1 < len(nodes) else []))
+    if wraps:
+        link(nodes[-1], nodes[0])
+    link([0], [i for i, mu in enumerate(node_mu) if abs(mu) <= touch_mu])
+
     groups: dict[int, list[int]] = {}
-    for i in range(n_pts):
+    for i in range(1, len(node_lam)):
         groups.setdefault(find(i), []).append(i)
 
     def cluster(kind: InstabilityKind, members: list[int]) -> SpectralCluster:
-        mus = np.array(sorted({pts_mu[i] for i in members}))
-        lams = [pts_lam[i] for i in members]
+        mus = np.array(sorted({node_mu[i] for i in members}))
+        lams = [node_lam[i] for i in members]
         # the interval is the complement of the largest gap between members
         # on the circle; a gap inside the sweep wider than the one across
         # +-1/2 marks a band that wraps
@@ -448,22 +447,17 @@ def classify(spectrum: FloquetSpectrum) -> InstabilityReport:
             max_growth=max(l.real for l in lams),
         )
 
-    clusters = []
-    modulational: list[int] = []
-    for members in groups.values():
-        touches_axis = min(abs(pts_mu[i]) for i in members) <= touch_mu
-        on_doppler_line = (
-            min(abs(pts_lam[i] - 1j * pts_mu[i] * spectrum.c_minus_vg) for i in members) <= DOPPLER_TOL
-        )
-        if touches_axis and on_doppler_line:
-            modulational += members
-        else:
-            clusters.append(cluster(InstabilityKind.HIGH_FREQUENCY, members))
-    if modulational:
-        clusters.append(cluster(InstabilityKind.MODULATIONAL, modulational))
-    clusters.sort(key=lambda c: -c.max_growth)
+    origin = find(0)
+    clusters = sorted(
+        (
+            cluster(InstabilityKind.MODULATIONAL if root == origin else InstabilityKind.HIGH_FREQUENCY, members)
+            for root, members in groups.items()
+        ),
+        key=lambda c: (c.mu_interval, c.centroid.imag),
+    )
 
-    if n_pts:
+    pts_mu, pts_lam = node_mu[1:], node_lam[1:]
+    if pts_lam:
         best = int(np.argmax([l.real for l in pts_lam]))
         max_growth, argmax_mu = pts_lam[best].real, abs(pts_mu[best])
         # -mu has the same growth: of two mirror slices report the smaller |mu|

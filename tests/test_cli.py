@@ -132,6 +132,18 @@ class TestBranchCommand:
         assert resumed.points[-1].a1 == pytest.approx(0.006)
         assert resumed.points[0].a1 == prior.points[0].a1
 
+    def test_resume_keeps_the_recorded_mode_counts(self, tmp_path):
+        # at a1 = 1e-10 the point's coefficients past a1 print as 0: the mode
+        # count is the sidecar's, not what trailing zeros leave
+        prior = tmp_path / "prior" / "branch_linear.csv"
+        argv = ["branch", "--model", "linear", "--D", "0.01", "--modes", "40", "--a1-max", "1e-10"]
+        assert main(argv + ["--out", str(prior.parent)]) == 0
+        assert [w.profile.n_modes for w in load_branch(prior).points] == [40]
+        out = tmp_path / "resumed"
+        assert main(["branch", "--model", "linear", "--a1-max", "0.003", "--resume", str(prior), "--out", str(out)]) == 0
+        meta = json.loads((out / "branch_linear.meta.json").read_text())
+        assert [p["n_modes"] for p in meta["points"]] == [40, 40, 40, 40]
+
     def test_resume_rejects_a_model_the_prior_branch_lacks(self, tmp_path, capsys):
         assert main(self.ARGS + ["--out", str(tmp_path)]) == 0
         out2 = tmp_path / "resumed"

@@ -490,12 +490,16 @@ class TestClassify:
         linear = branch_cache(25.0, LIN, 0.05).points[-1]
         assert classify(sweep_floquet(linear, uniform_mu(21), n_modes=16)).clusters == ()
 
-    @pytest.mark.parametrize("count", [100, 101, 401])
-    def test_thick_ice_band_is_one_cluster_at_any_step(self, branch_cache, count):
+    @pytest.mark.parametrize("count", [21, 100, 101, 401])
+    @pytest.mark.parametrize("a1", [0.1, 0.3])
+    def test_thick_ice_band_is_one_cluster_at_any_step(self, branch_cache, a1, count):
         # at D = 25 adjacent slices of the modulational band lie about
         # 7.3 dmu apart along the Doppler line, farther than CLUSTER_RADIUS
-        # once dmu > 0.0068: the link distance takes that drift out
-        wave = branch_cache(25.0, NL, 0.1).points[-1]
+        # once dmu > 0.0068: the link distance takes that drift out.  At
+        # a1 = 0.3 Re(lambda) falls like a square root at the band's edge,
+        # by 0.0635 from mu = 0.183 to 0.193 on 101 mu, so a link distance
+        # that counted it would cut the edge slices off the band
+        wave = branch_cache(25.0, NL, a1).points[-1]
         report = classify(sweep_floquet(wave, uniform_mu(count), n_modes=16))
         (band,) = report.clusters
         assert band.kind is InstabilityKind.MODULATIONAL
@@ -554,7 +558,10 @@ class TestClassify:
         low, high = 1e-3, np.nextafter(1e-3, 1.0)
         rates = (high, low) if minus_wins else (low, high)
         spec = self.synthetic([(mirror[0], [complex(rates[0], 0.2)]), (mirror[1], [complex(rates[1], -0.2)])])
-        assert classify(spec).argmax_mu == 0.1
+        report = classify(spec)
+        assert report.argmax_mu == 0.1
+        # nor the order of the two mirror clusters: it follows mu
+        assert [c.mu_interval for c in report.clusters] == [(mirror[0],) * 2, (mirror[1],) * 2]
 
     @pytest.mark.parametrize("mirror_lams", [[], [complex(-1e-3, 0.2)]])
     def test_argmax_mu_ignores_a_stable_mirror(self, mirror_lams):
