@@ -22,6 +22,11 @@ values round-trip exactly.  Exit codes: 0 success, 2 configuration error,
 3 numerical failure (partial results are persisted alongside an error
 record: `branch`, `stability` and `compare` save a branch that stalls at a
 fold as far as it got).
+
+Runs use the BLAS library's default threads; flexwave adds no setting for
+them.  Two runs started at once on 2 vCPUs slowed each other 4 to 11 times
+(OpenBLAS, `stability --D 0.01 --a1-max 0.05` per model): run them one after
+another, or give each one `OPENBLAS_NUM_THREADS=1`.
 """
 
 from __future__ import annotations
@@ -557,6 +562,7 @@ def _floquet_runs(cfg: dict, overlay: dict[IceModel, NlsCoefficients] | None) ->
                     ],
                     "failed_mu": [mu for mu, _ in spectrum.failures],
                     "max_cond_c": spectrum.max_cond_c,
+                    "cond_c_mu": spectrum.cond_c_mu,
                 }
             )
             if overlay is not None:

@@ -61,7 +61,6 @@ __all__ = [
     "Direction",
     "bifurcation_speed",
     "residual",
-    "jacobian",
     "newton_solve",
     "continue_branch",
     "branch_direction",
@@ -158,7 +157,19 @@ def _evaluate(z, a1, params, model):
 
 
 def _jacobian_at(surface, z, a1, params, model):
-    """:func:`jacobian` from the surface that :func:`_evaluate` returned at z."""
+    """Jacobian dF_m/dz_j of :func:`residual`, (N, N), from the surface that
+    :func:`_evaluate` returned at z.
+
+    With S = 1+eta_x^2, R the radicand and W = sqrt(S R), column 0 (the
+    speed) uses dW/dc = S c / W.  Column j >= 1 perturbs eta by v = cos((j+1) x):
+
+        dR = -2 g v - 2 D P_flex'(eta)[v],
+        dW = (2 eta_x v_x R + S dR) / (2 W),
+        dF_m = (2 pi/M) sum_x cos(m x) [dW K_m + W m v K'_m].
+
+    Raises :class:`SingularJacobian` where W vanishes (flat water at rest),
+    since W is not differentiable there.
+    """
     m_grid, eta, radicand, weight, kernel, kernel_slope = surface
     if weight.min() <= 0.0:
         raise SingularJacobian(f"the weight W vanishes at a1={a1:.3e}, c={z[0]:.6g}")
@@ -185,25 +196,8 @@ def residual(z: np.ndarray, a1: float, params: PhysicalParams, model: IceModel) 
     return _evaluate(np.asarray(z, dtype=float), a1, params, model)[0]
 
 
-def jacobian(z: np.ndarray, a1: float, params: PhysicalParams, model: IceModel) -> np.ndarray:
-    """Jacobian dF_m/dz_j of :func:`residual`, as an (N, N) array.
-
-    With S = 1+eta_x^2, R the radicand and W = sqrt(S R), column 0 (the
-    speed) uses dW/dc = S c / W.  Column j >= 1 perturbs eta by v = cos((j+1) x):
-
-        dR = -2 g v - 2 D P_flex'(eta)[v],
-        dW = (2 eta_x v_x R + S dR) / (2 W),
-        dF_m = (2 pi/M) sum_x cos(m x) [dW K_m + W m v K'_m].
-
-    Raises :class:`SingularJacobian` where W vanishes (flat water at rest),
-    since W is not differentiable there.
-    """
-    z = np.asarray(z, dtype=float)
-    return _jacobian_at(_evaluate(z, a1, params, model)[1], z, a1, params, model)
-
-
 def newton_solve(z0: np.ndarray, a1: float, params: PhysicalParams, model: IceModel) -> TravelingWave:
-    """Solve F(z) = 0 by Newton's method with :func:`jacobian`,
+    """Solve F(z) = 0 by Newton's method with :func:`_jacobian_at`,
     finished by one chord step.
 
     Newton steps until |F|_inf <= ``RESIDUAL_TOL``.  After at least one step,

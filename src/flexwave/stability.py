@@ -97,7 +97,7 @@ CLUSTER_RADIUS = 0.05
 
 
 class EigSolverFailure(RuntimeError):
-    """The eigensolve, or the SVD or solve with c^ before it, failed."""
+    """The eigensolve, or the solve with c^ before it, failed."""
 
 
 @dataclass
@@ -107,16 +107,16 @@ class FloquetSpectrum:
     mu_values: np.ndarray
     eigenvalues: list[np.ndarray]
     failures: list[tuple[float, str]] = field(default_factory=list)
-    #: Largest 2-norm condition number of c^ over the solved exponents, a
-    #: record only: the sweep solves with c^ at any value.  It grows like
-    #: exp(n H) with n Floquet modes and wave height H: below 1e2 on
-    #: converged small-amplitude waves at 12 to 32 modes; 5.1e7 to 2.7e10 on
-    #: the D = 0.01 Toland wave at a1 = 0.2 (n = 48, 64) and 1.0e7 to 4.6e12
-    #: on the D = 25 one at a1 = 0.3 (n = 32 to 56), where the largest growth
-    #: rate still matches the resolved one to 1e-12 relative; 3.7e14 on the
-    #: D = 25 wave at n = 64, where the reduced solve and QZ alike show
-    #: spurious growth near |lambda| = 1e5.
+    #: 2-norm condition number of c^ at ``cond_c_mu``, the solved exponent of
+    #: largest |mu| (the first, if two tie; None if none was solved), where it
+    #: peaked on 26 measured waves and grids.  A record only: the sweep solves
+    #: with c^ at any value.  It grows like exp(n H) with n Floquet modes and
+    #: wave height H: below 1e2 on converged small waves; 1e7 to 4.6e12 on the
+    #: Toland waves at D = 0.01, a1 = 0.2 and D = 25, a1 = 0.3 (n = 32 to 64),
+    #: whose growth rates still match the resolved ones to 1e-10; 3.7e14 at
+    #: D = 25, n = 64, where the solve and QZ alike show spurious growth.
     max_cond_c: float = 0.0
+    cond_c_mu: float | None = None
     #: c - omega'(1): near mu = 0 the modulational eigenvalues leave the
     #: origin along the Doppler line Im(lambda) = mu (c - omega'(1)).
     c_minus_vg: float = 0.0
@@ -255,25 +255,21 @@ class _FloquetOperator:
         u_blk = -c * c_hat * s[None, :] - (c * s)[:, None] * ex_s + s[:, None] * qx_c
         return self.a_blk, c_hat, s_blk, t_blk, u_blk, v_conv * s[None, :]
 
-    def solve(self, mu: float) -> tuple[np.ndarray, float]:
-        """(eigenvalues, cond(c^)) at mu.
-
-        L1 has the inverse [[0, c^-1], [-I, a c^-1]], so the eigenvalues nu
-        of the real pencil nu L1 x = L2 x are those of B = L1^-1 L2, with top
-        half c^-1 [U, -v] and bottom half a top - [S, -t]: one real solve and
-        one product, then one real eigensolve.  A real nu gives lambda = -i nu
-        exactly on the imaginary axis, and a conjugate pair gives an exact
-        pair lambda, -conj(lambda).  cond(c^) is returned as a record; the
-        solve does not depend on it.
+    def solve(self, mu: float) -> np.ndarray:
+        """The eigenvalues at mu.  L1 has the inverse [[0, c^-1], [-I, a c^-1]],
+        so the eigenvalues nu of the real pencil nu L1 x = L2 x are those of
+        B = L1^-1 L2, with top half c^-1 [U, -v] and bottom half a top - [S, -t]:
+        one real solve and one product, then one real eigensolve.  A real nu
+        gives lambda = -i nu exactly on the imaginary axis, and a conjugate
+        pair gives an exact pair lambda, -conj(lambda).
         """
         a_blk, c_hat, s_blk, t_blk, u_blk, v_blk = self.blocks(mu)
         try:
-            cond_c = float(np.linalg.cond(c_hat))
             top = np.linalg.solve(c_hat, np.hstack([u_blk, -v_blk]))
             nu = np.linalg.eigvals(np.vstack([top, a_blk @ top - np.hstack([s_blk, -t_blk])]))
         except np.linalg.LinAlgError as exc:
             raise EigSolverFailure(str(exc)) from exc
-        return nu.imag - 1j * nu.real, cond_c
+        return nu.imag - 1j * nu.real
 
 
 def assemble_matrices(base: TravelingWave, mu: float, n_modes: int | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -318,7 +314,7 @@ def sweep_floquet(base: TravelingWave, mu_values, n_modes: int | None = None) ->
     aborting the sweep.
     The wave's mu-independent blocks are built once; each mu's real pencil
     is solved as a reduced standard eigenproblem, one solve with c^ and one
-    eigensolve, and the largest cond(c^) is recorded in ``max_cond_c``.
+    eigensolve; cond(c^) is taken once (see ``max_cond_c``).
     """
     mu_values = np.asarray(mu_values, dtype=float)
     operator = _FloquetOperator(base, _floquet_modes(base, n_modes))
@@ -329,13 +325,16 @@ def sweep_floquet(base: TravelingWave, mu_values, n_modes: int | None = None) ->
     )
     for mu in mu_values:
         try:
-            lams, cond_c = operator.solve(mu)
+            lams = operator.solve(mu)
         except EigSolverFailure as exc:
             spectrum.eigenvalues.append(np.array([]))
             spectrum.failures.append((float(mu), str(exc)))
             continue
         spectrum.eigenvalues.append(lams)
-        spectrum.max_cond_c = max(spectrum.max_cond_c, cond_c)
+        if spectrum.cond_c_mu is None or abs(mu) > abs(spectrum.cond_c_mu):
+            spectrum.cond_c_mu = float(mu)
+    if spectrum.cond_c_mu is not None:
+        spectrum.max_cond_c = float(np.linalg.cond(operator.blocks(spectrum.cond_c_mu)[1]))
     return spectrum
 
 

@@ -217,6 +217,7 @@ class TestStabilityCommand:
         report = json.loads((tmp_path / "stability_linear.meta.json").read_text())
         assert report["reports"][0]["max_growth"] < 1e-6  # defocusing regime
         assert 1.0 <= report["reports"][0]["max_cond_c"] < 1e2
+        assert report["reports"][0]["cond_c_mu"] == -0.5  # the grid's largest |mu|
 
 
     def test_band_across_half_is_one_cluster(self, tmp_path):

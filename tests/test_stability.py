@@ -416,18 +416,37 @@ class TestReducedSolve:
         assert resolved > 1e-3
         assert abs(classify(spec).max_growth - resolved) <= 1e-10 * resolved
 
+    # cond(c^) peaks at the grid's largest |mu|, so the sweep takes it there
+    # alone; the per-mu loop is the reference
+    @pytest.mark.parametrize("mus, largest", [(uniform_mu(21), -0.5), (np.linspace(0.1, 0.3, 21), 0.3)])
+    @pytest.mark.parametrize(
+        "d, model, a1, h",
+        [(0.01, LIN, 0.02, INFINITE_DEPTH), (0.05, NL, 0.02, 1.0), (25.0, NL, 0.05, INFINITE_DEPTH),
+         (25.0, NL, 0.3, INFINITE_DEPTH)],
+    )
+    def test_cond_c_is_taken_once_at_the_largest_mu(self, branch_cache, monkeypatch, d, model, a1, h, mus, largest):
+        wave = branch_cache(d, model, a1, h=h).points[-1]
+        cond, calls = np.linalg.cond, []
+        monkeypatch.setattr(np.linalg, "cond", lambda m: calls.append(m) or cond(m))
+        spec = sweep_floquet(wave, mus)
+        assert len(calls) == 1 and spec.failures == []
+        assert spec.cond_c_mu == largest
+        operator = stability._FloquetOperator(wave, stability._floquet_modes(wave, None))
+        reference = max(cond(operator.blocks(mu)[1]) for mu in mus)
+        assert spec.max_cond_c == pytest.approx(reference, rel=1e-12, abs=0)
+
     def test_failed_mu_is_recorded_and_the_sweep_goes_on(self, small_wave_d001, monkeypatch, tmp_path):
-        # non-finite blocks at mu = 0 make the SVD of cond(c^) fail there
+        # non-finite blocks at mu = 0 make the eigensolve fail there
         blocks = stability._FloquetOperator.blocks
 
         def broken_at_zero(operator, mu):
             return tuple(np.full_like(b, np.nan) if mu == 0.0 else b for b in blocks(operator, mu))
 
         monkeypatch.setattr(stability._FloquetOperator, "blocks", broken_at_zero)
-        with pytest.raises(stability.EigSolverFailure, match="SVD did not converge"):
+        with pytest.raises(stability.EigSolverFailure, match="Array must not contain infs or NaNs"):
             stability._FloquetOperator(small_wave_d001, 12).solve(0.0)
         spec = sweep_floquet(small_wave_d001, uniform_mu(4), n_modes=12)
-        assert spec.failures == [(0.0, "SVD did not converge")]
+        assert spec.failures == [(0.0, "Array must not contain infs or NaNs")]
         assert [lams.size for lams in spec.eigenvalues] == [50, 50, 0, 50]
         argv = ["stability", "--D", "0.01", "--model", "linear", "--a1-max", "0.002", "--modes", "12",
                 "--mu-count", "4", "--out", str(tmp_path)]
