@@ -11,11 +11,13 @@ branch       bifurcation branch per ice model, with the asymptotic overlay
 stability    Floquet spectra and instability reports for branch points
 compare      joint FFH scatter and asymptotic overlay, both as (mu, Re, Im) rows
 
-Each command takes only the flags it reads.  Each setting is taken from its
-flag if given, else from the `--config` file, else from the command's default
-(`COMMON_DEFAULTS` and `COMMAND_DEFAULTS`): flag > file > default.  Settings
-are checked by the flag types and choices, by `SETTING_PARSERS` and by the
-PhysicalParams and SolverConfig they build, before any output is written.
+Each command takes only the flags it reads.  `SETTINGS` declares each
+setting once: the commands that read it with its default in each, its flag's
+help and type, the parser of its text and its least value.  A setting is
+taken from its flag if given, else from the `--config` file, else from the
+command's default: flag > file > default.  Settings are checked by the table
+and by the PhysicalParams and SolverConfig they build, before any output is
+written.
 
 All numeric CSV payloads are written with 17 significant digits so reloaded
 values round-trip exactly.  Exit codes: 0 success, 2 configuration error,
@@ -36,6 +38,7 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
 from dataclasses import asdict
 from pathlib import Path
 
@@ -85,20 +88,6 @@ class ConfigError(ValueError):
     """Invalid run configuration (bad flag value, unwritable output dir, ...)."""
 
 
-#: Values of the settings that neither a flag nor the config file gives.
-#: COMMAND_DEFAULTS holds each command's own keys, so a sidecar records only
-#: the settings its command reads.
-COMMON_DEFAULTS = {"g": 1.0, "h": "inf", "out": "flexwave-out"}
-COMMAND_DEFAULTS = {
-    "dispersion": {"D": "0", "k_list": "1"},
-    "nls": {"D": "0 0.12 25"},
-    "resonance": {"K_list": "7 10"},
-    "collisions": {"D": "0", "m_range": 10, "mu_grid": 2001},
-    "branch": {"D": "0", "model": "both", "a1_max": 0.01},
-    "stability": {"D": "0", "model": "both", "a1_max": 0.01, "mu_count": 401},
-    "compare": {"D": "0", "model": "both", "a1_max": 0.01, "mu_count": 401},
-}
-
 #: Commands that continue a branch, and of those the ones that sweep mu.
 BRANCH_COMMANDS = ("branch", "stability", "compare")
 FLOQUET_COMMANDS = ("stability", "compare")
@@ -134,7 +123,10 @@ def parse_depth(text: str) -> float:
 
 
 def parse_float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.replace(",", " ").split()]
+    values = [float(tok) for tok in text.replace(",", " ").split()]
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"values must be finite, got {text!r}")
+    return values
 
 
 def parse_int_list(text: str) -> list[int]:
@@ -144,26 +136,26 @@ def parse_int_list(text: str) -> list[int]:
 def parse_d_grid(text: str) -> np.ndarray:
     """`min max count` as the rigidities np.linspace(min, max, count)."""
     values = parse_float_list(text)
-    if len(values) != 3 or not all(map(math.isfinite, values[:2])) or not values[2].is_integer() or values[2] < 1:
-        raise ValueError(f"expected 'min max count' with finite bounds and a positive integer count, got {text!r}")
+    if len(values) != 3 or not values[2].is_integer() or values[2] < 1:
+        raise ValueError(f"expected 'min max count' with a positive integer count, got {text!r}")
     return np.linspace(values[0], values[1], int(values[2]))
 
 
-#: Parsers of the settings given as text; `merge_config` checks every one
-#: present, and the commands read the parsed value through `setting`.
-SETTING_PARSERS = {
-    "h": parse_depth,
-    "D": parse_float_list,
-    "k_list": parse_float_list,
-    "K_list": parse_int_list,
-    "a1_list": parse_float_list,
-    "D_grid": parse_d_grid,
-}
+def parse_model(name: str) -> list[IceModel]:
+    """The ice models of a `--model` name."""
+    models = {
+        "linear": [IceModel.LINEAR_BIHARMONIC],
+        "nonlinear": [IceModel.NONLINEAR_COSSERAT],
+        "both": [IceModel.LINEAR_BIHARMONIC, IceModel.NONLINEAR_COSSERAT],
+    }
+    if name not in models:
+        raise ValueError(f"unknown model {name!r}; expected linear, nonlinear or both")
+    return models[name]
 
 
 def setting(cfg: dict, key: str):
     """Parsed value of the text-valued setting `key`."""
-    return SETTING_PARSERS[key](str(cfg[key]))
+    return SETTINGS[key].parse(str(cfg[key]))
 
 
 def load_config_file(path: str) -> dict[str, str]:
@@ -184,107 +176,63 @@ def load_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def models_from(name: str) -> list[IceModel]:
-    table = {
-        "linear": [IceModel.LINEAR_BIHARMONIC],
-        "nonlinear": [IceModel.NONLINEAR_COSSERAT],
-        "both": [IceModel.LINEAR_BIHARMONIC, IceModel.NONLINEAR_COSSERAT],
-    }
-    if name not in table:
-        raise ConfigError(f"unknown model {name!r}; expected linear, nonlinear or both")
-    return table[name]
-
-
-def _add_flags(p: argparse.ArgumentParser, command: str) -> None:
-    """Flags of one command: only those it reads.  Every default is None, so
-    `merge_config` can tell a flag that was given from one that was not."""
-    p.add_argument("--config", help="key=value config file; command-line flags take precedence")
-    p.add_argument("--g", type=float, default=None, help="gravitational acceleration (default 1)")
-    p.add_argument("--h", type=str, default=None, help="fluid depth, or 'inf'")
-    p.add_argument("--out", type=str, default=None, help="output directory")
-    if command != "resonance":
-        p.add_argument("--D", type=str, default=None, help="flexural rigidity (list allowed where meaningful)")
-    if command in BRANCH_COMMANDS:
-        p.add_argument("--model", type=str, default=None, help="linear, nonlinear or both")
-        p.add_argument("--modes", type=int, default=None, help="initial cosine mode count N")
-        p.add_argument("--max-modes", type=int, default=None, help="cap for adaptive mode doubling")
-        p.add_argument("--a1-max", type=float, default=None, help="target first-mode amplitude")
-        p.add_argument("--a1-step", type=float, default=None, help="continuation step in a1")
-    if command in FLOQUET_COMMANDS:
-        p.add_argument("--mu-count", type=int, default=None, help="number of Floquet exponents in a sweep")
-        p.add_argument("--a1-list", type=str, default=None, help="branch amplitudes to analyze, each in (0, a1-max]")
-        p.add_argument(
-            "--floquet-modes", type=int, default=None,
-            help="Floquet truncation n, modes -n..n (default: the wave's N, at least 16)",
-        )
-    if command == "dispersion":
-        p.add_argument("--k-list", type=str, default=None, help="wavenumbers (default 1)")
-    if command == "nls":
-        p.add_argument("--D-grid", type=str, default=None, help="min max count; overrides --D")
-    if command == "resonance":
-        p.add_argument("--K-list", type=str, default=None, help="resonant modes K (default 7 10)")
-    if command == "collisions":
-        p.add_argument("--c", type=float, default=None, help="frame speed (default: bifurcation speed)")
-        p.add_argument("--m-range", type=int, default=None, help="largest Fourier mode |m| (default 10)")
-        p.add_argument("--mu-grid", type=int, default=None, help="mu samples in the search (default 2001)")
-    if command == "branch":
-        p.add_argument("--resume", type=str, default=None,
-                       help="prior branch CSV to continue from; its sidecar sets the model, g, h and D")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """One subcommand per command, with a flag for each setting it reads.
+    Every flag defaults to None, so `merge_config` can tell a flag that was
+    given from one that was not."""
     parser = argparse.ArgumentParser(
         prog="flexwave",
         description="Periodic flexural-gravity waves: branches, spectra and asymptotic comparisons.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        _add_flags(sub.add_parser(name), name)
+        p = sub.add_parser(name)
+        p.add_argument("--config", help="key=value config file; command-line flags take precedence (default: none)")
+        for key, entry in SETTINGS.items():
+            if name in entry.defaults:
+                default = entry.defaults[name]
+                text = entry.help if default is None else f"{entry.help} (default {default})"
+                p.add_argument(f"--{key.replace('_', '-')}", type=entry.type, default=None, help=text)
     return parser
 
 
-class _FileValueParser(argparse.ArgumentParser):
-    """Reads config-file values as flags; a bad value is a ConfigError."""
-
-    def error(self, message):
-        raise ConfigError(f"{self.prog}: {message}")
-
-
-def _config_file_values(command: str, path: str) -> dict:
-    """Values of a config file, converted and checked by the command's flag
-    types and choices.  Keys that are no setting of the command are dropped,
-    so one file can serve several commands; `resume` is an error instead,
-    because it would replace the command's own branch."""
-    values = load_config_file(path)
-    parser = _FileValueParser(prog=path, add_help=False, allow_abbrev=False)
-    _add_flags(parser, command)
-    flags = [f"--{key.replace('_', '-')}={value}" for key, value in values.items()]
-    typed, _ = parser.parse_known_args(flags)
-    if "resume" in values and not hasattr(typed, "resume"):
-        raise ConfigError(f"{path}: {command} has no --resume; only branch continues a prior branch")
-    return {key: getattr(typed, key) for key in values if hasattr(typed, key) and key != "config"}
-
-
 def merge_config(args: argparse.Namespace) -> dict:
-    """Flags over config-file values over the command's defaults."""
-    merged = _config_file_values(args.command, args.config) if args.config else {}
-    for key, value in vars(args).items():
-        if key in ("config", "command") or value is None:
+    """Flags over config-file values over the command's defaults.
+
+    Each given value, from a flag or the file, is converted and checked by
+    its SETTINGS entry.  Keys of the file that are no setting of the command
+    are dropped, so one file can serve several commands; `resume` is an error
+    instead, because it would replace the command's own branch.
+    """
+    command = args.command
+    values = load_config_file(args.config) if args.config else {}
+    if "resume" in values and command not in SETTINGS["resume"].defaults:
+        raise ConfigError(f"{args.config}: {command} has no --resume; only branch continues a prior branch")
+    merged = {}
+    for key, (defaults, _, kind, parse, least) in SETTINGS.items():
+        if command not in defaults:
             continue
-        merged[key] = value
-    for key, value in {**COMMON_DEFAULTS, **COMMAND_DEFAULTS.get(args.command, {})}.items():
-        merged.setdefault(key, value)
-    for key in SETTING_PARSERS.keys() & merged.keys():
-        try:
-            setting(merged, key)
-        except ValueError as exc:
-            raise ConfigError(f"bad value {merged[key]!r} for {key}: {exc}") from exc
-    _check_ranges(args.command, merged)
+        for source, value in ((args.config, values.get(key)), ("command line", getattr(args, key))):
+            if value is None:
+                continue
+            try:
+                value = kind(value)
+                if parse is not None:
+                    parse(value)
+            except ValueError as exc:
+                raise ConfigError(f"{source}: bad value {value!r} for {key}: {exc}") from exc
+            if least is not None and value < least:
+                raise ConfigError(f"{source}: {key} must be at least {least}, got {value}")
+            merged[key] = value
+        if key not in merged and defaults[command] is not None:
+            merged[key] = defaults[command]
+    _check_ranges(command, merged)
     return merged
 
 
 def _check_ranges(command: str, cfg: dict) -> None:
-    """Reject values the commands cannot use, before any computation."""
+    """Reject combinations of values the commands cannot use, before any
+    computation; `merge_config` has checked each value alone."""
     # g and h for every command; D where the command takes a single value,
     # and each value of the D list and grid where it takes several
     params_from(cfg, d_value=None if command in ("collisions", *BRANCH_COMMANDS) else 0.0)
@@ -292,28 +240,16 @@ def _check_ranges(command: str, cfg: dict) -> None:
         for key in ("D", "D_grid"):
             for d in setting(cfg, key) if cfg.get(key) else ():
                 params_from(cfg, d_value=float(d))
-    if command == "collisions" and cfg["mu_grid"] < 2:
-        raise ConfigError(f"mu-grid must be at least 2, got {cfg['mu_grid']}")
-    if command == "collisions" and cfg["m_range"] < 0:
-        raise ConfigError(f"m-range must be nonnegative, got {cfg['m_range']}")
     if command == "resonance" and any(k < 2 for k in setting(cfg, "K_list")):
         raise ConfigError(f"K-list modes must be at least 2, got {cfg['K_list']!r}")
     if command in BRANCH_COMMANDS:
         solver_config_from(cfg)
         if not 0 < cfg["a1_max"] < math.inf:
             raise ConfigError(f"a1-max must be positive and finite, got {cfg['a1_max']}")
-    for key in ("a1_list", "k_list"):
-        if cfg.get(key) and not all(map(math.isfinite, setting(cfg, key))):
-            raise ConfigError(f"{key.replace('_', '-')} values must be finite, got {cfg[key]!r}")
     if cfg.get("c") is not None and not math.isfinite(cfg["c"]):
         raise ConfigError(f"c must be finite, got {cfg['c']}")
-    if command in FLOQUET_COMMANDS:
-        if cfg["mu_count"] < 2:
-            raise ConfigError(f"mu-count must be at least 2, got {cfg['mu_count']}")
-        if cfg.get("floquet_modes") is not None and cfg["floquet_modes"] < 1:
-            raise ConfigError(f"floquet-modes must be at least 1, got {cfg['floquet_modes']}")
-        if cfg.get("a1_list") and not all(0 < t <= cfg["a1_max"] for t in setting(cfg, "a1_list")):
-            raise ConfigError(f"a1-list values must lie in (0, a1-max = {cfg['a1_max']}], got {cfg['a1_list']!r}")
+    if cfg.get("a1_list") and not all(0 < t <= cfg["a1_max"] for t in setting(cfg, "a1_list")):
+        raise ConfigError(f"a1-list values must lie in (0, a1-max = {cfg['a1_max']}], got {cfg['a1_list']!r}")
     if command == "dispersion" and 0.0 in setting(cfg, "k_list"):
         raise ConfigError("dispersion is undefined at k = 0")
 
@@ -348,7 +284,10 @@ def solver_config_from(cfg: dict) -> SolverConfig:
 
 def out_dir(cfg: dict) -> Path:
     path = Path(str(cfg["out"]))
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file stands at the path or on it
+        raise ConfigError(f"cannot make output directory {path}: {exc}") from exc
     if not os.access(path, os.W_OK):
         raise ConfigError(f"output directory {path} is not writable")
     return path
@@ -486,7 +425,7 @@ def _saved_branches(cfg: dict):
     branch that stalls at a fold is saved as far as it got before
     StepUnderflow propagates.
     """
-    models = models_from(str(cfg["model"]))
+    models = setting(cfg, "model")
     prior_points, start = [], None
     if cfg.get("resume"):
         try:
@@ -578,7 +517,7 @@ def cmd_stability(cfg: dict) -> None:
 def cmd_compare(cfg: dict) -> None:
     # the overlay can fail (finite depth, Wilton pole): find out before any branch or sweep
     params = params_from(cfg)
-    models = models_from(str(cfg["model"]))
+    models = setting(cfg, "model")
     _floquet_runs(cfg, overlay={model: nls_coefficients(model, 1, params) for model in models})
 
 
@@ -593,14 +532,49 @@ COMMANDS = {
 }
 
 
+#: The commands that read a setting, with its default in each (None: unset
+#: unless given); its flag's help and type; the parser of its text; and its
+#: least allowed value.
+Setting = namedtuple("Setting", "defaults help type parse least", defaults=(str, None, None))
+
+
+#: Every setting: `build_parser` makes the flags from it, and `merge_config`
+#: takes the defaults and checks each value alone.
+SETTINGS = {
+    "g": Setting(dict.fromkeys(COMMANDS, 1.0), "gravitational acceleration", float),
+    "h": Setting(dict.fromkeys(COMMANDS, "inf"), "fluid depth, or 'inf'", parse=parse_depth),
+    "out": Setting(dict.fromkeys(COMMANDS, "flexwave-out"), "output directory"),
+    "D": Setting({c: "0" for c in COMMANDS if c != "resonance"} | {"nls": "0 0.12 25"},
+                 "flexural rigidity; a list where meaningful", parse=parse_float_list),
+    "model": Setting(dict.fromkeys(BRANCH_COMMANDS, "both"), "linear, nonlinear or both", parse=parse_model),
+    "modes": Setting(dict.fromkeys(BRANCH_COMMANDS), f"initial mode count N (default {SolverConfig.n_modes})", int),
+    "max_modes": Setting(dict.fromkeys(BRANCH_COMMANDS),
+                         f"cap for mode doubling (default {SolverConfig.max_modes}, or N if larger)", int),
+    "a1_max": Setting(dict.fromkeys(BRANCH_COMMANDS, 0.01), "target first-mode amplitude", float),
+    "a1_step": Setting(dict.fromkeys(BRANCH_COMMANDS),
+                       f"continuation step in a1 (default {SolverConfig.amplitude_step})", float),
+    "mu_count": Setting(dict.fromkeys(FLOQUET_COMMANDS, 401), "Floquet exponents in a sweep", int, least=2),
+    "a1_list": Setting(dict.fromkeys(FLOQUET_COMMANDS), "amplitudes to analyze, each in (0, a1-max] "
+                       "(default: the branch's last point)", parse=parse_float_list),
+    "floquet_modes": Setting(dict.fromkeys(FLOQUET_COMMANDS), "Floquet truncation n, modes -n..n "
+                             "(default: the wave's N, at least 16)", int, least=1),
+    "k_list": Setting({"dispersion": "1"}, "wavenumbers", parse=parse_float_list),
+    "D_grid": Setting({"nls": None}, "min max count; overrides --D (default: none)", parse=parse_d_grid),
+    "K_list": Setting({"resonance": "7 10"}, "resonant modes K", parse=parse_int_list),
+    "c": Setting({"collisions": None}, "frame speed (default: bifurcation speed)", float),
+    "m_range": Setting({"collisions": 10}, "largest Fourier mode |m|", int, least=0),
+    "mu_grid": Setting({"collisions": 2001}, "mu samples in the search", int, least=2),
+    "resume": Setting({"branch": None}, "prior branch CSV to continue from; its sidecar sets the model, g, h "
+                      "and D (default: none)"),
+}
+
+
 def write_error_record(cfg: dict, exc: Exception) -> None:
     try:
-        out = Path(str(cfg["out"]))
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "error.json", "w") as fh:
+        with open(out_dir(cfg) / "error.json", "w") as fh:
             json.dump({"error": type(exc).__name__, "message": str(exc)}, fh, indent=2)
             fh.write("\n")
-    except OSError:
+    except (OSError, ConfigError):
         pass
 
 
@@ -611,13 +585,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        cfg = merge_config(args)
-        command = COMMANDS[args.command]
-    except ConfigError as exc:
-        print(f"flexwave: config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        command(cfg)
+        cfg = merge_config(args)  # raises only ConfigError, so cfg is set in the handlers below
+        COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"flexwave: config error: {exc}", file=sys.stderr)
         return 2

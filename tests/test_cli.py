@@ -54,7 +54,7 @@ class TestNlsCommand:
         header, rows = read_rows(tmp_path / "nls.csv")
         assert [float(r[header.index("D")]) for r in rows] == [0.0, 0.12, 25.0]
         meta = json.loads((tmp_path / "nls.meta.json").read_text())
-        assert meta["config"]["D"] == cli.COMMAND_DEFAULTS["nls"]["D"] == "0 0.12 25"
+        assert meta["config"]["D"] == cli.SETTINGS["D"].defaults["nls"] == "0 0.12 25"
 
 
 class TestDispersionCommand:
@@ -319,7 +319,9 @@ class TestConfigHandling:
         assert merged("--config", str(cfg), f"--{flag}", flag_text) == type(default)(flag_text)
 
     @pytest.mark.parametrize(
-        "command, line", [("compare", "mu-count = many"), ("branch", "modes = abc")]
+        "command, line",
+        [("compare", "mu-count = many"), ("branch", "modes = abc"), ("stability", "mu-count = 1"),
+         ("stability", "floquet-modes = 0"), ("stability", "model = cubist")],
     )
     def test_bad_config_file_value_is_a_config_error(self, tmp_path, capsys, command, line):
         cfg = tmp_path / "bad.cfg"
@@ -373,6 +375,7 @@ class TestConfigHandling:
             ["resonance", "--K-list", "1"],
             ["resonance", "--K-list", "7 0"],
             ["collisions", "--m-range", "-1"],
+            ["stability", "--model", "cubist"],
         ],
         ids=["h", "D", "K-list", "k-list", "a1-list", "D-grid", "mu-grid", "mu-count", "mu-count-compare",
              "floquet-modes", "floquet-modes-compare", "k-zero", "a1-max-negative", "a1-max-zero", "modes",
@@ -380,13 +383,21 @@ class TestConfigHandling:
              "D-nan", "D-inf", "a1-step-nan", "g-inf", "a1-max-inf", "a1-list-nan", "D-nan-dispersion",
              "k-list-inf", "D-nan-nls", "D-grid-inf", "c-nan", "c-inf",
              "a1-list-negative", "a1-list-zero-compare", "a1-list-above-a1-max",
-             "K-list-one", "K-list-zero", "m-range-negative"],
+             "K-list-one", "K-list-zero", "m-range-negative", "model"],
     )
     def test_bad_setting_is_a_config_error(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
         assert main(argv + ["--out", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()  # rejected before any computation
+
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below-file"])
+    def test_out_that_cannot_be_a_directory_is_a_config_error(self, tmp_path, capsys, below):
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory\n")
+        assert main(["resonance", "--out", str(blocker / below)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert blocker.read_text() == "not a directory\n"
 
     def test_bad_setting_in_config_file_is_a_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
