@@ -6,6 +6,7 @@ from .core import (
     GridFunction,
     IceModel,
     NonpositiveRadicand,
+    NumericalFailure,
     PhysicalParams,
     SpectralProfile,
     TravelingWave,

@@ -21,9 +21,10 @@ written.
 
 All numeric CSV payloads are written with 17 significant digits so reloaded
 values round-trip exactly.  Exit codes: 0 success, 2 configuration error,
-3 numerical failure (partial results are persisted alongside an error
-record: `branch`, `stability` and `compare` save a branch that stalls at a
-fold as far as it got).
+3 numerical failure, which is any `core.NumericalFailure` (partial results
+are persisted alongside an error record that names the error: `branch`,
+`stability` and `compare` save a branch that stalls at a fold as far as it
+got).
 
 Runs use the BLAS library's default threads; flexwave adds no setting for
 them.  Two runs started at once on 2 vCPUs slowed each other 4 to 11 times
@@ -45,22 +46,18 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import INFINITE_DEPTH, IceModel, NonpositiveRadicand, PhysicalParams, SpectralProfile, TravelingWave
+from .core import INFINITE_DEPTH, IceModel, NumericalFailure, PhysicalParams, SpectralProfile, TravelingWave
 from .solver import (
     BifurcationBranch,
-    NoConvergence,
-    SingularJacobian,
     SolverConfig,
     StepUnderflow,
     bifurcation_speed,
     branch_direction,
     continue_branch,
 )
-from .stability import EigSolverFailure, classify, nls_overlay, sweep_floquet
+from .stability import classify, nls_overlay, sweep_floquet
 from .theory import (
-    FiniteDepthUnsupported,
     NlsCoefficients,
-    NoPositiveRoot,
     WiltonPole,
     c_nls,
     dispersion_derivatives,
@@ -68,18 +65,6 @@ from .theory import (
     nls_coefficients,
     resonant_rigidity,
 )
-
-NUMERICAL_ERRORS = (
-    NonpositiveRadicand,
-    NoConvergence,
-    SingularJacobian,
-    StepUnderflow,
-    EigSolverFailure,
-    WiltonPole,
-    FiniteDepthUnsupported,
-    NoPositiveRoot,
-)
-
 
 __all__ = ["ConfigError", "build_parser", "merge_config", "load_branch", "save_branch", "write_csv", "main"]
 
@@ -436,6 +421,8 @@ def _saved_branches(cfg: dict):
             raise ConfigError(
                 f"--model {cfg['model']} does not include the {prior.model.value} model of {cfg['resume']}"
             )
+        if not cfg["a1_max"] > prior.points[-1].a1:
+            raise ConfigError(f"a1-max {cfg['a1_max']} does not exceed the last a1 of {cfg['resume']}")
         models, prior_points, start = [prior.model], prior.points, prior.points[-1]
     out = out_dir(cfg)
     solver_cfg = solver_config_from(cfg)
@@ -590,7 +577,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"flexwave: config error: {exc}", file=sys.stderr)
         return 2
-    except NUMERICAL_ERRORS as exc:
+    except NumericalFailure as exc:
         print(f"flexwave: numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         write_error_record(cfg, exc)
         return 3

@@ -18,6 +18,7 @@ import numpy as np
 
 __all__ = [
     "INFINITE_DEPTH",
+    "NumericalFailure",
     "NonpositiveRadicand",
     "PhysicalParams",
     "IceModel",
@@ -44,7 +45,11 @@ INFINITE_DEPTH = math.inf
 GridFunction = np.ndarray
 
 
-class NonpositiveRadicand(ArithmeticError):
+class NumericalFailure(Exception):
+    """Base of the typed errors of a computation that gives no result; each also keeps its builtin base."""
+
+
+class NonpositiveRadicand(ArithmeticError, NumericalFailure):
     """The Bernoulli radicand c^2 - 2*g*eta - 2*D*P_flex is not positive.
 
     Signals that a wave (or Newton iterate) lies outside the admissible set,

@@ -39,6 +39,7 @@ import numpy as np
 from .core import (
     IceModel,
     NonpositiveRadicand,
+    NumericalFailure,
     PhysicalParams,
     SpectralProfile,
     TravelingWave,
@@ -67,15 +68,15 @@ __all__ = [
 ]
 
 
-class NoConvergence(RuntimeError):
+class NoConvergence(RuntimeError, NumericalFailure):
     """Newton iteration failed to reach the residual tolerance."""
 
 
-class SingularJacobian(RuntimeError):
+class SingularJacobian(RuntimeError, NumericalFailure):
     """The Newton Jacobian is singular or undefined at the iterate."""
 
 
-class StepUnderflow(RuntimeError):
+class StepUnderflow(RuntimeError, NumericalFailure):
     """Continuation step shrank below ``MIN_STEP_FRACTION`` of the
     configured a_1 step without convergence.
 

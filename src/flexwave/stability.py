@@ -60,6 +60,7 @@ import numpy as np
 
 from .core import (
     IceModel,
+    NumericalFailure,
     TravelingWave,
     default_grid_size,
     depth_kernels,
@@ -96,7 +97,7 @@ GROWTH_THRESHOLD = 1e-8
 CLUSTER_RADIUS = 0.05
 
 
-class EigSolverFailure(RuntimeError):
+class EigSolverFailure(RuntimeError, NumericalFailure):
     """The eigensolve, or the solve with c^ before it, failed."""
 
 

@@ -2,9 +2,9 @@
 
 Dispersion relation and its derivatives, the envelope-equation (NLS)
 coefficients for both ice models in deep water, modulational growth rates,
-the resonance condition, flat-water Floquet eigenvalues and their collisions.
-These expressions are the oracle layer for the numerical solver and the
-Floquet stability code.
+the resonance condition, flat-water Floquet eigenvalues and their collisions
+on mu in [-1/2, 1/2); every omega comes from `_omega`.  These expressions are
+the oracle layer for the numerical solver and the Floquet stability code.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IceModel, PhysicalParams, depth_factor
+from .core import IceModel, NumericalFailure, PhysicalParams, depth_factor
 
 __all__ = [
     "WiltonPole",
@@ -44,15 +44,15 @@ WILTON_POLE_RTOL = 1e-8
 COLLISION_MU_TOL = 1e-10
 
 
-class WiltonPole(ValueError):
+class WiltonPole(ValueError, NumericalFailure):
     """Parameters sit on the vanishing denominator g - 14 k^4 D = 0."""
 
 
-class FiniteDepthUnsupported(ValueError):
+class FiniteDepthUnsupported(ValueError, NumericalFailure):
     """The envelope-equation coefficients are derived for infinite depth only."""
 
 
-class NoPositiveRoot(ValueError):
+class NoPositiveRoot(ValueError, NumericalFailure):
     """The resonance condition has no positive rigidity for these parameters."""
 
 
@@ -92,29 +92,34 @@ class NlsCoefficients:
         return abs(self.M) * a**2 if self.focusing else 0.0
 
 
+def _omega(k, params: PhysicalParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(omega, P, T) of omega^2 = P T, P = g k + D k^5, T = tanh(k h) (sign(k) in
+    deep water), elementwise in k; omega >= 0 is even in k and 0 at k = 0."""
+    k = np.asarray(k, dtype=float)
+    p, t = params.g * k + params.D * k**5, depth_factor(k, params.h)
+    return np.sqrt(p * t), p, t
+
+
 def dispersion(k: float, params: PhysicalParams) -> float:
-    """Positive branch of omega^2 = (g k + D k^5) tanh(k h).
+    """Positive branch of omega^2 = (g k + D k^5) tanh(k h), at k != 0.
 
     In infinite depth this reduces to omega^2 = |k| (g + k^4 D).
     """
-    if k == 0:
-        raise ValueError("dispersion is undefined at k = 0")
-    g, d = params.g, params.D
-    omega_sq = (g * k + d * k**5) * float(depth_factor(k, params.h))
-    return math.sqrt(omega_sq)
+    return dispersion_derivatives(k, params)[0]
 
 
 def dispersion_derivatives(k: float, params: PhysicalParams) -> tuple[float, float, float]:
-    """omega, omega' and omega'' at wavenumber k, at any depth, in closed form.
+    """omega, omega' and omega'' at wavenumber k != 0, at any depth, in closed form.
 
-    With Omega = omega^2 = (g k + D k^5) T(k), T = tanh(k h) (sign(k) in deep
-    water): omega' = Omega'/(2 omega) and omega'' = (Omega'' - 2 omega'^2)/(2 omega),
-    using T' = h sech^2(k h) and T'' = -2 h^2 sech^2(k h) tanh(k h).
+    With Omega = omega^2 = P T from `_omega`: omega' = Omega'/(2 omega) and
+    omega'' = (Omega'' - 2 omega'^2)/(2 omega), using P' = g + 5 D k^4,
+    P'' = 20 D k^3, T' = h sech^2(k h) and T'' = -2 h^2 sech^2(k h) tanh(k h).
     """
-    omega = dispersion(k, params)
+    if k == 0:
+        raise ValueError("dispersion is undefined at k = 0")
+    omega, p, t = map(float, _omega(k, params))
     g, d, h = params.g, params.D, params.h
-    p, p1, p2 = g * k + d * k**5, g + 5.0 * d * k**4, 20.0 * d * k**3
-    t, t1, t2 = float(depth_factor(k, h)), 0.0, 0.0
+    p1, p2, t1, t2 = g + 5.0 * d * k**4, 20.0 * d * k**3, 0.0, 0.0
     if not params.infinite_depth:
         e = math.exp(-2.0 * abs(k * h))
         sech_sq = 4.0 * e / (1.0 + e) ** 2  # no overflow at large k h
@@ -132,23 +137,17 @@ def _check_wilton(g: float, k4d: float):
 def nls_coefficients(model: IceModel, k: int, params: PhysicalParams) -> NlsCoefficients:
     """Envelope-equation coefficients for carrier wavenumber k, deep water.
 
-    omega'' is model independent; the nonlinear coefficient M differs between
-    the linear (biharmonic) and nonlinear (Toland/Cosserat) ice models.
+    omega, omega' and omega'' come from `dispersion_derivatives`; M differs
+    between the linear (biharmonic) and nonlinear (Toland/Cosserat) ice models.
     Raises :class:`WiltonPole` near the vanishing denominator g - 14 k^4 D
     (at D = 1/14 for g = 1, k = 1) and :class:`FiniteDepthUnsupported` for
     finite depth.
     """
     if not params.infinite_depth:
         raise FiniteDepthUnsupported("NLS coefficients are derived for h = infinity")
-    if k == 0:
-        raise ValueError("carrier wavenumber must be nonzero")
-    g, d = params.g, params.D
-    k4d = k**4 * d
+    g, k4d = params.g, k**4 * params.D
     _check_wilton(g, k4d)
-
-    omega = math.sqrt(abs(k) * (g + k4d))
-    omega_p = math.copysign(1.0, k) * (g + 5.0 * k4d) / (2.0 * omega)
-    omega_pp = -omega * (g**2 - 30.0 * g * k4d - 15.0 * k4d**2) / (4.0 * k**2 * (g + k4d) ** 2)
+    omega, omega_p, omega_pp = dispersion_derivatives(k, params)
     if model is IceModel.NONLINEAR_COSSERAT:
         m = -omega * k**2 * (4.0 * g**2 - 27.0 * g * k4d + 44.0 * k4d**2) / (
             2.0 * (g + k4d) * (g - 14.0 * k4d)
@@ -218,7 +217,7 @@ def flat_eigenvalues(mu, m: int, c: float, params: PhysicalParams) -> tuple[np.n
         lambda_pm = i c (mu+m) +/- i sqrt[(g (mu+m) + D (mu+m)^5) tanh((mu+m) h)].
     """
     s = np.asarray(mu, dtype=float) + m
-    root = np.sqrt((params.g * s + params.D * s**5) * depth_factor(s, params.h))
+    root = _omega(s, params)[0]
     return 1j * (c * s + root), 1j * (c * s - root)
 
 
@@ -242,7 +241,9 @@ def find_collisions(params: PhysicalParams, c: float, mu_grid: int, m_range: int
     different signs are scanned on ``mu_grid`` uniform exponents over
     [-1/2, 1/2]; sign-crossing roots are bisected down to
     ``COLLISION_MU_TOL``.  Tangential near-collisions are reported only when
-    the scanned gap itself vanishes on the grid.
+    the scanned gap itself vanishes on the grid.  Each collision is reported
+    once, on [-1/2, 1/2): a root at +1/2 is dropped when the scan found its copy
+    at -1/2, modes (m1 + 1, m2 + 1), as it does when those lie within m_range.
     """
     if mu_grid < 2:
         raise ValueError("mu_grid must be at least 2")
@@ -260,6 +261,8 @@ def find_collisions(params: PhysicalParams, c: float, mu_grid: int, m_range: int
                 records.append(
                     CollisionRecord(mu=float(mu_star), m1=b1[0], m2=b2[0], s1=b1[1], s2=b2[1], lam=1j * lam)
                 )
+    low = {(r.m1, r.s1, r.m2, r.s2) for r in records if r.mu - mu[0] <= COLLISION_MU_TOL}
+    records = [r for r in records if mu[-1] - r.mu > COLLISION_MU_TOL or (r.m1 + 1, r.s1, r.m2 + 1, r.s2) not in low]
     records.sort(key=lambda r: (r.mu, r.m1, r.m2))
     return records
 

@@ -1,5 +1,6 @@
 """Command-line pipelines: artifacts, determinism, round-trips, exit codes."""
 
+import importlib
 import json
 import math
 
@@ -8,7 +9,7 @@ import pytest
 
 from flexwave import cli
 from flexwave.cli import build_parser, load_branch, main, merge_config
-from flexwave.core import IceModel
+from flexwave.core import IceModel, NumericalFailure
 from flexwave.solver import RESIDUAL_TOL, residual
 from flexwave.theory import c_nls, dispersion, nls_coefficients
 from flexwave.core import PhysicalParams
@@ -154,6 +155,17 @@ class TestBranchCommand:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
         assert not out2.exists()  # rejected before any computation
+
+    @pytest.mark.parametrize("a1_max", ["0.002", "0.003"], ids=["below", "at"])
+    def test_resume_must_go_past_the_prior_branch(self, tmp_path, capsys, a1_max):
+        prior = tmp_path / "prior"
+        assert main(["branch", "--model", "linear", "--a1-max", "0.003", "--out", str(prior)]) == 0
+        out2 = tmp_path / "resumed"
+        rc = main(["branch", "--model", "linear", "--a1-max", a1_max,
+                   "--resume", str(prior / "branch_linear.csv"), "--out", str(out2)])
+        assert rc == 2
+        assert "does not exceed" in capsys.readouterr().err
+        assert not out2.exists()  # rejected before any output
 
     def test_resume_under_both_models_writes_one_branch(self, tmp_path, monkeypatch):
         assert main(self.ARGS + ["--out", str(tmp_path)]) == 0
@@ -513,6 +525,27 @@ class TestFailurePaths:
         assert record["error"] == "StepUnderflow"
         branch = load_branch(tmp_path / "branch_linear.csv")
         assert len(branch.points) > 0
+
+    @pytest.mark.parametrize("module", ["core", "solver", "stability", "theory"])
+    def test_every_typed_error_of_the_layers_is_a_numerical_failure(self, module):
+        mod = importlib.import_module(f"flexwave.{module}")
+        errors = [v for v in vars(mod).values()
+                  if isinstance(v, type) and issubclass(v, Exception) and v.__module__ == mod.__name__]
+        assert errors and all(issubclass(e, NumericalFailure) for e in errors)
+
+    def test_any_numerical_failure_exits_3_and_is_named(self, tmp_path, monkeypatch, capsys):
+        # a typed error the CLI has never heard of needs no change to it
+        class UnresolvedSpectrum(NumericalFailure):
+            pass
+
+        def fail(*args):
+            raise UnresolvedSpectrum("no certificate")
+
+        monkeypatch.setattr(cli, "resonant_rigidity", fail)
+        assert main(["resonance", "--out", str(tmp_path)]) == 3
+        assert "UnresolvedSpectrum" in capsys.readouterr().err
+        record = json.loads((tmp_path / "error.json").read_text())
+        assert record == {"error": "UnresolvedSpectrum", "message": "no certificate"}
 
     def test_resumed_branch_that_stalls_keeps_the_prior_points(self, tmp_path):
         fold = ["branch", "--model", "linear", "--modes", "8", "--max-modes", "8", "--a1-step", "0.005"]

@@ -556,6 +556,15 @@ class TestClassify:
         modulational = any(c.kind is InstabilityKind.MODULATIONAL for c in report.clusters)
         assert modulational == nls_coefficients(model, 1, wave.params).focusing
 
+    @pytest.mark.parametrize("d", [0.01, 0.1, 1.0])
+    @pytest.mark.parametrize("model", [LIN, NL])
+    def test_doppler_frame_is_the_nls_group_velocity(self, branch_cache, model, d):
+        # classify's Doppler frame and the NLS overlay's Im(lambda) = mu (c - omega')
+        # read one omega'
+        wave = branch_cache(d, model, 0.02).points[-1]
+        spec = sweep_floquet(wave, [0.1], n_modes=4)
+        assert spec.c_minus_vg == wave.c - nls_coefficients(model, 1, wave.params).omega_p
+
     @pytest.mark.parametrize("n", [16, 32])
     def test_truncation_edge_adds_no_growth(self, branch_cache, n):
         # classify counts every eigenvalue, however stiff: on the thin-ice

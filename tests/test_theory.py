@@ -267,6 +267,27 @@ class TestCollisions:
         ]
         assert trivial and all(abs(r.lam) < 1e-12 for r in trivial)
 
+    def test_each_collision_once_on_the_half_open_interval(self):
+        # mu and mu + 1 are one exponent: at rest every collision at +1/2 is
+        # one at -1/2 with both modes raised by one, and is listed there only
+        records = find_collisions(deep(0.01), 0.0, mu_grid=2001, m_range=2)
+        keys = [(r.mu, r.m1, r.s1, r.m2, r.s2) for r in records]
+        assert len(keys) == 9 and all(-0.5 <= r.mu < 0.5 for r in records)
+        assert (-0.5, -1, 1, 2, 1) in keys and (-0.5, 0, -1, 1, -1) in keys
+
+    def test_collision_at_half_is_kept_when_its_copy_is_out_of_range(self):
+        # at this c the (0, +) and (2, -) branches meet at mu = 1/2; its copy,
+        # (1, +) x (3, -) at -1/2, is scanned only when m_range reaches 3.
+        # (-2, +) x (0, -) meets at -1/2 too, and is listed there either way
+        p = deep(0.01)
+        c = (dispersion(0.5, p) + dispersion(2.5, p)) / 2
+        at_half = {
+            m_range: [(r.mu, r.m1, r.s1, r.m2, r.s2) for r in find_collisions(p, c, 2001, m_range) if abs(r.mu) == 0.5]
+            for m_range in (2, 3)
+        }
+        assert at_half == {2: [(-0.5, -2, 1, 0, -1), (0.5, 0, 1, 2, -1)],
+                           3: [(-0.5, -2, 1, 0, -1), (-0.5, 1, 1, 3, -1)]}
+
     def test_records_are_actual_collisions(self):
         p = deep(0.3)
         records = find_collisions(p, bifurcation_speed(p), mu_grid=801, m_range=4)
