@@ -26,10 +26,12 @@ are persisted alongside an error record that names the error: `branch`,
 `stability` and `compare` save a branch that stalls at a fold as far as it
 got).
 
-Runs use the BLAS library's default threads; flexwave adds no setting for
-them.  Two runs started at once on 2 vCPUs slowed each other 4 to 11 times
-(OpenBLAS, `stability --D 0.01 --a1-max 0.05` per model): run them one after
-another, or give each one `OPENBLAS_NUM_THREADS=1`.
+flexwave runs on one BLAS thread unless the caller sets a count.  When none
+of `OPENBLAS_NUM_THREADS`, `OMP_NUM_THREADS` and `MKL_NUM_THREADS` is set to
+a non-empty value, importing the package sets all three to "1"; a value the
+caller sets wins and is left as given, so `OPENBLAS_NUM_THREADS=2 flexwave
+...` runs on two.  The package `__init__` holds the rule, because the BLAS
+library reads these variables only when numpy loads it.
 """
 
 from __future__ import annotations
@@ -444,11 +446,16 @@ def cmd_branch(cfg: dict) -> None:
         pass  # each branch is saved as it is computed
 
 
-def _select_waves(branch: BifurcationBranch, cfg: dict) -> list[TravelingWave]:
-    if cfg.get("a1_list"):
-        targets = setting(cfg, "a1_list")
-        return [min(branch.points, key=lambda w: abs(w.a1 - t)) for t in targets]
-    return [branch.points[-1]]
+def _select_waves(branch: BifurcationBranch, cfg: dict) -> list[tuple[TravelingWave, list[int]]]:
+    """The branch point nearest each `a1-list` target (default: the last
+    point), each point once, with the indices of the targets that pick it."""
+    if not cfg.get("a1_list"):
+        return [(branch.points[-1], [0])]
+    picks: dict[int, list[int]] = {}
+    for idx, target in enumerate(setting(cfg, "a1_list")):
+        nearest = min(range(len(branch.points)), key=lambda i: abs(branch.points[i].a1 - target))
+        picks.setdefault(nearest, []).append(idx)
+    return [(branch.points[i], indices) for i, indices in picks.items()]
 
 
 def _floquet_runs(cfg: dict, overlay: dict[IceModel, NlsCoefficients] | None) -> None:
@@ -457,7 +464,8 @@ def _floquet_runs(cfg: dict, overlay: dict[IceModel, NlsCoefficients] | None) ->
     classify it.  Given the NLS coefficients of each model, also write each
     wave's overlay curve, under `compare`'s file names; both files hold
     (mu, Re lambda, Im lambda) rows, so each overlay point pairs with the
-    FFH slice at its mu."""
+    FFH slice at its mu.  A wave that several `a1-list` targets pick has its
+    files and report written under each of their indices."""
     out = out_dir(cfg)
     mu_count = int(cfg["mu_count"])
     mu_values = np.linspace(-0.5, 0.5, mu_count, endpoint=False)
@@ -465,36 +473,38 @@ def _floquet_runs(cfg: dict, overlay: dict[IceModel, NlsCoefficients] | None) ->
     header = ["mu", "re_lambda", "im_lambda"]
     for branch in _saved_branches(cfg):
         model = branch.model
-        reports = []
-        for idx, wave in enumerate(_select_waves(branch, cfg)):
+        reports = {}
+        for wave, indices in _select_waves(branch, cfg):
             spectrum = sweep_floquet(wave, mu_values, n_modes=cfg.get("floquet_modes"))
             mus, lams = spectrum.flattened()
             rows = np.column_stack([mus, lams.real, lams.imag])
-            write_csv(out / f"{spectrum_tag}_{model.value}_{idx}.csv", header, rows)
             report = classify(spectrum)
-            reports.append(
-                {
-                    "a1": wave.a1,
-                    "max_growth": report.max_growth,
-                    "argmax_mu": report.argmax_mu,
-                    "clusters": [
-                        {
-                            "kind": c.kind.value,
-                            "mu_interval": list(c.mu_interval),
-                            "centroid": [c.centroid.real, c.centroid.imag],
-                            "max_growth": c.max_growth,
-                        }
-                        for c in report.clusters
-                    ],
-                    "failed_mu": [mu for mu, _ in spectrum.failures],
-                    "max_cond_c": spectrum.max_cond_c,
-                    "cond_c_mu": spectrum.cond_c_mu,
-                }
-            )
+            record = {
+                "a1": wave.a1,
+                "max_growth": report.max_growth,
+                "argmax_mu": report.argmax_mu,
+                "clusters": [
+                    {
+                        "kind": c.kind.value,
+                        "mu_interval": list(c.mu_interval),
+                        "centroid": [c.centroid.real, c.centroid.imag],
+                        "max_growth": c.max_growth,
+                    }
+                    for c in report.clusters
+                ],
+                "failed_mu": [mu for mu, _ in spectrum.failures],
+                "max_cond_c": spectrum.max_cond_c,
+                "cond_c_mu": spectrum.cond_c_mu,
+            }
             if overlay is not None:
                 curve = nls_overlay(overlay[model], wave.a1 / 2.0, wave.c, mu_grid=mu_count)
-                write_csv(out / f"compare_nls_{model.value}_{idx}.csv", header, curve)
-        write_sidecar(out / f"{meta_tag}_{model.value}.meta.json", cfg, {"reports": reports})
+            for idx in indices:
+                write_csv(out / f"{spectrum_tag}_{model.value}_{idx}.csv", header, rows)
+                reports[idx] = record
+                if overlay is not None:
+                    write_csv(out / f"compare_nls_{model.value}_{idx}.csv", header, curve)
+        ordered = [reports[idx] for idx in sorted(reports)]
+        write_sidecar(out / f"{meta_tag}_{model.value}.meta.json", cfg, {"reports": ordered})
 
 
 def cmd_stability(cfg: dict) -> None:

@@ -232,6 +232,27 @@ class TestStabilityCommand:
         assert report["reports"][0]["cond_c_mu"] == -0.5  # the grid's largest |mu|
 
 
+    def test_wave_picked_by_two_targets_is_swept_once(self, tmp_path, monkeypatch):
+        # both targets are nearest the a1 = 0.001 point of the branch
+        calls = []
+        real_sweep = cli.sweep_floquet
+
+        def counting_sweep(*args, **kwargs):
+            calls.append(args[0].a1)
+            return real_sweep(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "sweep_floquet", counting_sweep)
+        rc = main(["stability", "--model", "linear", "--modes", "8", "--a1-max", "0.002",
+                   "--a1-list", "0.0011 0.0012", "--mu-count", "3", "--out", str(tmp_path)])
+        assert rc == 0
+        assert calls == [pytest.approx(0.001)]
+        first, second = (tmp_path / f"spectrum_linear_{idx}.csv" for idx in (0, 1))
+        assert first.read_bytes() == second.read_bytes()
+        reports = json.loads((tmp_path / "stability_linear.meta.json").read_text())["reports"]
+        assert len(reports) == 2
+        assert reports[0] == reports[1]
+        assert reports[0]["a1"] == calls[0]
+
     def test_band_across_half_is_one_cluster(self, tmp_path):
         # at D = 0.05, h = 1 each model has two high-frequency bands, and both
         # cross mu = +-1/2

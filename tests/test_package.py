@@ -1,5 +1,5 @@
-"""Package surface: every exported name resolves, and importing the package
-stays cheap."""
+"""Package surface: every exported name resolves, importing the package
+stays cheap, and it sets the BLAS thread default."""
 
 import importlib
 import json
@@ -28,3 +28,36 @@ def test_import_loads_no_scipy(fresh_python):
         "print(json.dumps(sorted(m for m in sys.modules if m in heavy or m.startswith('scipy.'))))"
     )
     assert json.loads(loaded) == []
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def blas_env_after_import(fresh_python, module, preset):
+    """The three thread variables after `import module` in a new interpreter
+    whose environment holds only `preset` of them; numpy is not loaded yet,
+    as when the `flexwave` command starts."""
+    code = (
+        "import importlib, json, os, sys\n"
+        f"names = {BLAS_THREAD_VARS!r}\n"
+        "for name in names:\n"
+        "    os.environ.pop(name, None)\n"
+        "os.environ.update(json.loads(sys.argv[1]))\n"
+        "assert 'numpy' not in sys.modules\n"
+        "importlib.import_module(sys.argv[2])\n"
+        "print(json.dumps({name: os.environ.get(name) for name in names}))"
+    )
+    return json.loads(fresh_python(code, json.dumps(preset), module))
+
+
+@pytest.mark.parametrize("module", ["flexwave", "flexwave.cli"])
+@pytest.mark.parametrize("preset", [{}, {"OMP_NUM_THREADS": ""}], ids=["unset", "empty"])
+def test_import_defaults_to_one_blas_thread(fresh_python, module, preset):
+    assert blas_env_after_import(fresh_python, module, preset) == dict.fromkeys(BLAS_THREAD_VARS, "1")
+
+
+@pytest.mark.parametrize("module", ["flexwave", "flexwave.cli"])
+@pytest.mark.parametrize("name", BLAS_THREAD_VARS)
+def test_caller_thread_count_is_left_as_given(fresh_python, module, name):
+    expected = dict.fromkeys(BLAS_THREAD_VARS) | {name: "2"}
+    assert blas_env_after_import(fresh_python, module, {name: "2"}) == expected
