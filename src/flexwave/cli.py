@@ -17,7 +17,8 @@ help and type, the parser of its text and its least value.  A setting is
 taken from its flag if given, else from the `--config` file, else from the
 command's default: flag > file > default.  Settings are checked by the table
 and by the PhysicalParams and SolverConfig they build, before any output is
-written.
+written.  Runs are in the units of `core.PhysicalParams`, so a gravity g
+other than 1, from a config file or a resumed sidecar, is a config error.
 
 All numeric CSV payloads are written with 17 significant digits so reloaded
 values round-trip exactly.  Exit codes: 0 success, 2 configuration error,
@@ -193,6 +194,7 @@ def merge_config(args: argparse.Namespace) -> dict:
     """
     command = args.command
     values = load_config_file(args.config) if args.config else {}
+    _check_unit_gravity(args.config, values.get("g", 1))
     if "resume" in values and command not in SETTINGS["resume"].defaults:
         raise ConfigError(f"{args.config}: {command} has no --resume; only branch continues a prior branch")
     merged = {}
@@ -217,10 +219,21 @@ def merge_config(args: argparse.Namespace) -> dict:
     return merged
 
 
+def _check_unit_gravity(source: str, g) -> None:
+    """Reject a gravity g other than 1, which the units of every run fix."""
+    try:
+        if float(g) == 1.0:
+            return
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"{source}: gravity is fixed at g = 1, got g = {g}; the problem with gravity g is "
+                      "the one at rigidity D/g, with c, q and lambda times sqrt(g) and eta the same")
+
+
 def _check_ranges(command: str, cfg: dict) -> None:
     """Reject combinations of values the commands cannot use, before any
     computation; `merge_config` has checked each value alone."""
-    # g and h for every command; D where the command takes a single value,
+    # h for every command; D where the command takes a single value,
     # and each value of the D list and grid where it takes several
     params_from(cfg, d_value=None if command in ("collisions", *BRANCH_COMMANDS) else 0.0)
     if command in ("dispersion", "nls"):
@@ -249,7 +262,7 @@ def params_from(cfg: dict, d_value: float | None = None) -> PhysicalParams:
             if len(d_list) != 1:
                 raise ConfigError("this command needs exactly one value of D")
             d_value = d_list[0]
-        return PhysicalParams(g=float(cfg["g"]), h=h, D=d_value)
+        return PhysicalParams(h=h, D=d_value)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -303,8 +316,8 @@ def cmd_nls(cfg: dict) -> None:
     for d in d_values:
         params = params_from(cfg, d_value=float(d))
         try:
-            lin = nls_coefficients(IceModel.LINEAR_BIHARMONIC, 1, params)
-            tol = nls_coefficients(IceModel.NONLINEAR_COSSERAT, 1, params)
+            lin = nls_coefficients(IceModel.LINEAR_BIHARMONIC, params)
+            tol = nls_coefficients(IceModel.NONLINEAR_COSSERAT, params)
             rows.append(
                 (d, lin.omega, lin.omega_p, lin.omega_pp, lin.M, tol.M,
                  lin.focusing, tol.focusing, 0)
@@ -361,8 +374,7 @@ def save_branch(out: Path, branch: BifurcationBranch, cfg: dict, solver_cfg: Sol
         )
     write_csv(out / f"branch_{tag}.csv", header, rows)
     extra = {
-        "params": {"g": branch.params.g, "h": "inf" if branch.params.infinite_depth else branch.params.h,
-                   "D": branch.params.D},
+        "params": {"h": "inf" if branch.params.infinite_depth else branch.params.h, "D": branch.params.D},
         "model": branch.model.value,
         "solver": asdict(solver_cfg),
         "points": meta_points,
@@ -373,8 +385,8 @@ def save_branch(out: Path, branch: BifurcationBranch, cfg: dict, solver_cfg: Sol
 
     if branch.params.infinite_depth:
         try:
-            coeffs = nls_coefficients(branch.model, 1, branch.params)
-            nls_rows = [(wave.a1, c_nls(wave.a1 / 2.0, coeffs, branch.params)) for wave in branch.points]
+            coeffs = nls_coefficients(branch.model, branch.params)
+            nls_rows = [(wave.a1, c_nls(wave.a1 / 2.0, coeffs)) for wave in branch.points]
             write_csv(out / f"branch_nls_{tag}.csv", ["a1", "c_nls"], nls_rows)
         except WiltonPole:
             pass
@@ -382,16 +394,16 @@ def save_branch(out: Path, branch: BifurcationBranch, cfg: dict, solver_cfg: Sol
 
 def load_branch(csv_path: str | Path) -> BifurcationBranch:
     """Reload a persisted branch; params, model and each point's mode count
-    and Newton record come from the sidecar."""
+    and Newton record come from the sidecar.  A branch with no point, or
+    one whose sidecar records a gravity other than 1, raises ValueError."""
     csv_path = Path(csv_path)
     meta_path = csv_path.parent / (csv_path.stem + ".meta.json")
     with open(meta_path) as fh:
         meta = json.load(fh)
-    params = PhysicalParams(
-        g=float(meta["params"]["g"]),
-        h=float(meta["params"]["h"]),
-        D=float(meta["params"]["D"]),
-    )
+    _check_unit_gravity(str(meta_path), meta["params"].get("g", 1))  # a ConfigError is a ValueError
+    if not meta["points"]:
+        raise ValueError(f"{meta_path} records a branch with no point")
+    params = PhysicalParams(h=float(meta["params"]["h"]), D=float(meta["params"]["D"]))
     model = IceModel(meta["model"])
     data = np.genfromtxt(csv_path, delimiter=",", skip_header=1, ndmin=2)
     points = []
@@ -515,7 +527,7 @@ def cmd_compare(cfg: dict) -> None:
     # the overlay can fail (finite depth, Wilton pole): find out before any branch or sweep
     params = params_from(cfg)
     models = setting(cfg, "model")
-    _floquet_runs(cfg, overlay={model: nls_coefficients(model, 1, params) for model in models})
+    _floquet_runs(cfg, overlay={model: nls_coefficients(model, params) for model in models})
 
 
 COMMANDS = {
@@ -538,7 +550,6 @@ Setting = namedtuple("Setting", "defaults help type parse least", defaults=(str,
 #: Every setting: `build_parser` makes the flags from it, and `merge_config`
 #: takes the defaults and checks each value alone.
 SETTINGS = {
-    "g": Setting(dict.fromkeys(COMMANDS, 1.0), "gravitational acceleration", float),
     "h": Setting(dict.fromkeys(COMMANDS, "inf"), "fluid depth, or 'inf'", parse=parse_depth),
     "out": Setting(dict.fromkeys(COMMANDS, "flexwave-out"), "output directory"),
     "D": Setting({c: "0" for c in COMMANDS if c != "resonance"} | {"nls": "0 0.12 25"},
@@ -561,8 +572,8 @@ SETTINGS = {
     "c": Setting({"collisions": None}, "frame speed (default: bifurcation speed)", float),
     "m_range": Setting({"collisions": 10}, "largest Fourier mode |m|", int, least=0),
     "mu_grid": Setting({"collisions": 2001}, "mu samples in the search", int, least=2),
-    "resume": Setting({"branch": None}, "prior branch CSV to continue from; its sidecar sets the model, g, h "
-                      "and D (default: none)"),
+    "resume": Setting({"branch": None}, "prior branch CSV to continue from; its sidecar sets the model, h and D "
+                      "(default: none)"),
 }
 
 

@@ -5,7 +5,7 @@ The unknown vector is z = [c, a_2, ..., a_N] with the first cosine
 coefficient a_1 held fixed as the continuation parameter.  The m-th residual
 is the cos(m x) projection of
 
-    sqrt((1+eta_x^2)(c^2 - 2 g eta - 2 D P_flex)) * (sinh(m eta) + cosh(m eta) tanh(m h)),
+    sqrt((1+eta_x^2)(c^2 - 2 eta - 2 D P_flex)) * (sinh(m eta) + cosh(m eta) tanh(m h)),
 
 computed by trapezoidal quadrature on the 4x oversampled collocation grid.
 The kernel K_m and its slope K'_m come from `core.depth_kernels`, the one
@@ -132,7 +132,7 @@ class BifurcationBranch:
 
 
 def bifurcation_speed(params: PhysicalParams) -> float:
-    """Speed omega(1) = sqrt(tanh(h)(g + D)) at which the k=1 branch leaves flat water."""
+    """Speed omega(1) = sqrt(tanh(h)(1 + D)) at which the k=1 branch leaves flat water."""
     return dispersion(1.0, params)
 
 
@@ -164,7 +164,7 @@ def _jacobian_at(surface, z, a1, params, model):
     With S = 1+eta_x^2, R the radicand and W = sqrt(S R), column 0 (the
     speed) uses dW/dc = S c / W.  Column j >= 1 perturbs eta by v = cos((j+1) x):
 
-        dR = -2 g v - 2 D P_flex'(eta)[v],
+        dR = -2 v - 2 D P_flex'(eta)[v],
         dW = (2 eta_x v_x R + S dR) / (2 W),
         dF_m = (2 pi/M) sum_x cos(m x) [dW K_m + W m v K'_m].
 
@@ -179,7 +179,7 @@ def _jacobian_at(surface, z, a1, params, model):
     cos_mx, sin_mx = _trig_tables(n, m_grid)
     v = cos_mx[1:]
     v_x = -np.arange(2, n + 1)[:, None] * sin_mx[1:]
-    d_rad = -2.0 * params.g * v - 2.0 * params.D * p_flex_derivative_grid(eta, v, model)
+    d_rad = -2.0 * v - 2.0 * params.D * p_flex_derivative_grid(eta, v, model)
     d_weight = np.empty((n, m_grid))
     d_weight[0] = s * z[0] / weight
     d_weight[1:] = (2.0 * eta[1] * v_x * radicand + s * d_rad) / (2.0 * weight)
@@ -278,7 +278,8 @@ def continue_branch(params: PhysicalParams, model: IceModel, a1_max: float,
     returned by :func:`newton_solve`, so it sits at the rounding floor of
     the residual and carries its Newton record; its ``newton_steps`` counts
     the steps of every solve at its a_1, those after a mode doubling
-    included.
+    included.  The branch stops once a_1 is within 1e-15 of a1_max, but it
+    holds at least one point, at a1_max, whenever a1_max exceeds the start.
     """
     if not 0 < a1_max < math.inf:
         raise ValueError(f"a1_max must be positive and finite, got {a1_max}")
@@ -293,7 +294,7 @@ def continue_branch(params: PhysicalParams, model: IceModel, a1_max: float,
     branch = BifurcationBranch(params=params, model=model, points=[])
 
     step = min(config.amplitude_step, max(a1_max - a1, config.amplitude_step * 1e-6))
-    while a1 < a1_max - 1e-15:
+    while a1 < a1_max - 1e-15 or (not branch.points and a1 < a1_max):
         a1_try = min(a1 + step, a1_max)
         try:
             wave = newton_solve(_predict(history, a1_try), a1_try, params, model)

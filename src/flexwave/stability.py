@@ -12,7 +12,7 @@ whose blocks are convolution (Toeplitz-type) matrices built from FFT
 coefficients of the variable-coefficient grid functions.  With D_x = i*mu +
 d/dx acting on column mode n as i*(mu+n), the linearized local equation reads
 
-    lambda (f eta1 - q1) = (qx0-c) D_x q1 + g eta1
+    lambda (f eta1 - q1) = (qx0-c) D_x q1 + eta1
                            - f [ (qx0-c) D_x eta1 + eta0_x D_x q1 ]
                            + f^2 eta0_x D_x eta1 + D G(eta0; eta1),
 
@@ -27,7 +27,7 @@ where St_m = K_{mu+m}(eta0) and Ct_m = K'_{mu+m}(eta0) are the depth kernels of
 `core.depth_kernels`, with T_m = tanh((mu+m) h) (sign(mu+m) in infinite depth).
 At zero amplitude the eigenvalues reduce to
 
-    lambda_pm = i c (mu+m) +/- i sqrt[(g (mu+m) + D (mu+m)^5) tanh((mu+m) h)],
+    lambda_pm = i c (mu+m) +/- i sqrt[((mu+m) + D (mu+m)^5) tanh((mu+m) h)],
 
 which pins every sign and index convention used below.
 
@@ -245,7 +245,7 @@ class _FloquetOperator:
         s = mu + _mode_numbers(n_modes)  # D_x = i s on column mode n
 
         # local equation
-        s_blk = params.g * np.eye(s.size) - self.s_conv * s[None, :] + params.D * _flex_matrix(self.flex, s)
+        s_blk = np.eye(s.size) - self.s_conv * s[None, :] + params.D * _flex_matrix(self.flex, s)
         t_blk = self.t_conv * s[None, :]
 
         # nonlocal equation at row m, bounded depth kernels: one rfft of the
@@ -290,9 +290,9 @@ def solve_spectrum(l1: np.ndarray, l2: np.ndarray) -> np.ndarray:
     are eigenvalues at infinity and are dropped.
 
     No sweep calls this: on the pencil of `assemble_matrices` it is the
-    reference that the sweep's reduced solve is checked against.  scipy is
-    imported here, not at module load: the sweep needs numpy alone, and
-    scipy.linalg adds about 0.4 s and 25 MB to every process that imports it.
+    reference that the sweep's reduced solve is checked against.  Its scipy
+    comes with the ``test`` extra only, and is imported here, not at module
+    load: scipy.linalg costs about 0.4 s and 25 MB a process.
     """
     import scipy.linalg
 

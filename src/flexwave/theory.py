@@ -34,9 +34,9 @@ __all__ = [
     "find_collisions",
 ]
 
-#: Relative half-width (in units of g) of the excluded strip around the
-#: vanishing NLS denominator g - 14 k^4 D.  Inside it the coefficients are
-#: meaningless and we raise instead of returning a huge M.
+#: Half-width of the excluded strip around the vanishing NLS denominator
+#: 1 - 14 D.  Inside it the coefficients are meaningless and we raise
+#: instead of returning a huge M.
 WILTON_POLE_RTOL = 1e-8
 
 #: Width in mu to which `find_collisions` bisects each collision; nearer
@@ -45,7 +45,7 @@ COLLISION_MU_TOL = 1e-10
 
 
 class WiltonPole(ValueError, NumericalFailure):
-    """Parameters sit on the vanishing denominator g - 14 k^4 D = 0."""
+    """Parameters sit on the vanishing denominator 1 - 14 D = 0."""
 
 
 class FiniteDepthUnsupported(ValueError, NumericalFailure):
@@ -58,8 +58,8 @@ class NoPositiveRoot(ValueError, NumericalFailure):
 
 @dataclass(frozen=True)
 class NlsCoefficients:
-    """Carrier frequency, group velocity, dispersion curvature and the
-    nonlinear coefficient of the envelope equation (deep water).
+    """Frequency, group velocity, dispersion curvature and nonlinear
+    coefficient of the k = 1 carrier's envelope equation (deep water).
 
     The amplitude argument of :func:`growth_rate` and :func:`c_nls` is the
     envelope amplitude ``a``; a physical profile ``a1*cos(x)`` corresponds
@@ -70,7 +70,6 @@ class NlsCoefficients:
     omega_p: float
     omega_pp: float
     M: float
-    k: int = 1
 
     @property
     def focusing(self) -> bool:
@@ -93,17 +92,17 @@ class NlsCoefficients:
 
 
 def _omega(k, params: PhysicalParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(omega, P, T) of omega^2 = P T, P = g k + D k^5, T = tanh(k h) (sign(k) in
+    """(omega, P, T) of omega^2 = P T, P = k + D k^5, T = tanh(k h) (sign(k) in
     deep water), elementwise in k; omega >= 0 is even in k and 0 at k = 0."""
     k = np.asarray(k, dtype=float)
-    p, t = params.g * k + params.D * k**5, depth_factor(k, params.h)
+    p, t = k + params.D * k**5, depth_factor(k, params.h)
     return np.sqrt(p * t), p, t
 
 
 def dispersion(k: float, params: PhysicalParams) -> float:
-    """Positive branch of omega^2 = (g k + D k^5) tanh(k h), at k != 0.
+    """Positive branch of omega^2 = (k + D k^5) tanh(k h), at k != 0.
 
-    In infinite depth this reduces to omega^2 = |k| (g + k^4 D).
+    In infinite depth this reduces to omega^2 = |k| (1 + k^4 D).
     """
     return dispersion_derivatives(k, params)[0]
 
@@ -112,14 +111,14 @@ def dispersion_derivatives(k: float, params: PhysicalParams) -> tuple[float, flo
     """omega, omega' and omega'' at wavenumber k != 0, at any depth, in closed form.
 
     With Omega = omega^2 = P T from `_omega`: omega' = Omega'/(2 omega) and
-    omega'' = (Omega'' - 2 omega'^2)/(2 omega), using P' = g + 5 D k^4,
+    omega'' = (Omega'' - 2 omega'^2)/(2 omega), using P' = 1 + 5 D k^4,
     P'' = 20 D k^3, T' = h sech^2(k h) and T'' = -2 h^2 sech^2(k h) tanh(k h).
     """
     if k == 0:
         raise ValueError("dispersion is undefined at k = 0")
     omega, p, t = map(float, _omega(k, params))
-    g, d, h = params.g, params.D, params.h
-    p1, p2, t1, t2 = g + 5.0 * d * k**4, 20.0 * d * k**3, 0.0, 0.0
+    d, h = params.D, params.h
+    p1, p2, t1, t2 = 1.0 + 5.0 * d * k**4, 20.0 * d * k**3, 0.0, 0.0
     if not params.infinite_depth:
         e = math.exp(-2.0 * abs(k * h))
         sech_sq = 4.0 * e / (1.0 + e) ** 2  # no overflow at large k h
@@ -129,34 +128,29 @@ def dispersion_derivatives(k: float, params: PhysicalParams) -> tuple[float, flo
     return omega, omega_p, omega_pp
 
 
-def _check_wilton(g: float, k4d: float):
-    if abs(g - 14.0 * k4d) < WILTON_POLE_RTOL * g:
-        raise WiltonPole(f"g - 14 k^4 D = {g - 14.0 * k4d:.3e} is inside the excluded strip")
+def _check_wilton(d: float):
+    if abs(1.0 - 14.0 * d) < WILTON_POLE_RTOL:
+        raise WiltonPole(f"1 - 14 D = {1.0 - 14.0 * d:.3e} is inside the excluded strip")
 
 
-def nls_coefficients(model: IceModel, k: int, params: PhysicalParams) -> NlsCoefficients:
-    """Envelope-equation coefficients for carrier wavenumber k, deep water.
+def nls_coefficients(model: IceModel, params: PhysicalParams) -> NlsCoefficients:
+    """Envelope-equation coefficients of the k = 1 carrier, deep water.
 
     omega, omega' and omega'' come from `dispersion_derivatives`; M differs
     between the linear (biharmonic) and nonlinear (Toland/Cosserat) ice models.
-    Raises :class:`WiltonPole` near the vanishing denominator g - 14 k^4 D
-    (at D = 1/14 for g = 1, k = 1) and :class:`FiniteDepthUnsupported` for
-    finite depth.
+    Raises :class:`WiltonPole` near the vanishing denominator 1 - 14 D and
+    :class:`FiniteDepthUnsupported` for finite depth.
     """
     if not params.infinite_depth:
         raise FiniteDepthUnsupported("NLS coefficients are derived for h = infinity")
-    g, k4d = params.g, k**4 * params.D
-    _check_wilton(g, k4d)
-    omega, omega_p, omega_pp = dispersion_derivatives(k, params)
+    d = params.D
+    _check_wilton(d)
+    omega, omega_p, omega_pp = dispersion_derivatives(1, params)
     if model is IceModel.NONLINEAR_COSSERAT:
-        m = -omega * k**2 * (4.0 * g**2 - 27.0 * g * k4d + 44.0 * k4d**2) / (
-            2.0 * (g + k4d) * (g - 14.0 * k4d)
-        )
+        m = -omega * (4.0 - 27.0 * d + 44.0 * d**2) / (2.0 * (1.0 + d) * (1.0 - 14.0 * d))
     else:
-        m = -omega * k**2 * (2.0 * g**2 - 11.0 * g * k4d - 13.0 * k4d**2) / (
-            (g + k4d) * (g - 14.0 * k4d)
-        )
-    return NlsCoefficients(omega=omega, omega_p=omega_p, omega_pp=omega_pp, M=m, k=k)
+        m = -omega * (2.0 - 11.0 * d - 13.0 * d**2) / ((1.0 + d) * (1.0 - 14.0 * d))
+    return NlsCoefficients(omega=omega, omega_p=omega_p, omega_pp=omega_pp, M=m)
 
 
 def growth_rate(mu: float, a: float, coeffs: NlsCoefficients) -> float:
@@ -169,42 +163,37 @@ def growth_rate(mu: float, a: float, coeffs: NlsCoefficients) -> float:
     return math.sqrt(omega_sq) if omega_sq > 0 else 0.0
 
 
-def c_nls(a: float, coeffs: NlsCoefficients, params: PhysicalParams) -> float:
+def c_nls(a: float, coeffs: NlsCoefficients) -> float:
     """Speed of the weakly nonlinear k=1 branch, omega - M a^2.
 
     ``a`` is the envelope amplitude; to predict the speed of a computed wave
     with first cosine coefficient a1, pass a = a1/2.
     """
-    if coeffs.k != 1:
-        raise ValueError("the branch-speed formula is for the k = 1 carrier")
     return coeffs.omega - coeffs.M * a**2
 
 
-def second_harmonic(eta1: complex, k: int, params: PhysicalParams) -> complex:
-    """Leading-order second-harmonic amplitude (g + k^4 D)/(g - 14 k^4 D) |k| eta1^2."""
-    g, d = params.g, params.D
-    k4d = k**4 * d
-    _check_wilton(g, k4d)
-    return (g + k4d) / (g - 14.0 * k4d) * abs(k) * eta1**2
+def second_harmonic(eta1: complex, params: PhysicalParams) -> complex:
+    """Leading-order second-harmonic amplitude (1 + D)/(1 - 14 D) eta1^2 of the k = 1 carrier."""
+    _check_wilton(params.D)
+    return (1.0 + params.D) / (1.0 - 14.0 * params.D) * eta1**2
 
 
 def resonant_rigidity(big_k: int, params: PhysicalParams) -> float:
     """Rigidity D at which mode K is resonant with the fundamental.
 
-    Solves (g + D) K tanh(h) = (g + K^4 D) tanh(K h) for D; in infinite
-    depth this is g (K - 1)/(K^4 - K) = g/(K^3 + K^2 + K).
+    Solves (1 + D) K tanh(h) = (1 + K^4 D) tanh(K h) for D; in infinite
+    depth this is (K - 1)/(K^4 - K) = 1/(K^3 + K^2 + K).
     """
     if big_k < 2:
         raise ValueError("resonant mode K must be >= 2")
-    g = params.g
     if params.infinite_depth:
-        d = g / (big_k**3 + big_k**2 + big_k)
+        d = 1.0 / (big_k**3 + big_k**2 + big_k)
     else:
         th, tkh = math.tanh(params.h), math.tanh(big_k * params.h)
         denom = big_k**4 * tkh - big_k * th
         if denom == 0:
             raise NoPositiveRoot("degenerate resonance denominator")
-        d = g * (big_k * th - tkh) / denom
+        d = (big_k * th - tkh) / denom
     if d <= 0:
         raise NoPositiveRoot(f"resonance condition gives D = {d:.3e} <= 0 for K = {big_k}")
     return d
@@ -214,7 +203,7 @@ def flat_eigenvalues(mu, m: int, c: float, params: PhysicalParams) -> tuple[np.n
     """Purely imaginary spectrum of the flat state in the frame moving at c,
     at one Floquet exponent or an array of them:
 
-        lambda_pm = i c (mu+m) +/- i sqrt[(g (mu+m) + D (mu+m)^5) tanh((mu+m) h)].
+        lambda_pm = i c (mu+m) +/- i sqrt[((mu+m) + D (mu+m)^5) tanh((mu+m) h)].
     """
     s = np.asarray(mu, dtype=float) + m
     root = _omega(s, params)[0]

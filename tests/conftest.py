@@ -17,10 +17,10 @@ from flexwave.solver import SolverConfig, continue_branch
 def branch_cache():
     cache = {}
 
-    def get(d, model, a1_max, h=INFINITE_DEPTH, g=1.0, n_modes=16, step=2e-3):
-        key = (d, model, a1_max, h, g, n_modes, step)
+    def get(d, model, a1_max, h=INFINITE_DEPTH, n_modes=16, step=2e-3):
+        key = (d, model, a1_max, h, n_modes, step)
         if key not in cache:
-            params = PhysicalParams(g=g, h=h, D=d)
+            params = PhysicalParams(h=h, D=d)
             config = SolverConfig(n_modes=n_modes, amplitude_step=step)
             cache[key] = continue_branch(params, model, a1_max, config)
         return cache[key]

@@ -10,8 +10,8 @@ import pytest
 from flexwave import cli
 from flexwave.cli import build_parser, load_branch, main, merge_config
 from flexwave.core import IceModel, NumericalFailure
-from flexwave.solver import RESIDUAL_TOL, residual
-from flexwave.theory import c_nls, dispersion, nls_coefficients
+from flexwave.solver import RESIDUAL_TOL, bifurcation_speed, residual
+from flexwave.theory import c_nls, dispersion, find_collisions, nls_coefficients
 from flexwave.core import PhysicalParams
 
 
@@ -63,7 +63,7 @@ class TestDispersionCommand:
         rc = main(["dispersion", "--k-list", "1 2", "--D", "0.1", "--out", str(tmp_path)])
         assert rc == 0
         header, rows = read_rows(tmp_path / "dispersion.csv")
-        co = nls_coefficients(IceModel.LINEAR_BIHARMONIC, 1, PhysicalParams(D=0.1))
+        co = nls_coefficients(IceModel.LINEAR_BIHARMONIC, PhysicalParams(D=0.1))
         k1 = {h: float(v) for h, v in zip(header, rows[0])}
         assert k1["omega"] == pytest.approx(co.omega, rel=1e-12)
         assert k1["omega_p"] == pytest.approx(co.omega_p, rel=1e-12)
@@ -81,6 +81,20 @@ class TestDispersionCommand:
             assert r["omega"] == w[1]
             assert r["omega_p"] == pytest.approx((w[2] - w[0]) / (2 * dk), rel=1e-7)
             assert r["omega_pp"] == pytest.approx((w[2] - 2 * w[1] + w[0]) / dk**2, rel=1e-5)
+
+
+class TestCollisionsCommand:
+    def test_rows_are_the_collisions_at_the_bifurcation_speed(self, tmp_path):
+        assert main(["collisions", "--D", "0.01", "--m-range", "4", "--mu-grid", "401", "--out", str(tmp_path)]) == 0
+        meta = json.loads((tmp_path / "collisions.meta.json").read_text())
+        params = PhysicalParams(D=0.01)
+        assert meta["c"] == bifurcation_speed(params)
+        header, rows = read_rows(tmp_path / "collisions.csv")
+        assert header == ["mu", "m1", "s1", "m2", "s2", "re_lambda", "im_lambda"]
+        expected = [(r.mu, r.m1, r.s1, r.m2, r.s2, r.lam.real, r.lam.imag)
+                    for r in find_collisions(params, meta["c"], mu_grid=401, m_range=4)]
+        assert rows and meta["count"] == len(rows)
+        assert [tuple(map(float, row)) for row in rows] == expected
 
 
 class TestBranchCommand:
@@ -114,9 +128,9 @@ class TestBranchCommand:
         assert main(self.ARGS + ["--out", str(tmp_path)]) == 0
         header, rows = read_rows(tmp_path / "branch_nls_linear.csv")
         params = PhysicalParams(D=0.01)
-        co = nls_coefficients(IceModel.LINEAR_BIHARMONIC, 1, params)
+        co = nls_coefficients(IceModel.LINEAR_BIHARMONIC, params)
         for a1_s, c_s in rows:
-            assert float(c_s) == pytest.approx(c_nls(float(a1_s) / 2, co, params), rel=1e-12)
+            assert float(c_s) == pytest.approx(c_nls(float(a1_s) / 2, co), rel=1e-12)
 
     def test_resume_extends_branch(self, tmp_path):
         assert main(self.ARGS + ["--out", str(tmp_path)]) == 0
@@ -144,6 +158,50 @@ class TestBranchCommand:
         assert main(["branch", "--model", "linear", "--a1-max", "0.003", "--resume", str(prior), "--out", str(out)]) == 0
         meta = json.loads((out / "branch_linear.meta.json").read_text())
         assert [p["n_modes"] for p in meta["points"]] == [40, 40, 40, 40]
+
+    def test_a1_max_within_the_stop_tolerance_gives_one_point(self, tmp_path):
+        # continuation stops within 1e-15 of a1-max, but not before its first point
+        assert main(["branch", "--a1-max", "1e-16", "--modes", "8", "--out", str(tmp_path)]) == 0
+        for model in ("linear", "nonlinear"):
+            assert [w.a1 for w in load_branch(tmp_path / f"branch_{model}.csv").points] == [1e-16]
+
+    @staticmethod
+    def edited_prior(tmp_path, edit):
+        """A linear branch up to a1 = 0.001 whose sidecar `edit` changed."""
+        prior = tmp_path / "prior" / "branch_linear.csv"
+        assert main(["branch", "--model", "linear", "--a1-max", "0.001", "--out", str(prior.parent)]) == 0
+        meta_path = prior.with_name("branch_linear.meta.json")
+        meta = json.loads(meta_path.read_text())
+        edit(meta)
+        meta_path.write_text(json.dumps(meta))
+        return prior
+
+    @staticmethod
+    def resume_to_002(prior, out):
+        return main(["branch", "--model", "linear", "--a1-max", "0.002", "--resume", str(prior), "--out", str(out)])
+
+    def test_resume_from_a_branch_with_no_point_is_a_config_error(self, tmp_path, capsys):
+        # what a branch that stalls before its first point leaves behind
+        prior = self.edited_prior(tmp_path, lambda meta: meta.update(points=[]))
+        prior.write_text("c\n")
+        out = tmp_path / "resumed"
+        assert self.resume_to_002(prior, out) == 2
+        assert "no point" in capsys.readouterr().err
+        assert not out.exists()
+
+    # sidecars recorded a gravity g among their params until g was fixed at 1
+    def test_resume_accepts_a_sidecar_with_unit_gravity(self, tmp_path):
+        prior = self.edited_prior(tmp_path, lambda meta: meta["params"].update(g=1.0))
+        out = tmp_path / "resumed"
+        assert self.resume_to_002(prior, out) == 0
+        assert "g" not in json.loads((out / "branch_linear.meta.json").read_text())["params"]
+
+    def test_resume_from_a_sidecar_with_other_gravity_is_a_config_error(self, tmp_path, capsys):
+        prior = self.edited_prior(tmp_path, lambda meta: meta["params"].update(g=2.5))
+        out = tmp_path / "resumed"
+        assert self.resume_to_002(prior, out) == 2
+        assert "rigidity D/g" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_resume_rejects_a_model_the_prior_branch_lacks(self, tmp_path, capsys):
         assert main(self.ARGS + ["--out", str(tmp_path)]) == 0
@@ -231,6 +289,13 @@ class TestStabilityCommand:
         assert 1.0 <= report["reports"][0]["max_cond_c"] < 1e2
         assert report["reports"][0]["cond_c_mu"] == -0.5  # the grid's largest |mu|
 
+
+    def test_a1_max_within_the_stop_tolerance_is_swept(self, tmp_path):
+        rc = main(["stability", "--a1-max", "1e-16", "--modes", "8", "--mu-count", "5", "--out", str(tmp_path)])
+        assert rc == 0
+        for model in ("linear", "nonlinear"):
+            (report,) = json.loads((tmp_path / f"stability_{model}.meta.json").read_text())["reports"]
+            assert report["a1"] == 1e-16
 
     def test_wave_picked_by_two_targets_is_swept_once(self, tmp_path, monkeypatch):
         # both targets are nearest the a1 = 0.001 point of the branch
@@ -329,6 +394,21 @@ class TestConfigHandling:
         assert [int(r[0]) for r in rows] == [2, 3]
         assert float(rows[0][2]) == pytest.approx(1.0 / 14.0, rel=1e-12)
 
+    def test_config_file_unit_gravity_is_dropped(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("g = 1\n")
+        assert main(["resonance", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert "g" not in json.loads((tmp_path / "out" / "resonance.meta.json").read_text())["config"]
+
+    @pytest.mark.parametrize("value", ["2.5", "0", "abc"])
+    def test_config_file_gravity_other_than_one_is_a_config_error(self, tmp_path, capsys, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"g = {value}\n")
+        out = tmp_path / "out"
+        assert main(["resonance", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "rigidity D/g" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "command, flag, file_text, flag_text, default",
         [
@@ -385,7 +465,6 @@ class TestConfigHandling:
             ["compare", "--modes", "0"],
             ["branch", "--a1-step", "0"],
             ["stability", "--max-modes", "4", "--modes", "8"],
-            ["nls", "--g", "-1"],
             ["collisions", "--D", "0.01 0.02"],
             ["dispersion", "--D", "0.1 -1"],
             ["nls", "--D", "0 -1"],
@@ -393,7 +472,6 @@ class TestConfigHandling:
             ["branch", "--model", "linear", "--D", "nan", "--modes", "8", "--a1-max", "0.002"],
             ["branch", "--model", "linear", "--D", "inf", "--modes", "8", "--a1-max", "0.002"],
             ["branch", "--model", "linear", "--a1-step", "nan", "--modes", "8", "--a1-max", "0.002"],
-            ["branch", "--model", "linear", "--g", "inf", "--modes", "8", "--a1-max", "0.002"],
             ["stability", "--a1-max", "inf"],
             ["stability", "--a1-list", "0.01 nan"],
             ["dispersion", "--D", "nan"],
@@ -412,8 +490,8 @@ class TestConfigHandling:
         ],
         ids=["h", "D", "K-list", "k-list", "a1-list", "D-grid", "mu-grid", "mu-count", "mu-count-compare",
              "floquet-modes", "floquet-modes-compare", "k-zero", "a1-max-negative", "a1-max-zero", "modes",
-             "a1-step", "max-modes", "g", "D-count", "D-list-dispersion", "D-list-nls", "D-grid-negative",
-             "D-nan", "D-inf", "a1-step-nan", "g-inf", "a1-max-inf", "a1-list-nan", "D-nan-dispersion",
+             "a1-step", "max-modes", "D-count", "D-list-dispersion", "D-list-nls", "D-grid-negative",
+             "D-nan", "D-inf", "a1-step-nan", "a1-max-inf", "a1-list-nan", "D-nan-dispersion",
              "k-list-inf", "D-nan-nls", "D-grid-inf", "c-nan", "c-inf",
              "a1-list-negative", "a1-list-zero-compare", "a1-list-above-a1-max",
              "K-list-one", "K-list-zero", "m-range-negative", "model"],
@@ -453,7 +531,7 @@ class TestConfigHandling:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
-    #: Tiny values for the flags of each command beyond --g, --h, --out and --resume.
+    #: Tiny values for the flags of each command beyond --h, --out and --resume.
     ALL_FLAGS = {
         "dispersion": ["--D", "0.1", "--k-list", "1 2"],
         "nls": ["--D", "0.1", "--D-grid", "0 0.1 2"],
@@ -470,7 +548,7 @@ class TestConfigHandling:
     @pytest.mark.parametrize("command", list(cli.COMMANDS))
     @pytest.mark.parametrize("shared_config", [False, True])
     def test_sidecar_records_exactly_the_command_flags(self, tmp_path, command, shared_config):
-        argv = [command, *self.ALL_FLAGS[command], "--g", "1", "--h", "inf", "--out", str(tmp_path / "out")]
+        argv = [command, *self.ALL_FLAGS[command], "--h", "inf", "--out", str(tmp_path / "out")]
         if shared_config:
             # one file for several commands: keys that are no flag of this
             # command are dropped, not recorded
@@ -490,7 +568,9 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize(
         "argv", [["dispersion", "--modes", "12"], ["collisions", "--a1-max", "0.3"], ["resonance", "--D", "1"],
-                 ["branch", "--mu-count", "5"], ["compare", "--overlay-sign", "c_minus_vg"]]
+                 ["branch", "--mu-count", "5"], ["compare", "--overlay-sign", "c_minus_vg"],
+                 ["nls", "--g", "-1"],
+                 ["branch", "--model", "linear", "--g", "inf", "--modes", "8", "--a1-max", "0.002"]]
     )
     def test_flag_the_command_does_not_read_is_rejected(self, tmp_path, argv):
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
@@ -506,7 +586,7 @@ class TestConfigHandling:
         assert rc == 2
 
     def test_invalid_params_rejected(self, tmp_path):
-        rc = main(["branch", "--g", "-1", "--model", "linear", "--a1-max", "0.001", "--out", str(tmp_path)])
+        rc = main(["branch", "--h", "-1", "--model", "linear", "--a1-max", "0.001", "--out", str(tmp_path)])
         assert rc == 2
 
 

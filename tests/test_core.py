@@ -31,10 +31,9 @@ def cosine(*coeffs):
 class TestParams:
     def test_defaults(self):
         p = PhysicalParams()
-        assert p.g == 1.0 and p.D == 0.0 and p.infinite_depth
+        assert p.D == 0.0 and p.infinite_depth
 
-    @pytest.mark.parametrize("kwargs", [dict(g=0.0), dict(g=-1.0), dict(h=0.0), dict(h=-2.0), dict(D=-0.1),
-                                        dict(g=math.inf), dict(g=math.nan), dict(h=math.nan),
+    @pytest.mark.parametrize("kwargs", [dict(h=0.0), dict(h=-2.0), dict(D=-0.1), dict(h=math.nan),
                                         dict(D=math.inf), dict(D=math.nan)])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
@@ -213,8 +212,8 @@ class TestDepthKernels:
 
 
 class TestQx:
-    def qx(self, coeffs, c, m, g=1.0, h=INFINITE_DEPTH, d=0.0, model=LIN):
-        return qx_on_grid(eval_profile(cosine(*coeffs), m), c, PhysicalParams(g=g, h=h, D=d), model)
+    def qx(self, coeffs, c, m, h=INFINITE_DEPTH, d=0.0, model=LIN):
+        return qx_on_grid(eval_profile(cosine(*coeffs), m), c, PhysicalParams(h=h, D=d), model)
 
     def test_flat_water_any_speed(self):
         for c in (0.5, 1.0, 3.0):

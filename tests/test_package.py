@@ -30,6 +30,31 @@ def test_import_loads_no_scipy(fresh_python):
     assert json.loads(loaded) == []
 
 
+def test_every_command_runs_without_scipy(fresh_python, tmp_path):
+    # numpy is the only runtime dependency; scipy serves the QZ reference of
+    # the tests alone
+    code = (
+        "import json, sys\n"
+        "sys.modules['scipy'] = None  # every import of scipy now fails\n"
+        "from flexwave.cli import main\n"
+        "out, runs = sys.argv[1], json.loads(sys.argv[2])\n"
+        "print(json.dumps({cmd: main([cmd, *argv, '--out', f'{out}/{cmd}']) for cmd, argv in runs.items()}))"
+    )
+    branch = ["--model", "linear", "--modes", "8", "--a1-max", "0.002"]
+    runs = {
+        "dispersion": [],
+        "nls": [],
+        "resonance": [],
+        "collisions": ["--m-range", "2", "--mu-grid", "11"],
+        "branch": branch,
+        "stability": [*branch, "--mu-count", "3"],
+        "compare": ["--D", "0.01", *branch, "--mu-count", "3"],
+    }
+    assert list(runs) == list(importlib.import_module("flexwave.cli").COMMANDS)
+    codes = json.loads(fresh_python(code, str(tmp_path), json.dumps(runs)))
+    assert codes == dict.fromkeys(runs, 0)
+
+
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 

@@ -36,7 +36,7 @@ NL = IceModel.NONLINEAR_COSSERAT
 
 
 def deep(d):
-    return PhysicalParams(g=1.0, h=INFINITE_DEPTH, D=d)
+    return PhysicalParams(h=INFINITE_DEPTH, D=d)
 
 
 class TestResidual:
@@ -197,7 +197,7 @@ class TestNewton:
         z0 = np.zeros(16)
         z0[0] = bifurcation_speed(p)
         wave = newton_solve(z0, 1e-3, p, LIN)
-        assert (wave.c > math.sqrt(p.g + p.D)) is expect_faster
+        assert (wave.c > math.sqrt(1.0 + p.D)) is expect_faster
 
     def test_recovers_bifurcation_speed(self):
         for d in (0.01, 0.1, 25.0):
@@ -257,10 +257,10 @@ class TestContinuation:
         for d in (0.01, 0.1):
             for model in (LIN, NL):
                 branch = branch_cache(d, model, 0.01)
-                coeffs = nls_coefficients(model, 1, branch.params)
+                coeffs = nls_coefficients(model, branch.params)
                 c0 = bifurcation_speed(branch.params)
                 for w in branch.points:
-                    predicted = c_nls(w.a1 / 2.0, coeffs, branch.params)
+                    predicted = c_nls(w.a1 / 2.0, coeffs)
                     assert abs(w.c - predicted) <= 0.2 * abs(predicted - c0)
 
     def test_mode_doubling_leaves_speed_unchanged(self, small_wave_d001):

@@ -554,7 +554,7 @@ class TestClassify:
         wave = branch_cache(d, model, 0.02).points[-1]
         report = classify(sweep_floquet(wave, np.linspace(-0.05, 0.05, 41), n_modes=16))
         modulational = any(c.kind is InstabilityKind.MODULATIONAL for c in report.clusters)
-        assert modulational == nls_coefficients(model, 1, wave.params).focusing
+        assert modulational == nls_coefficients(model, wave.params).focusing
 
     @pytest.mark.parametrize("d", [0.01, 0.1, 1.0])
     @pytest.mark.parametrize("model", [LIN, NL])
@@ -563,7 +563,7 @@ class TestClassify:
         # read one omega'
         wave = branch_cache(d, model, 0.02).points[-1]
         spec = sweep_floquet(wave, [0.1], n_modes=4)
-        assert spec.c_minus_vg == wave.c - nls_coefficients(model, 1, wave.params).omega_p
+        assert spec.c_minus_vg == wave.c - nls_coefficients(model, wave.params).omega_p
 
     @pytest.mark.parametrize("n", [16, 32])
     def test_truncation_edge_adds_no_growth(self, branch_cache, n):
@@ -618,7 +618,7 @@ class TestClassify:
 
 class TestOverlay:
     def coeffs(self, d, model=LIN):
-        return nls_coefficients(model, 1, PhysicalParams(D=d))
+        return nls_coefficients(model, PhysicalParams(D=d))
 
     def test_endpoints_reach_origin(self):
         curve = nls_overlay(self.coeffs(0.01), 0.005, 1.005, mu_grid=31)
@@ -638,7 +638,7 @@ class TestOverlay:
         for d, lin_outside in ((0.01, True), (0.1, False)):
             ext = {}
             for model in (LIN, NL):
-                co = nls_coefficients(model, 1, PhysicalParams(D=d))
+                co = nls_coefficients(model, PhysicalParams(D=d))
                 curve = nls_overlay(co, 0.005, 1.0, mu_grid=801)
                 ext[model] = (curve[:, 1].max(), np.abs(curve[:, 2]).max())
             lin_bigger = all(ext[LIN][i] > ext[NL][i] for i in range(2))

@@ -25,11 +25,11 @@ from flexwave.solver import RESIDUAL_TOL, bifurcation_speed
 LIN = IceModel.LINEAR_BIHARMONIC
 NL = IceModel.NONLINEAR_COSSERAT
 
-DEEP = PhysicalParams(g=1.0, h=INFINITE_DEPTH, D=0.0)
+DEEP = PhysicalParams(h=INFINITE_DEPTH, D=0.0)
 
 
 def deep(d):
-    return PhysicalParams(g=1.0, h=INFINITE_DEPTH, D=d)
+    return PhysicalParams(h=INFINITE_DEPTH, D=d)
 
 
 class TestDispersion:
@@ -59,7 +59,7 @@ class TestDispersion:
 class TestNlsCoefficients:
     def test_gravity_limit_values(self):
         for model in (LIN, NL):
-            co = nls_coefficients(model, 1, DEEP)
+            co = nls_coefficients(model, DEEP)
             assert co.omega == pytest.approx(1.0)
             assert co.omega_p == pytest.approx(0.5)
             assert co.omega_pp == pytest.approx(-0.25)
@@ -68,34 +68,34 @@ class TestNlsCoefficients:
     def test_wilton_pole_blowup(self):
         for d in (1.0 / 14.0 - 1e-6, 1.0 / 14.0 + 1e-6):
             for model in (LIN, NL):
-                assert abs(nls_coefficients(model, 1, deep(d)).M) > 1e4
+                assert abs(nls_coefficients(model, deep(d)).M) > 1e4
 
     def test_wilton_pole_raises_inside_strip(self):
         with pytest.raises(WiltonPole):
-            nls_coefficients(LIN, 1, deep((1.0 + 1e-9) / 14.0))
+            nls_coefficients(LIN, deep((1.0 + 1e-9) / 14.0))
 
     def test_finite_depth_rejected(self):
         with pytest.raises(FiniteDepthUnsupported):
-            nls_coefficients(LIN, 1, PhysicalParams(h=1.0))
+            nls_coefficients(LIN, PhysicalParams(h=1.0))
 
     def test_curvature_sign_change(self):
-        # positive root of 15 u^2 + 30 g u - g^2 = 0, u = k^4 D, at g = k = 1
+        # positive root of 15 D^2 + 30 D - 1 = 0
         d_star = (-30.0 + math.sqrt(960.0)) / 30.0
         assert d_star == pytest.approx(0.03280, abs=1e-4)
-        below = nls_coefficients(LIN, 1, deep(d_star - 1e-3)).omega_pp
-        above = nls_coefficients(LIN, 1, deep(d_star + 1e-3)).omega_pp
+        below = nls_coefficients(LIN, deep(d_star - 1e-3)).omega_pp
+        above = nls_coefficients(LIN, deep(d_star + 1e-3)).omega_pp
         assert below < 0 < above
 
-    @pytest.mark.parametrize("g", [0.5, 1.0, 2.0])
-    @pytest.mark.parametrize("d", [0.0, 0.02, 0.2, 5.0])
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_sign_locks(self, g, d, k):
-        if abs(g - 14 * k**4 * d) < 1e-6 * g:
-            pytest.skip("on the resonance pole")
-        co = nls_coefficients(LIN, k, PhysicalParams(g=g, D=d))
-        numer = g**2 - 30 * g * k**4 * d - 15 * (k**4 * d) ** 2
+    # a carrier k under gravity g at rigidity d has the omega' and omega''
+    # signs of the k = 1 carrier at D = d k^4/g: the grid of (g, d, k) in
+    # (0.5, 1, 2) x (0, 0.02, 0.2, 5) x (1, 2, 3), as its distinct D
+    @pytest.mark.parametrize(
+        "d", sorted({d * k**4 / g for g in (0.5, 1.0, 2.0) for d in (0.0, 0.02, 0.2, 5.0) for k in (1, 2, 3)})
+    )
+    def test_sign_locks(self, d):
+        co = nls_coefficients(LIN, deep(d))
         assert co.omega_p > 0
-        assert co.omega_pp * numer < 0
+        assert co.omega_pp * (1 - 30 * d - 15 * d**2) < 0
 
 
 class TestClassification:
@@ -111,20 +111,13 @@ class TestClassification:
     @pytest.mark.parametrize("d", sorted(TABLE))
     def test_regimes(self, d):
         expected_lin, expected_nl = self.TABLE[d]
-        assert nls_coefficients(LIN, 1, deep(d)).focusing is expected_lin
-        assert nls_coefficients(NL, 1, deep(d)).focusing is expected_nl
-
-    @pytest.mark.parametrize("scale", [0.5, 1.0, 2.0])
-    @pytest.mark.parametrize("d", [0.01, 0.05, 0.1, 0.3, 25.0])
-    def test_invariant_under_joint_rescaling(self, scale, d):
-        base = nls_coefficients(LIN, 1, deep(d)).focusing
-        scaled = nls_coefficients(LIN, 1, PhysicalParams(g=scale, D=scale * d)).focusing
-        assert scaled is base
+        assert nls_coefficients(LIN, deep(d)).focusing is expected_lin
+        assert nls_coefficients(NL, deep(d)).focusing is expected_nl
 
 
 class TestGrowthRate:
     def coeffs(self):
-        return nls_coefficients(LIN, 1, DEEP)
+        return nls_coefficients(LIN, DEEP)
 
     def test_zero_sideband(self):
         assert growth_rate(0.0, 0.1, self.coeffs()) == 0.0
@@ -154,35 +147,30 @@ class TestGrowthRate:
 class TestBranchSpeed:
     def test_zero_amplitude(self):
         for d in (0.0, 0.01, 0.3):
-            co = nls_coefficients(LIN, 1, deep(d))
-            assert c_nls(0.0, co, deep(d)) == pytest.approx(math.sqrt(1 + d), rel=1e-14)
+            co = nls_coefficients(LIN, deep(d))
+            assert c_nls(0.0, co) == pytest.approx(math.sqrt(1 + d), rel=1e-14)
 
     def test_gravity_wave_value(self):
-        co = nls_coefficients(LIN, 1, DEEP)
-        assert c_nls(0.1, co, DEEP) == pytest.approx(1.02, abs=1e-14)
-
-    def test_requires_unit_carrier(self):
-        co = nls_coefficients(LIN, 2, DEEP)
-        with pytest.raises(ValueError):
-            c_nls(0.1, co, DEEP)
+        co = nls_coefficients(LIN, DEEP)
+        assert c_nls(0.1, co) == pytest.approx(1.02, abs=1e-14)
 
     @pytest.mark.parametrize("d,expect_right", [(0.01, True), (0.1, False)])
     def test_branch_direction_sign(self, d, expect_right):
-        co = nls_coefficients(LIN, 1, deep(d))
-        bends_right = c_nls(0.1, co, deep(d)) > c_nls(0.0, co, deep(d))
+        co = nls_coefficients(LIN, deep(d))
+        bends_right = c_nls(0.1, co) > c_nls(0.0, co)
         assert bends_right is expect_right
 
 
 class TestSecondHarmonic:
     def test_zero(self):
-        assert second_harmonic(0.0, 1, DEEP) == 0.0
+        assert second_harmonic(0.0, DEEP) == 0.0
 
     def test_classical_stokes_value(self):
         eps = 0.01
-        assert second_harmonic(eps, 1, DEEP) == pytest.approx(eps**2, rel=1e-14)
+        assert second_harmonic(eps, DEEP) == pytest.approx(eps**2, rel=1e-14)
 
     def test_blowup_near_pole(self):
-        val = second_harmonic(1.0, 1, deep(1.0 / 14.0 - 1e-8))
+        val = second_harmonic(1.0, deep(1.0 / 14.0 - 1e-8))
         assert abs(val) > 1e6
 
     @pytest.mark.parametrize("model", [LIN, NL])
@@ -192,7 +180,7 @@ class TestSecondHarmonic:
         # Wilton pole at D = 1/14; the second term is Newton's residual floor
         for wave in branch_cache(d, model, 0.02).points:
             a1, a2 = wave.profile.coeffs[:2]
-            pred = 2.0 * second_harmonic(a1 / 2.0, 1, wave.params)
+            pred = 2.0 * second_harmonic(a1 / 2.0, wave.params)
             assert abs(a2 - pred) <= 10.0 * a1**2 * abs(pred) + RESIDUAL_TOL
 
 
@@ -212,7 +200,7 @@ class TestResonantRigidity:
         d = resonant_rigidity(big_k, p)
         th = 1.0 if p.infinite_depth else math.tanh(h)
         tkh = 1.0 if p.infinite_depth else math.tanh(big_k * h)
-        residual = (p.g + d) * big_k * th - (p.g + big_k**4 * d) * tkh
+        residual = (1.0 + d) * big_k * th - (1.0 + big_k**4 * d) * tkh
         assert abs(residual) < 1e-12
 
     def test_mode_must_exceed_one(self):
@@ -232,7 +220,7 @@ class TestFlatEigenvalues:
 
     def test_bifurcation_collision(self):
         p = deep(0.2)
-        c = math.sqrt(p.g + p.D)
+        c = math.sqrt(1.0 + p.D)
         _, lam_m = flat_eigenvalues(0.0, 1, c, p)
         assert lam_m == pytest.approx(0.0, abs=1e-15)
 
