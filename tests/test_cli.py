@@ -400,7 +400,7 @@ class TestConfigHandling:
         assert main(["resonance", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
         assert "g" not in json.loads((tmp_path / "out" / "resonance.meta.json").read_text())["config"]
 
-    @pytest.mark.parametrize("value", ["2.5", "0", "abc"])
+    @pytest.mark.parametrize("value", ["2.5", "0", "abc", "-1", "inf", "nan"])
     def test_config_file_gravity_other_than_one_is_a_config_error(self, tmp_path, capsys, value):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"g = {value}\n")

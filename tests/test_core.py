@@ -34,7 +34,8 @@ class TestParams:
         assert p.D == 0.0 and p.infinite_depth
 
     @pytest.mark.parametrize("kwargs", [dict(h=0.0), dict(h=-2.0), dict(D=-0.1), dict(h=math.nan),
-                                        dict(D=math.inf), dict(D=math.nan)])
+                                        dict(D=math.inf), dict(D=math.nan),
+                                        dict(h=-math.inf), dict(h=-0.0), dict(D=-math.inf), dict(D=-5e-324)])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             PhysicalParams(**kwargs)

@@ -13,6 +13,7 @@ from flexwave.theory import (
     WiltonPole,
     c_nls,
     dispersion,
+    dispersion_derivatives,
     find_collisions,
     flat_eigenvalues,
     growth_rate,
@@ -48,6 +49,17 @@ class TestDispersion:
     def test_zero_wavenumber_rejected(self):
         with pytest.raises(ValueError):
             dispersion(0.0, DEEP)
+
+    # the units fix the carrier at k = 1: wavenumber K at rigidity d and depth h
+    # is the unit carrier at D = d K^4 and depth K h, with omega, omega' and
+    # omega'' times K^(1/2), K^(-1/2) and K^(-3/2)
+    @pytest.mark.parametrize("big_k", [0.5, 2.0, 3.0])
+    @pytest.mark.parametrize("d", [0.0, 0.01, 0.05, 0.3, 25.0])
+    def test_carrier_rescaling(self, big_k, d):
+        for h in (INFINITE_DEPTH, 0.7):
+            got = dispersion_derivatives(big_k, PhysicalParams(h=h, D=d))
+            unit = dispersion_derivatives(1.0, PhysicalParams(h=big_k * h, D=d * big_k**4))
+            assert_allclose(got, np.multiply(unit, [big_k**0.5, big_k**-0.5, big_k**-1.5]), rtol=1e-13)
 
     @pytest.mark.parametrize("k", [0.3, 1.0, 2.5, 7.0])
     @pytest.mark.parametrize("h", [INFINITE_DEPTH, 0.05, 2.0])
@@ -86,16 +98,16 @@ class TestNlsCoefficients:
         above = nls_coefficients(LIN, deep(d_star + 1e-3)).omega_pp
         assert below < 0 < above
 
-    # a carrier k under gravity g at rigidity d has the omega' and omega''
-    # signs of the k = 1 carrier at D = d k^4/g: the grid of (g, d, k) in
-    # (0.5, 1, 2) x (0, 0.02, 0.2, 5) x (1, 2, 3), as its distinct D
-    @pytest.mark.parametrize(
-        "d", sorted({d * k**4 / g for g in (0.5, 1.0, 2.0) for d in (0.0, 0.02, 0.2, 5.0) for k in (1, 2, 3)})
-    )
-    def test_sign_locks(self, d):
-        co = nls_coefficients(LIN, deep(d))
+    # a carrier k under gravity g at rigidity d is the k = 1 carrier at
+    # D = d k^4/g in units where g = k = 1, with the same omega' and omega'' signs
+    @pytest.mark.parametrize("g", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("d", [0.0, 0.02, 0.2, 5.0])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_sign_locks(self, g, d, k):
+        co = nls_coefficients(LIN, deep(d * k**4 / g))
+        numer = g**2 - 30 * g * k**4 * d - 15 * (k**4 * d) ** 2
         assert co.omega_p > 0
-        assert co.omega_pp * (1 - 30 * d - 15 * d**2) < 0
+        assert co.omega_pp * numer < 0
 
 
 class TestClassification:
