@@ -17,49 +17,9 @@ rest of a library caller's process, and to the processes it starts.
 
 import os
 
-# Before the first import that loads numpy: see the module docstring.
+# Runs before any submodule loads numpy: see the module docstring.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 if not any(os.environ.get(var) for var in _BLAS_THREAD_VARS):
     os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
-
-from .core import (
-    INFINITE_DEPTH,
-    GridFunction,
-    IceModel,
-    NonpositiveRadicand,
-    NumericalFailure,
-    PhysicalParams,
-    SpectralProfile,
-    TravelingWave,
-    eval_profile,
-)
-from .solver import (
-    BifurcationBranch,
-    Direction,
-    NoConvergence,
-    SingularJacobian,
-    SolverConfig,
-    StepUnderflow,
-    bifurcation_speed,
-    branch_direction,
-    continue_branch,
-    newton_solve,
-    residual,
-)
-from .theory import (
-    CollisionRecord,
-    FiniteDepthUnsupported,
-    NlsCoefficients,
-    NoPositiveRoot,
-    WiltonPole,
-    c_nls,
-    dispersion,
-    find_collisions,
-    flat_eigenvalues,
-    growth_rate,
-    nls_coefficients,
-    resonant_rigidity,
-    second_harmonic,
-)
 
 __version__ = "0.1.0"

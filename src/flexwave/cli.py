@@ -27,12 +27,8 @@ are persisted alongside an error record that names the error: `branch`,
 `stability` and `compare` save a branch that stalls at a fold as far as it
 got).
 
-flexwave runs on one BLAS thread unless the caller sets a count.  When none
-of `OPENBLAS_NUM_THREADS`, `OMP_NUM_THREADS` and `MKL_NUM_THREADS` is set to
-a non-empty value, importing the package sets all three to "1"; a value the
-caller sets wins and is left as given, so `OPENBLAS_NUM_THREADS=2 flexwave
-...` runs on two.  The package `__init__` holds the rule, because the BLAS
-library reads these variables only when numpy loads it.
+Runs use one BLAS thread unless the caller sets a count: the package
+docstring states the rule.
 """
 
 from __future__ import annotations
@@ -44,6 +40,7 @@ import os
 import sys
 from collections import namedtuple
 from dataclasses import asdict
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -95,12 +92,22 @@ def write_csv(path: Path, header: list[str], rows) -> None:
         fh.write((line * (len(values) // len(header))) % tuple(values))
 
 
+def _json_value(value):
+    """A complex number as [re, im] and an Enum as its value; any other type
+    that JSON lacks is an error, not its str."""
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    if isinstance(value, Enum):
+        return value.value
+    raise TypeError(f"cannot write {type(value).__name__} {value!r} to a sidecar")
+
+
 def write_sidecar(path: Path, config: dict, extra: dict | None = None) -> None:
     payload = {"version": __version__, "config": config}
     if extra:
         payload.update(extra)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=str, allow_nan=False)
+        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_value, allow_nan=False)
         fh.write("\n")
 
 
@@ -473,11 +480,13 @@ def _select_waves(branch: BifurcationBranch, cfg: dict) -> list[tuple[TravelingW
 def _floquet_runs(cfg: dict, overlay: dict[IceModel, NlsCoefficients] | None) -> None:
     """Per model: compute and save the branch, sweep each selected wave once
     over `mu-count` uniform exponents in [-1/2, 1/2), write its spectrum and
-    classify it.  Given the NLS coefficients of each model, also write each
-    wave's overlay curve, under `compare`'s file names; both files hold
-    (mu, Re lambda, Im lambda) rows, so each overlay point pairs with the
-    FFH slice at its mu.  A wave that several `a1-list` targets pick has its
-    files and report written under each of their indices."""
+    its report: the fields of `stability.InstabilityReport` and the sweep's.
+    Given the NLS coefficients of each model, also write each wave's overlay
+    curve under `compare`'s file names, in (mu, Re lambda, Im lambda) rows
+    like the spectrum's but at `mu-count` points on its own band [-edge,
+    edge], so an overlay point meets the FFH data only by interpolation in
+    mu.  A wave that several `a1-list` targets pick has its files and report
+    written under each of their indices."""
     out = out_dir(cfg)
     mu_count = int(cfg["mu_count"])
     mu_values = np.linspace(-0.5, 0.5, mu_count, endpoint=False)
@@ -490,20 +499,9 @@ def _floquet_runs(cfg: dict, overlay: dict[IceModel, NlsCoefficients] | None) ->
             spectrum = sweep_floquet(wave, mu_values, n_modes=cfg.get("floquet_modes"))
             mus, lams = spectrum.flattened()
             rows = np.column_stack([mus, lams.real, lams.imag])
-            report = classify(spectrum)
             record = {
                 "a1": wave.a1,
-                "max_growth": report.max_growth,
-                "argmax_mu": report.argmax_mu,
-                "clusters": [
-                    {
-                        "kind": c.kind.value,
-                        "mu_interval": list(c.mu_interval),
-                        "centroid": [c.centroid.real, c.centroid.imag],
-                        "max_growth": c.max_growth,
-                    }
-                    for c in report.clusters
-                ],
+                **asdict(classify(spectrum)),
                 "failed_mu": [mu for mu, _ in spectrum.failures],
                 "max_cond_c": spectrum.max_cond_c,
                 "cond_c_mu": spectrum.cond_c_mu,

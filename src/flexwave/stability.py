@@ -123,12 +123,10 @@ class FloquetSpectrum:
     c_minus_vg: float = 0.0
 
     def flattened(self) -> tuple[np.ndarray, np.ndarray]:
-        """(mu, lambda) pairs for all eigenvalues of the sweep."""
-        mus = np.concatenate(
-            [np.full(len(lams), mu) for mu, lams in zip(self.mu_values, self.eigenvalues)]
-        )
-        lams = np.concatenate(self.eigenvalues) if self.eigenvalues else np.array([])
-        return mus, lams
+        """(mu, lambda) pairs for all eigenvalues of the sweep; two empty
+        arrays for a sweep with no mu."""
+        mus = np.repeat(self.mu_values, [len(lams) for lams in self.eigenvalues])
+        return mus, np.concatenate([np.empty(0, dtype=complex), *self.eigenvalues])
 
 
 class InstabilityKind(Enum):

@@ -3,6 +3,7 @@
 import importlib
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from flexwave import cli
 from flexwave.cli import build_parser, load_branch, main, merge_config
 from flexwave.core import IceModel, NumericalFailure
 from flexwave.solver import RESIDUAL_TOL, bifurcation_speed, residual
+from flexwave.stability import InstabilityKind, InstabilityReport, SpectralCluster
 from flexwave.theory import c_nls, dispersion, find_collisions, nls_coefficients
 from flexwave.core import PhysicalParams
 
@@ -289,6 +291,18 @@ class TestStabilityCommand:
         assert 1.0 <= report["reports"][0]["max_cond_c"] < 1e2
         assert report["reports"][0]["cond_c_mu"] == -0.5  # the grid's largest |mu|
 
+    def test_report_holds_the_fields_of_the_instability_report(self, tmp_path):
+        # D = 0.01 focuses, so the report has a modulational cluster
+        rc = main(["stability", "--D", "0.01", "--model", "linear", "--a1-max", "0.02", "--modes", "12",
+                   "--mu-count", "41", "--out", str(tmp_path)])
+        assert rc == 0
+        (report,) = json.loads((tmp_path / "stability_linear.meta.json").read_text())["reports"]
+        sweep_fields = {"a1", "failed_mu", "max_cond_c", "cond_c_mu"}
+        assert set(report) == sweep_fields | {f.name for f in fields(InstabilityReport)}
+        (cluster,) = report["clusters"]
+        assert set(cluster) == {f.name for f in fields(SpectralCluster)}
+        assert cluster["kind"] == "modulational"
+        assert len(cluster["centroid"]) == len(cluster["mu_interval"]) == 2
 
     def test_a1_max_within_the_stop_tolerance_is_swept(self, tmp_path):
         rc = main(["stability", "--a1-max", "1e-16", "--modes", "8", "--mu-count", "5", "--out", str(tmp_path)])
@@ -581,6 +595,12 @@ class TestConfigHandling:
         cfg.write_text("this line has no equals sign\n")
         assert main(["resonance", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
+    def test_unreadable_config_file_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["resonance", "--config", str(tmp_path / "missing.cfg"), "--out", str(out)]) == 2
+        assert "cannot read config file" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_model_name(self, tmp_path):
         rc = main(["branch", "--model", "cubist", "--a1-max", "0.001", "--out", str(tmp_path)])
         assert rc == 2
@@ -596,6 +616,17 @@ def test_write_csv_round_trips_floats_and_prints_integers(tmp_path):
     assert path.read_text() == "x,k,flag\n0.10000000000000001,7,1\nnan,-0,0.33333333333333331\n"
     cli.write_csv(path, ["mu", "re_lambda", "im_lambda"], np.empty((0, 3)))
     assert path.read_text() == "mu,re_lambda,im_lambda\n"
+
+
+def test_sidecar_writes_complex_and_enum_values_and_rejects_other_types(tmp_path):
+    path = tmp_path / "t.meta.json"
+    cli.write_sidecar(path, {}, {"z": 0.5 - 2j, "kind": InstabilityKind.HIGH_FREQUENCY})
+    meta = json.loads(path.read_text())
+    assert meta["z"] == [0.5, -2.0]
+    assert meta["kind"] == "high_frequency"
+    # a type JSON lacks is an error, not its str
+    with pytest.raises(TypeError, match="int64"):
+        cli.write_sidecar(path, {}, {"n": np.int64(1)})
 
 
 class TestFailurePaths:

@@ -86,3 +86,18 @@ def test_import_defaults_to_one_blas_thread(fresh_python, module, preset):
 def test_caller_thread_count_is_left_as_given(fresh_python, module, name):
     expected = dict.fromkeys(BLAS_THREAD_VARS) | {name: "2"}
     assert blas_env_after_import(fresh_python, module, {name: "2"}) == expected
+
+
+def test_package_import_loads_no_numpy_and_sets_the_blas_default(fresh_python):
+    # the package holds the thread rule and re-exports nothing, so importing
+    # it sets the default without loading numpy
+    code = (
+        "import json, os, sys\n"
+        f"names = {BLAS_THREAD_VARS!r}\n"
+        "for name in names:\n"
+        "    os.environ.pop(name, None)\n"
+        "import flexwave\n"
+        "print(json.dumps({'numpy': 'numpy' in sys.modules, 'env': {name: os.environ.get(name) for name in names}}))"
+    )
+    loaded = json.loads(fresh_python(code))
+    assert loaded == {"numpy": False, "env": dict.fromkeys(BLAS_THREAD_VARS, "1")}

@@ -328,6 +328,11 @@ class TestContinuation:
             assert abs(z[0] - wave.c) <= 1e-12
             assert np.max(np.abs(z[1:] - wave.profile.coeffs[1:])) <= 1e-12
 
+    @pytest.mark.parametrize("a1_max", [0.0, -1.0, math.inf, math.nan])
+    def test_a1_max_must_be_positive_and_finite(self, a1_max):
+        with pytest.raises(ValueError, match="a1_max must be positive and finite"):
+            continue_branch(deep(0.01), LIN, a1_max)
+
     def test_resume_from_converged_point(self, branch_cache):
         base = branch_cache(0.01, LIN, 0.006)
         extended = continue_branch(

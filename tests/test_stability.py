@@ -242,6 +242,12 @@ class TestSweep:
             growth[n] = classify(spec).max_growth
         assert abs(growth[32] - growth[16]) < 1e-6
 
+    def test_sweep_with_no_mu_is_empty(self, small_wave_d001):
+        spec = sweep_floquet(small_wave_d001, [])
+        mus, lams = spec.flattened()
+        assert mus.size == lams.size == 0
+        assert classify(spec).clusters == ()
+
 
 def normwise_hausdorff(a, b):
     dist = np.abs(a[:, None] - b[None, :])
@@ -555,6 +561,30 @@ class TestClassify:
         report = classify(sweep_floquet(wave, np.linspace(-0.05, 0.05, 41), n_modes=16))
         modulational = any(c.kind is InstabilityKind.MODULATIONAL for c in report.clusters)
         assert modulational == nls_coefficients(model, wave.params).focusing
+
+    @pytest.mark.parametrize("model", [LIN, NL])
+    def test_peak_growth_approaches_the_nls_prediction(self, branch_cache, model):
+        # the paper's claim (i): at D = 0.01 the FFH peak growth rate falls
+        # short of the NLS peak |M| a^2 by a relative gap of order a1 (2.3,
+        # 4.5 and 8.7 %), near the NLS sideband mu_max
+        branch = branch_cache(0.01, model, 0.04)
+        coeffs = nls_coefficients(model, branch.params)
+        a1s, gaps, offsets = [], [], []
+        for target in (0.01, 0.02, 0.04):
+            wave = min(branch.points, key=lambda w: abs(w.a1 - target))
+            a = wave.a1 / 2.0
+            mus = np.linspace(0.5, 1.5, 41) * coeffs.mu_max(a)
+            growth = np.array([lams.real.max() for lams in sweep_floquet(wave, mus, n_modes=16).eigenvalues])
+            # the vertex of the parabola through the largest rate and its neighbours
+            k = int(np.argmax(growth))
+            c2, c1, c0 = np.polyfit(mus[k - 1 : k + 2], growth[k - 1 : k + 2], 2)
+            a1s.append(wave.a1)
+            gaps.append((c0 - c1**2 / (4 * c2)) / coeffs.max_growth(a) - 1.0)
+            offsets.append(-c1 / (2 * c2) / coeffs.mu_max(a) - 1.0)
+        assert all(-0.1 < gap < 0 for gap in gaps)
+        slope = np.polyfit(np.log(a1s), np.log(-np.array(gaps)), 1)[0]
+        assert 0.85 <= slope <= 1.1
+        assert abs(offsets[0]) < 0.02
 
     @pytest.mark.parametrize("d", [0.01, 0.1, 1.0])
     @pytest.mark.parametrize("model", [LIN, NL])
