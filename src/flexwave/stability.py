@@ -44,11 +44,12 @@ and only this pencil is built and solved; lambda = -i nu is applied at the
 end, so the spectrum at each mu is exactly symmetric under
 lambda -> -conj(lambda).
 
-A sweep builds the mu-independent blocks once per wave; each mu costs the
-depth kernels, one rfft of the stack [Ct, eta0_x St, qx0 Ct, St] giving c^, U
-and v, one real solve with c^ and one real standard eigensolve.  QZ on the
-full pencil (`assemble_matrices`, `solve_spectrum`) is kept as a reference
-and is never called by a sweep.
+`_FloquetOperator.pencil` is the one place this pencil is built, with the
+mu-independent blocks built once per wave: each mu costs the depth kernels
+and one rfft of the stack [Ct, eta0_x St, qx0 Ct, St] giving c^, U and v.
+A sweep reduces it by one real solve with c^ and one real standard
+eigensolve and takes cond(c^) from it; QZ on it (`assemble_matrices`,
+`solve_spectrum`) is the reference, never called by a sweep.
 """
 
 from __future__ import annotations
@@ -158,11 +159,6 @@ def _mode_numbers(n_modes: int) -> np.ndarray:
     return np.arange(-n_modes, n_modes + 1)
 
 
-def _floquet_modes(base: TravelingWave, n_modes: int | None) -> int:
-    """``n_modes``, or by default the wave's own mode count but at least 16."""
-    return max(base.profile.n_modes, 16) if n_modes is None else n_modes
-
-
 def _grid_for(base: TravelingWave, n_modes: int) -> int:
     return default_grid_size(max(base.profile.n_modes, n_modes))
 
@@ -217,42 +213,46 @@ def linearized_flex(base: TravelingWave, model: IceModel, mu: float, n_modes: in
 
 
 class _FloquetOperator:
-    """The linearized problem about one wave on Floquet modes -N..N.
+    """The linearized problem about one wave on Floquet modes -n..n, with
+    n = ``n_modes`` or by default the wave's own mode count but at least 16.
 
-    Everything that does not depend on mu -- the wave's grid functions and
-    the mu-independent convolution blocks -- is built once, here; each mu
-    adds only the depth kernels' row coefficients and the wavenumber
-    scalings.
+    Everything that does not depend on mu -- the wave's grid functions, the
+    mu-independent convolution blocks and the top half [a, -I] of L1 -- is
+    built once, here; each mu adds only the depth kernels' row coefficients
+    and the wavenumber scalings.
     """
 
-    def __init__(self, base: TravelingWave, n_modes: int):
-        params = base.params
-        self.c, self.params, self.n_modes = base.c, params, n_modes
+    def __init__(self, base: TravelingWave, n_modes: int | None = None):
+        n_modes = max(base.profile.n_modes, 16) if n_modes is None else n_modes
+        self.c, self.params, self.n_modes, self.dim = base.c, base.params, n_modes, 2 * n_modes + 1
         surface = eval_profile(base.profile, _grid_for(base, n_modes))
         self.eta, self.ex = surface[0], surface[1]
-        self.qx = qx_on_grid(surface, base.c, params, base.model)
+        self.qx = qx_on_grid(surface, base.c, base.params, base.model)
         f = self.ex * (self.qx - base.c) / (1.0 + self.ex**2)
         local = np.stack([f, f**2 * self.ex - f * (self.qx - base.c), (self.qx - base.c) - f * self.ex])
-        self.a_blk, self.s_conv, self.t_conv = _row_coeffs(local[:, None], n_modes, np.array([True, True, False]))
+        a_blk, self.s_conv, self.t_conv = _row_coeffs(local[:, None], n_modes, np.array([True, True, False]))
         self.flex = _flex_blocks(surface, base.model, n_modes)
+        self.l1 = np.block([[a_blk, -np.eye(self.dim)], [np.zeros((self.dim, 2 * self.dim))]])
 
-    def blocks(self, mu: float) -> tuple[np.ndarray, ...]:
-        """The real blocks (a, c^, S, t, U, v) at Floquet exponent mu (see the
-        module docstring)."""
-        params, c, n_modes = self.params, self.c, self.n_modes
-        s = mu + _mode_numbers(n_modes)  # D_x = i s on column mode n
-
-        # local equation
-        s_blk = np.eye(s.size) - self.s_conv * s[None, :] + params.D * _flex_matrix(self.flex, s)
-        t_blk = self.t_conv * s[None, :]
+    def pencil(self, mu: float) -> tuple[np.ndarray, np.ndarray]:
+        """The real pencil (L1, L2) = ([[a, -I], [c^, 0]], [[S, -t], [U, -v]])
+        at Floquet exponent mu (see the module docstring).  Its finite
+        generalized eigenvalues nu give the Floquet eigenvalues lambda = -i nu."""
+        s = mu + _mode_numbers(self.n_modes)  # D_x = i s on column mode n
 
         # nonlocal equation at row m, bounded depth kernels: one rfft of the
         # stack [K'_s, eta_x K_s, q_x K'_s, K_s]
-        s_til, c_til = depth_kernels(s, self.eta, params.h)
+        s_til, c_til = depth_kernels(s, self.eta, self.params.h)
         rows = np.stack([c_til, self.ex * s_til, self.qx * c_til, s_til])
-        c_hat, ex_s, qx_c, v_conv = _row_coeffs(rows, n_modes, np.array([False, True, False, False]))
-        u_blk = -c * c_hat * s[None, :] - (c * s)[:, None] * ex_s + s[:, None] * qx_c
-        return self.a_blk, c_hat, s_blk, t_blk, u_blk, v_conv * s[None, :]
+        c_hat, ex_s, qx_c, v_conv = _row_coeffs(rows, self.n_modes, np.array([False, True, False, False]))
+        k = self.dim
+        l1, l2 = self.l1.copy(), np.empty_like(self.l1)  # filled in place: np.block is several times slower
+        l1[k:, :k] = c_hat
+        l2[:k, :k] = np.eye(k) - self.s_conv * s + self.params.D * _flex_matrix(self.flex, s)
+        l2[:k, k:] = -self.t_conv * s
+        l2[k:, :k] = -self.c * c_hat * s - (self.c * s)[:, None] * ex_s + s[:, None] * qx_c
+        l2[k:, k:] = -v_conv * s
+        return l1, l2
 
     def solve(self, mu: float) -> np.ndarray:
         """The eigenvalues at mu.  L1 has the inverse [[0, c^-1], [-I, a c^-1]],
@@ -262,23 +262,19 @@ class _FloquetOperator:
         gives lambda = -i nu exactly on the imaginary axis, and a conjugate
         pair gives an exact pair lambda, -conj(lambda).
         """
-        a_blk, c_hat, s_blk, t_blk, u_blk, v_blk = self.blocks(mu)
+        l1, l2 = self.pencil(mu)
+        k = self.dim
         try:
-            top = np.linalg.solve(c_hat, np.hstack([u_blk, -v_blk]))
-            nu = np.linalg.eigvals(np.vstack([top, a_blk @ top - np.hstack([s_blk, -t_blk])]))
+            top = np.linalg.solve(l1[k:, :k], l2[k:])
+            nu = np.linalg.eigvals(np.vstack([top, l1[:k, :k] @ top - l2[:k]]))
         except np.linalg.LinAlgError as exc:
             raise EigSolverFailure(str(exc)) from exc
         return nu.imag - 1j * nu.real
 
 
 def assemble_matrices(base: TravelingWave, mu: float, n_modes: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Build the real pencil (L1, L2) = ([[a, -I], [c^, 0]], [[S, -t], [U, -v]])
-    of the linearized problem at Floquet exponent mu.  Its finite generalized
-    eigenvalues nu give the Floquet eigenvalues lambda = -i nu."""
-    a_blk, c_hat, s_blk, t_blk, u_blk, v_blk = _FloquetOperator(base, _floquet_modes(base, n_modes)).blocks(mu)
-    l1 = np.block([[a_blk, -np.eye(a_blk.shape[0])], [c_hat, np.zeros_like(c_hat)]])
-    l2 = np.block([[s_blk, -t_blk], [u_blk, -v_blk]])
-    return l1, l2
+    """The real pencil (L1, L2) of `_FloquetOperator.pencil` at Floquet exponent mu."""
+    return _FloquetOperator(base, n_modes).pencil(mu)
 
 
 def solve_spectrum(l1: np.ndarray, l2: np.ndarray) -> np.ndarray:
@@ -311,12 +307,13 @@ def sweep_floquet(base: TravelingWave, mu_values, n_modes: int | None = None) ->
     refined near eigenvalue collisions.  Slot i holds the eigenvalues at
     ``mu_values[i]``; a failed mu is recorded, with an empty slot, without
     aborting the sweep.
+    ``n_modes`` Floquet modes default to max(N, 16) for a wave of N modes.
     The wave's mu-independent blocks are built once; each mu's real pencil
     is solved as a reduced standard eigenproblem, one solve with c^ and one
-    eigensolve; cond(c^) is taken once (see ``max_cond_c``).
+    eigensolve; cond(c^) is taken once, from the pencil (see ``max_cond_c``).
     """
     mu_values = np.asarray(mu_values, dtype=float)
-    operator = _FloquetOperator(base, _floquet_modes(base, n_modes))
+    operator = _FloquetOperator(base, n_modes)
     spectrum = FloquetSpectrum(
         mu_values=mu_values,
         eigenvalues=[],
@@ -333,7 +330,8 @@ def sweep_floquet(base: TravelingWave, mu_values, n_modes: int | None = None) ->
         if spectrum.cond_c_mu is None or abs(mu) > abs(spectrum.cond_c_mu):
             spectrum.cond_c_mu = float(mu)
     if spectrum.cond_c_mu is not None:
-        spectrum.max_cond_c = float(np.linalg.cond(operator.blocks(spectrum.cond_c_mu)[1]))
+        l1 = operator.pencil(spectrum.cond_c_mu)[0]
+        spectrum.max_cond_c = float(np.linalg.cond(l1[operator.dim :, : operator.dim]))
     return spectrum
 
 

@@ -178,22 +178,48 @@ def second_harmonic(eta1: complex, params: PhysicalParams) -> complex:
     return (1.0 + params.D) / (1.0 - 14.0 * params.D) * eta1**2
 
 
+def _tanh_excess(big_k: int, h: float) -> float:
+    """K tanh(h) - tanh(K h) for an integer K >= 0, with no cancellation.
+
+    In shallow water it is (K^3 - K) h^3 / 3 + O(h^5), the difference of two
+    terms near K h.  By the addition rule of tanh, E_k = k t - T_k, with
+    t = tanh(h) and T_k = tanh(k h), obeys
+
+        E_(j+k) = (E_j + E_k + (j + k) t T_j T_k) / (1 + T_j T_k),
+
+    a sum of nonnegative terms; K is summed from its binary digits.
+    """
+    t = math.tanh(h)
+
+    def add(a, b):
+        (j, t_j, e_j), (k, t_k, e_k) = a, b
+        den = 1.0 + t_j * t_k
+        return j + k, (t_j + t_k) / den, (e_j + e_k + (j + k) * t * t_j * t_k) / den
+
+    total, power = (0, 0.0, 0.0), (1, t, 0.0)
+    while big_k:
+        if big_k & 1:
+            total = add(total, power)
+        power, big_k = add(power, power), big_k >> 1
+    return total[2]
+
+
 def resonant_rigidity(big_k: int, params: PhysicalParams) -> float:
     """Rigidity D at which mode K is resonant with the fundamental.
 
     Solves (1 + D) K tanh(h) = (1 + K^4 D) tanh(K h) for D; in infinite
-    depth this is (K - 1)/(K^4 - K) = 1/(K^3 + K^2 + K).
+    depth this is (K - 1)/(K^4 - K) = 1/(K^3 + K^2 + K), and in shallow
+    water h^2 (K^2 - 1) / (3 (K^4 - 1)) + O(h^4).
     """
     if big_k < 2:
         raise ValueError("resonant mode K must be >= 2")
     if params.infinite_depth:
         d = 1.0 / (big_k**3 + big_k**2 + big_k)
     else:
-        th, tkh = math.tanh(params.h), math.tanh(big_k * params.h)
-        denom = big_k**4 * tkh - big_k * th
+        denom = big_k**4 * math.tanh(big_k * params.h) - big_k * math.tanh(params.h)
         if denom == 0:
             raise NoPositiveRoot("degenerate resonance denominator")
-        d = (big_k * th - tkh) / denom
+        d = _tanh_excess(big_k, params.h) / denom
     if d <= 0:
         raise NoPositiveRoot(f"resonance condition gives D = {d:.3e} <= 0 for K = {big_k}")
     return d

@@ -33,6 +33,16 @@ class TestResonanceCommand:
         assert by_k[7] == pytest.approx(1.65e-5, rel=0.01)
         assert by_k[10] == pytest.approx(8.11e-6, rel=0.01)
 
+    def test_shallow_water_limit(self, tmp_path):
+        # D -> h^2 (K^2 - 1) / (3 (K^4 - 1)) as h -> 0, with an O(h^2)
+        # relative correction; K tanh(h) - tanh(K h) must not cancel
+        h = 1e-9
+        assert main(["resonance", "--K-list", "2 3 7 10", "--h", repr(h), "--out", str(tmp_path)]) == 0
+        _, rows = read_rows(tmp_path / "resonance.csv")
+        for k, _, d in rows:
+            k = int(k)
+            assert float(d) == pytest.approx(h**2 * (k**2 - 1) / (3 * (k**4 - 1)), rel=1e-10, abs=0)
+
 
 class TestNlsCommand:
     def test_sign_change_and_pole_flag(self, tmp_path):
@@ -523,6 +533,13 @@ class TestConfigHandling:
         assert main(["resonance", "--out", str(blocker / below)]) == 2
         assert "config error" in capsys.readouterr().err
         assert blocker.read_text() == "not a directory\n"
+
+    def test_out_that_cannot_be_written_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        # os.access, not chmod: root may write to a read-only directory
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+        assert main(["resonance", "--out", str(tmp_path)]) == 2
+        assert "is not writable" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_bad_setting_in_config_file_is_a_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

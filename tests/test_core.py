@@ -251,6 +251,12 @@ def test_grid_derivative_acts_along_last_axis():
             assert_allclose(out, grid_derivative(row, order), rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("coeffs", [np.array([]), np.zeros((2, 3))], ids=["empty", "2-d"])
+def test_profile_rejects_coefficients_that_are_not_a_nonempty_vector(coeffs):
+    with pytest.raises(ValueError, match="nonempty 1-d"):
+        SpectralProfile(coeffs)
+
+
 def test_profile_is_immutable():
     prof = cosine(0.1, 0.2)
     with pytest.raises(ValueError):

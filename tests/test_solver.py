@@ -95,6 +95,18 @@ class TestRadicandRule:
             _jacobian(z, 0.0, deep(0.1), NL)
 
 
+def test_failed_newton_solve_is_a_singular_jacobian(monkeypatch):
+    def fail(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    p = deep(0.02)
+    z = np.zeros(8)
+    z[0] = bifurcation_speed(p)
+    monkeypatch.setattr(np.linalg, "solve", fail)
+    with pytest.raises(SingularJacobian, match="Singular matrix"):
+        newton_solve(z, 1e-3, p, LIN)
+
+
 def _jacobian(z, a1, params, model):
     """Newton's exact Jacobian at z, as `newton_solve` forms it."""
     return solver._jacobian_at(solver._evaluate(z, a1, params, model)[1], z, a1, params, model)

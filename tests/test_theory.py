@@ -288,6 +288,10 @@ class TestCollisions:
         assert at_half == {2: [(-0.5, -2, 1, 0, -1), (0.5, 0, 1, 2, -1)],
                            3: [(-0.5, -2, 1, 0, -1), (-0.5, 1, 1, 3, -1)]}
 
+    def test_scan_needs_two_exponents(self):
+        with pytest.raises(ValueError, match="mu_grid must be at least 2"):
+            find_collisions(deep(0.1), 1.0, mu_grid=1, m_range=2)
+
     def test_records_are_actual_collisions(self):
         p = deep(0.3)
         records = find_collisions(p, bifurcation_speed(p), mu_grid=801, m_range=4)
