@@ -57,6 +57,7 @@ from .solver import (
 )
 from .stability import classify, nls_overlay, sweep_floquet
 from .theory import (
+    MAX_RESONANT_MODE,
     NlsCoefficients,
     WiltonPole,
     c_nls,
@@ -247,8 +248,8 @@ def _check_ranges(command: str, cfg: dict) -> None:
         for key in ("D", "D_grid"):
             for d in setting(cfg, key) if cfg.get(key) else ():
                 params_from(cfg, d_value=float(d))
-    if command == "resonance" and any(k < 2 for k in setting(cfg, "K_list")):
-        raise ConfigError(f"K-list modes must be at least 2, got {cfg['K_list']!r}")
+    if command == "resonance" and not all(2 <= k <= MAX_RESONANT_MODE for k in setting(cfg, "K_list")):
+        raise ConfigError(f"K-list modes must lie in [2, {MAX_RESONANT_MODE:.0e}], got {cfg['K_list']!r}")
     if command in BRANCH_COMMANDS:
         solver_config_from(cfg)
         if not 0 < cfg["a1_max"] < math.inf:

@@ -104,9 +104,14 @@ MIN_STEP_FRACTION = 2**-10
 class SolverConfig:
     """Continuation settings: initial mode count N, cap for mode doubling and
     a_1 step.  Newton's tolerances, the tail test and the 4x grid oversampling
-    are fixed: see the module constants and `core.default_grid_size`."""
+    are fixed: see the module constants and `core.default_grid_size`.
 
-    n_modes: int = 32
+    The default N = 16 is the largest mode count that the 64-point floor of
+    `core.default_grid_size` already pays for; `continue_branch` doubles it
+    at each point whose last coefficient fails the tail test, up to
+    ``max_modes``."""
+
+    n_modes: int = 16
     max_modes: int = 512
     amplitude_step: float = 1e-3
 
@@ -197,17 +202,19 @@ def residual(z: np.ndarray, a1: float, params: PhysicalParams, model: IceModel) 
     return _evaluate(np.asarray(z, dtype=float), a1, params, model)[0]
 
 
-def newton_solve(z0: np.ndarray, a1: float, params: PhysicalParams, model: IceModel) -> TravelingWave:
+def newton_solve(z0: np.ndarray, a1: float, params: PhysicalParams, model: IceModel,
+                 *, min_steps: int = 0) -> TravelingWave:
     """Solve F(z) = 0 by Newton's method with :func:`_jacobian_at`,
     finished by one chord step.
 
-    Newton steps until |F|_inf <= ``RESIDUAL_TOL``.  After at least one step,
-    one chord step with the last Jacobian follows, and of the last Newton
-    iterate and the chord iterate the one with the smaller |F|_inf is
-    returned: the chord step costs one residual and no Jacobian and takes a
-    point that has just met the tolerance to the rounding floor, and keeping
-    the smaller means that rounding noise in the chord step never makes the
-    result worse.  A guess that already meets the tolerance is returned
+    Newton steps until |F|_inf <= ``RESIDUAL_TOL``, and at least
+    ``min_steps`` times.  After at least one step, one chord step with the
+    last Jacobian follows, and of the last Newton iterate and the chord
+    iterate the one with the smaller |F|_inf is returned: the chord step
+    costs one residual and no Jacobian and takes a point that has just met
+    the tolerance to the rounding floor, and keeping the smaller means that
+    rounding noise in the chord step never makes the result worse.  With
+    ``min_steps`` 0, a guess that already meets the tolerance is returned
     unchanged.  The wave records |F|_inf at the returned iterate and the
     number of Newton steps taken (``residual_inf``, ``newton_steps``).
 
@@ -220,7 +227,7 @@ def newton_solve(z0: np.ndarray, a1: float, params: PhysicalParams, model: IceMo
     f, surface = _evaluate(z, a1, params, model)
     f_inf = np.max(np.abs(f))
     for steps in range(MAX_NEWTON_ITERS + 1):
-        if f_inf <= RESIDUAL_TOL:
+        if f_inf <= RESIDUAL_TOL and steps >= min_steps:
             break
         if not np.isfinite(f_inf) or steps == MAX_NEWTON_ITERS:
             raise NoConvergence(f"|F|_inf = {f_inf:.3e} after {steps} iterations")
@@ -274,11 +281,13 @@ def continue_branch(params: PhysicalParams, model: IceModel, a1_max: float,
     linear guess.  A point accepted after a mode doubling enters the
     predictor as it is, and the earlier points are padded with zeros.  The
     step halves on Newton failure and the mode count doubles whenever the
-    last Fourier coefficient fails the relative tail test.  Every point is
-    returned by :func:`newton_solve`, so it sits at the rounding floor of
-    the residual and carries its Newton record; its ``newton_steps`` counts
-    the steps of every solve at its a_1, those after a mode doubling
-    included.  The branch stops once a_1 is within 1e-15 of a1_max, but it
+    last Fourier coefficient fails the relative tail test.  The zero-padded
+    guess of a doubling already meets the tolerance, so its solve takes at
+    least one Newton step, which gives the new modes their values.  Every
+    point is returned by :func:`newton_solve`, so it sits at the rounding
+    floor of the residual and carries its Newton record; its
+    ``newton_steps`` counts the steps of every solve at its a_1, those
+    after a mode doubling included.  The branch stops once a_1 is within 1e-15 of a1_max, but it
     holds at least one point, at a1_max, whenever a1_max exceeds the start.
     """
     if not 0 < a1_max < math.inf:
@@ -301,7 +310,7 @@ def continue_branch(params: PhysicalParams, model: IceModel, a1_max: float,
             while _tail_ratio(wave) > TAIL_THRESHOLD and 2 * wave.profile.n_modes <= config.max_modes:
                 n = 2 * wave.profile.n_modes
                 guess = np.concatenate((_unknowns(wave), np.zeros(n - wave.profile.n_modes)))
-                refined = newton_solve(guess, a1_try, params, model)
+                refined = newton_solve(guess, a1_try, params, model, min_steps=1)
                 wave = replace(refined, newton_steps=wave.newton_steps + refined.newton_steps)
         except (NoConvergence, SingularJacobian, NonpositiveRadicand):
             step *= 0.5

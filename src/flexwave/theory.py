@@ -29,6 +29,7 @@ __all__ = [
     "growth_rate",
     "c_nls",
     "second_harmonic",
+    "MAX_RESONANT_MODE",
     "resonant_rigidity",
     "flat_eigenvalues",
     "find_collisions",
@@ -42,6 +43,9 @@ WILTON_POLE_RTOL = 1e-8
 #: Width in mu to which `find_collisions` bisects each collision; nearer
 #: roots of one branch pair count as one.
 COLLISION_MU_TOL = 1e-10
+
+#: Largest mode K that `resonant_rigidity` takes: K^4 stays a finite float.
+MAX_RESONANT_MODE = 10**76
 
 
 class WiltonPole(ValueError, NumericalFailure):
@@ -209,10 +213,11 @@ def resonant_rigidity(big_k: int, params: PhysicalParams) -> float:
 
     Solves (1 + D) K tanh(h) = (1 + K^4 D) tanh(K h) for D; in infinite
     depth this is (K - 1)/(K^4 - K) = 1/(K^3 + K^2 + K), and in shallow
-    water h^2 (K^2 - 1) / (3 (K^4 - 1)) + O(h^4).
+    water h^2 (K^2 - 1) / (3 (K^4 - 1)) + O(h^4).  K is at most
+    ``MAX_RESONANT_MODE``.
     """
-    if big_k < 2:
-        raise ValueError("resonant mode K must be >= 2")
+    if not 2 <= big_k <= MAX_RESONANT_MODE:
+        raise ValueError(f"resonant mode K must lie in [2, {MAX_RESONANT_MODE:.0e}], got {big_k}")
     if params.infinite_depth:
         d = 1.0 / (big_k**3 + big_k**2 + big_k)
     else:

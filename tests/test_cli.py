@@ -509,6 +509,8 @@ class TestConfigHandling:
             ["stability", "--model", "linear", "--a1-max", "0.004", "--a1-list", "0.5 0.001"],
             ["resonance", "--K-list", "1"],
             ["resonance", "--K-list", "7 0"],
+            ["resonance", "--h", "1", "--K-list", "1" + "0" * 80],
+            ["resonance", "--K-list", "7 " + "1" + "0" * 80],
             ["collisions", "--m-range", "-1"],
             ["stability", "--model", "cubist"],
         ],
@@ -518,7 +520,7 @@ class TestConfigHandling:
              "D-nan", "D-inf", "a1-step-nan", "a1-max-inf", "a1-list-nan", "D-nan-dispersion",
              "k-list-inf", "D-nan-nls", "D-grid-inf", "c-nan", "c-inf",
              "a1-list-negative", "a1-list-zero-compare", "a1-list-above-a1-max",
-             "K-list-one", "K-list-zero", "m-range-negative", "model"],
+             "K-list-one", "K-list-zero", "K-list-huge-finite-depth", "K-list-huge", "m-range-negative", "model"],
     )
     def test_bad_setting_is_a_config_error(self, tmp_path, capsys, argv):
         out = tmp_path / "out"

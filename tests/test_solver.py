@@ -340,6 +340,40 @@ class TestContinuation:
             assert abs(z[0] - wave.c) <= 1e-12
             assert np.max(np.abs(z[1:] - wave.profile.coeffs[1:])) <= 1e-12
 
+    @pytest.mark.parametrize("model, a1", [(LIN, 0.018), (NL, 0.016)])
+    def test_doubled_point_solves_for_its_new_modes(self, monkeypatch, model, a1):
+        # the zero-padded guess already meets the tolerance, so the refined
+        # solve must step at least once to give the new modes their values
+        steps, real_solve = [], solver.newton_solve
+
+        def recorded_solve(*args, **kwargs):
+            wave = real_solve(*args, **kwargs)
+            steps.append((wave.a1, wave.profile.n_modes, wave.newton_steps))
+            return wave
+
+        monkeypatch.setattr(solver, "newton_solve", recorded_solve)
+        branch = continue_branch(deep(0.01), model, 0.02, SolverConfig(n_modes=8, max_modes=64, amplitude_step=2e-3))
+        doubled = next(w for w in branch.points if w.profile.n_modes == 16)
+        assert doubled.a1 == pytest.approx(a1)
+        assert np.all(doubled.profile.coeffs[8:] != 0.0)
+        assert doubled.residual_inf <= 1e-14
+        at_a1 = [(n, k) for a, n, k in steps if a == doubled.a1]
+        assert [n for n, _ in at_a1] == [8, 16] and at_a1[1][1] >= 1
+        assert doubled.newton_steps == sum(k for _, k in at_a1)
+
+    @pytest.mark.parametrize("model", [LIN, NL])
+    def test_default_start_matches_32_modes(self, branch_cache, model):
+        # the branch-climb inputs: the default N = 16 doubles only where the
+        # tail test asks, and agrees with a branch started at N = 32
+        params = PhysicalParams(h=1.0, D=0.01)
+        branch = continue_branch(params, model, 0.06)
+        reference = branch_cache(0.01, model, 0.06, h=1.0, n_modes=32, step=SolverConfig.amplitude_step)
+        assert branch.points[0].profile.n_modes == SolverConfig.n_modes == 16
+        assert [w.a1 for w in branch.points] == [w.a1 for w in reference.points]
+        for wave, ref in zip(branch.points, reference.points):
+            assert abs(wave.c - ref.c) <= 1e-12
+            assert np.max(np.abs(wave.profile.coeffs[:16] - ref.profile.coeffs[:16])) <= 1e-13
+
     @pytest.mark.parametrize("a1_max", [0.0, -1.0, math.inf, math.nan])
     def test_a1_max_must_be_positive_and_finite(self, a1_max):
         with pytest.raises(ValueError, match="a1_max must be positive and finite"):

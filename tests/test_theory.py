@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from flexwave.core import INFINITE_DEPTH, IceModel, PhysicalParams
 from flexwave.theory import (
+    MAX_RESONANT_MODE,
     CollisionRecord,
     FiniteDepthUnsupported,
     WiltonPole,
@@ -218,6 +219,16 @@ class TestResonantRigidity:
     def test_mode_must_exceed_one(self):
         with pytest.raises(ValueError):
             resonant_rigidity(1, DEEP)
+
+    @pytest.mark.parametrize("h", [0.05, 1.0, INFINITE_DEPTH])
+    def test_largest_mode_is_in_float_range(self, h):
+        # D = (K tanh(h) - tanh(K h)) / (K^4 tanh(K h) - K tanh(h)) -> tanh(h)/K^3;
+        # K^4 leaves the float range above about 1.2e77
+        p = PhysicalParams(h=h)
+        th = 1.0 if p.infinite_depth else math.tanh(h)
+        assert resonant_rigidity(MAX_RESONANT_MODE, p) == pytest.approx(th / 1e228, rel=1e-14)
+        with pytest.raises(ValueError, match="must lie in"):
+            resonant_rigidity(10**80, p)
 
 
 class TestFlatEigenvalues:
