@@ -6,7 +6,8 @@ Commands
 dispersion   table of (k, D, omega, omega', omega'') over requested k and D
 nls          envelope-equation coefficients and focusing flags over a D grid
 resonance    resonant rigidity D for requested modes K
-collisions   flat-water eigenvalue collisions for requested (D, c, h)
+collisions   flat-water eigenvalue collisions for requested (D, c, h), on
+             the fixed mu grid of `theory.find_collisions`
 branch       bifurcation branch per ice model, with the asymptotic overlay
 stability    Floquet spectra and instability reports for branch points
 compare      joint FFH scatter and asymptotic overlay, both as (mu, Re, Im) rows
@@ -355,9 +356,7 @@ def cmd_collisions(cfg: dict) -> None:
     out = out_dir(cfg)
     params = params_from(cfg)
     c = float(cfg["c"]) if cfg.get("c") is not None else bifurcation_speed(params)
-    records = find_collisions(
-        params, c, mu_grid=int(cfg["mu_grid"]), m_range=int(cfg["m_range"])
-    )
+    records = find_collisions(params, c, int(cfg["m_range"]))
     rows = [(r.mu, r.m1, r.s1, r.m2, r.s2, r.lam.real, r.lam.imag) for r in records]
     write_csv(out / "collisions.csv", ["mu", "m1", "s1", "m2", "s2", "re_lambda", "im_lambda"], rows)
     write_sidecar(out / "collisions.meta.json", cfg, {"c": c, "count": len(records)})
@@ -523,7 +522,10 @@ def cmd_stability(cfg: dict) -> None:
 
 
 def cmd_compare(cfg: dict) -> None:
-    # the overlay can fail (finite depth, Wilton pole): find out before any branch or sweep
+    # the overlay can fail (finite depth, Wilton pole): find out before any
+    # branch or sweep, but after the output directory, so that a bad --out
+    # is a config error and a failing overlay has a place for its record
+    out_dir(cfg)
     params = params_from(cfg)
     models = setting(cfg, "model")
     _floquet_runs(cfg, overlay={model: nls_coefficients(model, params) for model in models})
@@ -570,7 +572,6 @@ SETTINGS = {
     "K_list": Setting({"resonance": "7 10"}, "resonant modes K", parse=parse_int_list),
     "c": Setting({"collisions": None}, "frame speed (default: bifurcation speed)", float),
     "m_range": Setting({"collisions": 10}, "largest Fourier mode |m|", int, least=0),
-    "mu_grid": Setting({"collisions": 2001}, "mu samples in the search", int, least=2),
     "resume": Setting({"branch": None}, "prior branch CSV to continue from; its sidecar sets the model, h and D "
                       "(default: none)"),
 }

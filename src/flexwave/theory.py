@@ -44,6 +44,11 @@ WILTON_POLE_RTOL = 1e-8
 #: roots of one branch pair count as one.
 COLLISION_MU_TOL = 1e-10
 
+#: Uniform exponents on [-1/2, 1/2] that `find_collisions` scans.  The count
+#: is odd, so mu = 0 and +-1/2 are grid points and the tangential collisions
+#: at mu = 0 are found; a finer grid found the same collisions.
+COLLISION_SCAN_POINTS = 2001
+
 #: Largest mode K that `resonant_rigidity` takes: K^4 stays a finite float.
 MAX_RESONANT_MODE = 10**76
 
@@ -183,13 +188,14 @@ def second_harmonic(eta1: complex, params: PhysicalParams) -> complex:
 
 
 def _tanh_excess(big_k: int, h: float) -> float:
-    """K tanh(h) - tanh(K h) for an integer K >= 0, with no cancellation.
+    """K - tanh(K h)/tanh(h) for an integer K >= 0, with no cancellation.
 
-    In shallow water it is (K^3 - K) h^3 / 3 + O(h^5), the difference of two
-    terms near K h.  By the addition rule of tanh, E_k = k t - T_k, with
-    t = tanh(h) and T_k = tanh(k h), obeys
+    In shallow water it is (K^3 - K) h^2 / 3 + O(h^4), the difference of two
+    terms near K; its product with tanh(h) would underflow like h^3.  By the
+    addition rule of tanh, e_k = k - T_k/t, with t = tanh(h) and
+    T_k = tanh(k h), obeys
 
-        E_(j+k) = (E_j + E_k + (j + k) t T_j T_k) / (1 + T_j T_k),
+        e_(j+k) = (e_j + e_k + (j + k) T_j T_k) / (1 + T_j T_k),
 
     a sum of nonnegative terms; K is summed from its binary digits.
     """
@@ -198,7 +204,7 @@ def _tanh_excess(big_k: int, h: float) -> float:
     def add(a, b):
         (j, t_j, e_j), (k, t_k, e_k) = a, b
         den = 1.0 + t_j * t_k
-        return j + k, (t_j + t_k) / den, (e_j + e_k + (j + k) * t * t_j * t_k) / den
+        return j + k, (t_j + t_k) / den, (e_j + e_k + (j + k) * t_j * t_k) / den
 
     total, power = (0, 0.0, 0.0), (1, t, 0.0)
     while big_k:
@@ -221,10 +227,11 @@ def resonant_rigidity(big_k: int, params: PhysicalParams) -> float:
     if params.infinite_depth:
         d = 1.0 / (big_k**3 + big_k**2 + big_k)
     else:
-        denom = big_k**4 * math.tanh(big_k * params.h) - big_k * math.tanh(params.h)
-        if denom == 0:
-            raise NoPositiveRoot("degenerate resonance denominator")
-        d = _tanh_excess(big_k, params.h) / denom
+        # both sides of D = (K t - T_K) / (K^4 T_K - K t) divided by K t, with
+        # t = tanh(h): T_K >= t makes the denominator at least K^3 - 1, and
+        # no factor leaves the float range at any K and h
+        ratio = math.tanh(big_k * params.h) / math.tanh(params.h)
+        d = _tanh_excess(big_k, params.h) / big_k / (big_k**3 * ratio - 1.0)
     if d <= 0:
         raise NoPositiveRoot(f"resonance condition gives D = {d:.3e} <= 0 for K = {big_k}")
     return d
@@ -253,70 +260,47 @@ class CollisionRecord:
     lam: complex
 
 
-def find_collisions(params: PhysicalParams, c: float, mu_grid: int, m_range: int) -> list[CollisionRecord]:
+def find_collisions(params: PhysicalParams, c: float, m_range: int) -> list[CollisionRecord]:
     """Locate collisions lambda^{s1}_{mu+m1} = lambda^{s2}_{mu+m2} of the
     flat-water eigenvalue branches.
 
     All branch pairs with |m| <= m_range and either different mode offsets or
-    different signs are scanned on ``mu_grid`` uniform exponents over
-    [-1/2, 1/2]; sign-crossing roots are bisected down to
-    ``COLLISION_MU_TOL``.  Tangential near-collisions are reported only when
-    the scanned gap itself vanishes on the grid.  Each collision is reported
-    once, on [-1/2, 1/2): a root at +1/2 is dropped when the scan found its copy
-    at -1/2, modes (m1 + 1, m2 + 1), as it does when those lie within m_range.
+    different signs are scanned on the ``COLLISION_SCAN_POINTS`` uniform
+    exponents of [-1/2, 1/2], whose gaps are bisected together down to
+    ``COLLISION_MU_TOL`` wherever they change sign.  A tangential collision,
+    whose gap touches zero without changing sign, is found only at a grid
+    point; mu = 0 and +-1/2 are grid points.  Each collision is reported
+    once, on [-1/2, 1/2): a root at +1/2 is dropped when the scan found its
+    copy at -1/2, modes (m1 + 1, m2 + 1), as it does when those lie within
+    m_range.
     """
-    if mu_grid < 2:
-        raise ValueError("mu_grid must be at least 2")
-    mu = np.linspace(-0.5, 0.5, mu_grid)
-    branches = [(m, s) for m in range(-m_range, m_range + 1) for s in (+1, -1)]
-    values = {b: _branch_imag(mu, b, c, params) for b in branches}
+    mu = np.linspace(-0.5, 0.5, COLLISION_SCAN_POINTS)
+    m, s = np.repeat(np.arange(-m_range, m_range + 1), 2), np.tile([1, -1], 2 * m_range + 1)
 
-    records: list[CollisionRecord] = []
-    for i, b1 in enumerate(branches):
-        for b2 in branches[i + 1 :]:
-            diff = values[b1] - values[b2]
-            roots = _scan_roots(mu, diff, b1, b2, c, params)
-            for mu_star in roots:
-                lam = _branch_imag(np.array([mu_star]), b1, c, params)[0]
-                records.append(
-                    CollisionRecord(mu=float(mu_star), m1=b1[0], m2=b2[0], s1=b1[1], s2=b2[1], lam=1j * lam)
-                )
+    def imag(x, b):  # Im lambda of branches b at exponents x
+        plus, minus = flat_eigenvalues(x, m[b], c, params)
+        return np.where(s[b] > 0, plus, minus).imag
+
+    b1, b2 = np.triu_indices(m.size, 1)
+    values = imag(mu, np.arange(m.size)[:, None])
+    gap = values[b1] - values[b2]
+    zero_pair, zero_at = np.nonzero(gap == 0.0)
+    pair, at = np.nonzero(gap[:, :-1] * gap[:, 1:] < 0.0)
+    sign, lo, hi = np.sign(gap[pair, at]), mu[at], mu[at + 1]
+    for _ in range(math.ceil(math.log2((mu[1] - mu[0]) / COLLISION_MU_TOL))):
+        mid = 0.5 * (lo + hi)
+        g = sign * (imag(mid, b1[pair]) - imag(mid, b2[pair]))
+        lo, hi = np.where(g >= 0.0, mid, lo), np.where(g <= 0.0, mid, hi)
+    roots, pair = np.concatenate([mu[zero_at], 0.5 * (lo + hi)]), np.concatenate([zero_pair, pair])
+    order = np.lexsort((roots, pair))
+    roots, pair = roots[order], pair[order]
+    keep = np.r_[True, (np.diff(pair) != 0) | (np.diff(roots) > COLLISION_MU_TOL)]
+    roots, i, j = roots[keep], b1[pair[keep]], b2[pair[keep]]
+    records = [
+        CollisionRecord(mu=float(x), m1=int(m[p]), m2=int(m[q]), s1=int(s[p]), s2=int(s[q]), lam=1j * float(v))
+        for x, p, q, v in zip(roots, i, j, imag(roots, i))
+    ]
     low = {(r.m1, r.s1, r.m2, r.s2) for r in records if r.mu - mu[0] <= COLLISION_MU_TOL}
     records = [r for r in records if mu[-1] - r.mu > COLLISION_MU_TOL or (r.m1 + 1, r.s1, r.m2 + 1, r.s2) not in low]
     records.sort(key=lambda r: (r.mu, r.m1, r.m2))
     return records
-
-
-def _branch_imag(mu: np.ndarray, branch: tuple[int, int], c: float, params: PhysicalParams) -> np.ndarray:
-    """Im lambda on the flat-water branch (m, sign) at exponents mu, from :func:`flat_eigenvalues`."""
-    return flat_eigenvalues(mu, branch[0], c, params)[0 if branch[1] > 0 else 1].imag
-
-
-def _scan_roots(mu, diff, b1, b2, c, params) -> list[float]:
-    def gap(x: float) -> float:
-        arr = np.array([x])
-        return float(_branch_imag(arr, b1, c, params)[0] - _branch_imag(arr, b2, c, params)[0])
-
-    roots: list[float] = []
-    exact = np.flatnonzero(diff == 0.0)
-    for idx in exact:
-        if not roots or abs(mu[idx] - roots[-1]) > COLLISION_MU_TOL:
-            roots.append(float(mu[idx]))
-    sign_change = np.flatnonzero(diff[:-1] * diff[1:] < 0.0)
-    for idx in sign_change:
-        lo, hi = float(mu[idx]), float(mu[idx + 1])
-        flo = gap(lo)
-        while hi - lo > COLLISION_MU_TOL:
-            mid = 0.5 * (lo + hi)
-            fmid = gap(mid)
-            if fmid == 0.0:
-                lo = hi = mid
-                break
-            if flo * fmid < 0:
-                hi = mid
-            else:
-                lo, flo = mid, fmid
-        root = 0.5 * (lo + hi)
-        if all(abs(root - r) > COLLISION_MU_TOL for r in roots):
-            roots.append(root)
-    return sorted(roots)

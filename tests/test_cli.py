@@ -43,6 +43,14 @@ class TestResonanceCommand:
             k = int(k)
             assert float(d) == pytest.approx(h**2 * (k**2 - 1) / (3 * (k**4 - 1)), rel=1e-10, abs=0)
 
+    def test_tiny_depth_does_not_underflow(self, tmp_path):
+        # K tanh(h) - tanh(K h) ~ h^3 underflows at h = 1e-120, while
+        # D ~ h^2 / 15 is still a normal float
+        h, k = 1e-120, 2
+        assert main(["resonance", "--K-list", str(k), "--h", repr(h), "--out", str(tmp_path)]) == 0
+        (row,) = read_rows(tmp_path / "resonance.csv")[1]
+        assert float(row[2]) == pytest.approx(h**2 * (k**2 - 1) / (3 * (k**4 - 1)), rel=1e-10, abs=0)
+
 
 class TestNlsCommand:
     def test_sign_change_and_pole_flag(self, tmp_path):
@@ -97,14 +105,14 @@ class TestDispersionCommand:
 
 class TestCollisionsCommand:
     def test_rows_are_the_collisions_at_the_bifurcation_speed(self, tmp_path):
-        assert main(["collisions", "--D", "0.01", "--m-range", "4", "--mu-grid", "401", "--out", str(tmp_path)]) == 0
+        assert main(["collisions", "--D", "0.01", "--m-range", "4", "--out", str(tmp_path)]) == 0
         meta = json.loads((tmp_path / "collisions.meta.json").read_text())
         params = PhysicalParams(D=0.01)
         assert meta["c"] == bifurcation_speed(params)
         header, rows = read_rows(tmp_path / "collisions.csv")
         assert header == ["mu", "m1", "s1", "m2", "s2", "re_lambda", "im_lambda"]
         expected = [(r.mu, r.m1, r.s1, r.m2, r.s2, r.lam.real, r.lam.imag)
-                    for r in find_collisions(params, meta["c"], mu_grid=401, m_range=4)]
+                    for r in find_collisions(params, meta["c"], m_range=4)]
         assert rows and meta["count"] == len(rows)
         assert [tuple(map(float, row)) for row in rows] == expected
 
@@ -439,7 +447,6 @@ class TestConfigHandling:
             ("dispersion", "k-list", "2 3", "4", "1"),
             ("resonance", "K-list", "2 3", "4", "7 10"),
             ("collisions", "m-range", "5", "6", 10),
-            ("collisions", "mu-grid", "101", "201", 2001),
             ("compare", "mu-count", "5", "7", 401),
         ],
     )
@@ -478,7 +485,6 @@ class TestConfigHandling:
             ["dispersion", "--k-list", "1 two"],
             ["stability", "--a1-list", "0.01 z"],
             ["nls", "--D-grid", "0 0.12"],
-            ["collisions", "--mu-grid", "1"],
             ["stability", "--mu-count", "1"],
             ["compare", "--mu-count", "0"],
             ["stability", "--floquet-modes", "-3"],
@@ -514,7 +520,7 @@ class TestConfigHandling:
             ["collisions", "--m-range", "-1"],
             ["stability", "--model", "cubist"],
         ],
-        ids=["h", "D", "K-list", "k-list", "a1-list", "D-grid", "mu-grid", "mu-count", "mu-count-compare",
+        ids=["h", "D", "K-list", "k-list", "a1-list", "D-grid", "mu-count", "mu-count-compare",
              "floquet-modes", "floquet-modes-compare", "k-zero", "a1-max-negative", "a1-max-zero", "modes",
              "a1-step", "max-modes", "D-count", "D-list-dispersion", "D-list-nls", "D-grid-negative",
              "D-nan", "D-inf", "a1-step-nan", "a1-max-inf", "a1-list-nan", "D-nan-dispersion",
@@ -569,7 +575,7 @@ class TestConfigHandling:
         "dispersion": ["--D", "0.1", "--k-list", "1 2"],
         "nls": ["--D", "0.1", "--D-grid", "0 0.1 2"],
         "resonance": ["--K-list", "7"],
-        "collisions": ["--D", "0.01", "--c", "1.0", "--m-range", "2", "--mu-grid", "11"],
+        "collisions": ["--D", "0.01", "--c", "1.0", "--m-range", "2"],
         "branch": ["--D", "0.01", "--model", "linear", "--modes", "8", "--max-modes", "8",
                    "--a1-max", "0.002", "--a1-step", "0.001"],
         "stability": ["--D", "0.01", "--model", "linear", "--modes", "8", "--max-modes", "8",
@@ -661,6 +667,24 @@ class TestFailurePaths:
         assert record["error"] == "FiniteDepthUnsupported"
         assert not list(tmp_path.glob("compare_ffh_*"))
         assert not list(tmp_path.glob("branch_*"))
+
+    def test_compare_out_that_is_a_file_is_a_config_error(self, tmp_path, capsys):
+        # the bad --out is found before the overlay's numerical failure
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory\n")
+        assert main(["compare", "--h", "1", "--out", str(blocker)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert blocker.read_text() == "not a directory\n"
+
+    def test_branch_that_stalls_at_the_wilton_pole_writes_no_nls_speeds(self, tmp_path):
+        # deep water at D = 1/14: 1 - 14 D lies inside the excluded strip, so
+        # the saved branch has no NLS speeds, and the stall is the error
+        rc = main(["branch", "--D", "0.07142857142857142", "--a1-max", "0.002", "--out", str(tmp_path)])
+        assert rc == 3
+        record = json.loads((tmp_path / "error.json").read_text())
+        assert record == {"error": "StepUnderflow", "message": "continuation stalled at a1 = 7.8125e-06"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "branch_linear.csv", "branch_linear.meta.json", "error.json"]
 
     @pytest.mark.parametrize("command, extra", [("branch", []), ("stability", ["--mu-count", "5"])],
                              ids=["branch", "stability"])

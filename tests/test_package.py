@@ -45,7 +45,7 @@ def test_every_command_runs_without_scipy(fresh_python, tmp_path):
         "dispersion": [],
         "nls": [],
         "resonance": [],
-        "collisions": ["--m-range", "2", "--mu-grid", "11"],
+        "collisions": ["--m-range", "2"],
         "branch": branch,
         "stability": [*branch, "--mu-count", "3"],
         "compare": ["--D", "0.01", *branch, "--mu-count", "3"],

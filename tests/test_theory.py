@@ -259,7 +259,7 @@ class TestCollisions:
     def test_resonant_mode_collides_at_origin(self):
         shallow = PhysicalParams(h=0.05)
         p = PhysicalParams(h=0.05, D=resonant_rigidity(7, shallow))
-        records = find_collisions(p, bifurcation_speed(p), mu_grid=801, m_range=10)
+        records = find_collisions(p, bifurcation_speed(p), m_range=10)
         at_origin = [r for r in records if abs(r.mu) < 1e-9 and abs(r.lam) < 1e-9]
         assert any(abs(r.m1 - r.m2) == 6 for r in at_origin)
 
@@ -267,12 +267,22 @@ class TestCollisions:
         counts = {}
         for d in (0.1, 25.0):
             p = deep(d)
-            records = find_collisions(p, bifurcation_speed(p), mu_grid=2001, m_range=10)
+            records = find_collisions(p, bifurcation_speed(p), m_range=10)
             counts[d] = sum(1 for r in records if math.hypot(r.mu, r.lam.imag) < 0.1)
         assert counts[25.0] > counts[0.1]
 
+    def test_tangential_collisions_at_the_origin(self):
+        # at the bifurcation speed (-1, +), (0, +), (0, -) and (1, -) all pass
+        # through lambda = 0 at mu = 0, where the gaps of their six pairs
+        # touch zero without changing sign; mu = 0 is a scan point
+        p = deep(0.01)
+        at_origin = {(r.m1, r.s1, r.m2, r.s2) for r in find_collisions(p, bifurcation_speed(p), m_range=10)
+                     if r.mu == 0.0 and r.lam == 0.0}
+        assert at_origin == {(-1, 1, 0, 1), (-1, 1, 0, -1), (-1, 1, 1, -1),
+                             (0, 1, 0, -1), (0, 1, 1, -1), (0, -1, 1, -1)}
+
     def test_rest_frame_trivial_pair(self):
-        records = find_collisions(deep(0.2), 0.0, mu_grid=401, m_range=2)
+        records = find_collisions(deep(0.2), 0.0, m_range=2)
         trivial = [
             r for r in records if r.m1 == 0 and r.m2 == 0 and r.s1 != r.s2 and abs(r.mu) < 1e-9
         ]
@@ -281,7 +291,7 @@ class TestCollisions:
     def test_each_collision_once_on_the_half_open_interval(self):
         # mu and mu + 1 are one exponent: at rest every collision at +1/2 is
         # one at -1/2 with both modes raised by one, and is listed there only
-        records = find_collisions(deep(0.01), 0.0, mu_grid=2001, m_range=2)
+        records = find_collisions(deep(0.01), 0.0, m_range=2)
         keys = [(r.mu, r.m1, r.s1, r.m2, r.s2) for r in records]
         assert len(keys) == 9 and all(-0.5 <= r.mu < 0.5 for r in records)
         assert (-0.5, -1, 1, 2, 1) in keys and (-0.5, 0, -1, 1, -1) in keys
@@ -293,19 +303,15 @@ class TestCollisions:
         p = deep(0.01)
         c = (dispersion(0.5, p) + dispersion(2.5, p)) / 2
         at_half = {
-            m_range: [(r.mu, r.m1, r.s1, r.m2, r.s2) for r in find_collisions(p, c, 2001, m_range) if abs(r.mu) == 0.5]
+            m_range: [(r.mu, r.m1, r.s1, r.m2, r.s2) for r in find_collisions(p, c, m_range) if abs(r.mu) == 0.5]
             for m_range in (2, 3)
         }
         assert at_half == {2: [(-0.5, -2, 1, 0, -1), (0.5, 0, 1, 2, -1)],
                            3: [(-0.5, -2, 1, 0, -1), (-0.5, 1, 1, 3, -1)]}
 
-    def test_scan_needs_two_exponents(self):
-        with pytest.raises(ValueError, match="mu_grid must be at least 2"):
-            find_collisions(deep(0.1), 1.0, mu_grid=1, m_range=2)
-
     def test_records_are_actual_collisions(self):
         p = deep(0.3)
-        records = find_collisions(p, bifurcation_speed(p), mu_grid=801, m_range=4)
+        records = find_collisions(p, bifurcation_speed(p), m_range=4)
         assert records
         for r in records:
             lam1 = flat_eigenvalues(r.mu, r.m1, bifurcation_speed(p), p)
