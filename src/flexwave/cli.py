@@ -68,8 +68,6 @@ from .theory import (
     resonant_rigidity,
 )
 
-__all__ = ["ConfigError", "build_parser", "merge_config", "load_branch", "save_branch", "write_csv", "main"]
-
 
 class ConfigError(ValueError):
     """Invalid run configuration (bad flag value, unwritable output dir, ...)."""

@@ -16,28 +16,6 @@ from enum import Enum
 
 import numpy as np
 
-__all__ = [
-    "INFINITE_DEPTH",
-    "NumericalFailure",
-    "NonpositiveRadicand",
-    "PhysicalParams",
-    "IceModel",
-    "SpectralProfile",
-    "TravelingWave",
-    "GridFunction",
-    "grid_points",
-    "default_grid_size",
-    "depth_factor",
-    "depth_kernels",
-    "eval_profile",
-    "grid_derivative",
-    "p_flex_grid",
-    "toland_frechet_coeffs",
-    "p_flex_derivative_grid",
-    "bernoulli_radicand",
-    "qx_on_grid",
-]
-
 #: Distinguished depth value; tanh(k*h) factors become sign(k) exactly.
 INFINITE_DEPTH = math.inf
 

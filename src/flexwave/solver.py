@@ -51,21 +51,7 @@ from .core import (
     grid_points,
     p_flex_derivative_grid,
 )
-from .theory import dispersion
-
-__all__ = [
-    "NoConvergence",
-    "SingularJacobian",
-    "StepUnderflow",
-    "SolverConfig",
-    "BifurcationBranch",
-    "Direction",
-    "bifurcation_speed",
-    "residual",
-    "newton_solve",
-    "continue_branch",
-    "branch_direction",
-]
+from .theory import dispersion_derivatives
 
 
 class NoConvergence(RuntimeError, NumericalFailure):
@@ -138,7 +124,7 @@ class BifurcationBranch:
 
 def bifurcation_speed(params: PhysicalParams) -> float:
     """Speed omega(1) = sqrt(tanh(h)(1 + D)) at which the k=1 branch leaves flat water."""
-    return dispersion(1.0, params)
+    return dispersion_derivatives(1.0, params)[0]
 
 
 @lru_cache(maxsize=32)

@@ -72,20 +72,6 @@ from .core import (
 )
 from .theory import NlsCoefficients, dispersion_derivatives, growth_rate
 
-__all__ = [
-    "EigSolverFailure",
-    "FloquetSpectrum",
-    "InstabilityKind",
-    "SpectralCluster",
-    "InstabilityReport",
-    "linearized_flex",
-    "assemble_matrices",
-    "solve_spectrum",
-    "sweep_floquet",
-    "classify",
-    "nls_overlay",
-]
-
 #: Re(lambda) above this counts as growth; an order above the flat-water
 #: assembly/eigensolver error.  The sweep solves a real problem and puts
 #: stable eigenvalues exactly on the imaginary axis, so Re(lambda) carries

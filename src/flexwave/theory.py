@@ -16,25 +16,6 @@ import numpy as np
 
 from .core import IceModel, NumericalFailure, PhysicalParams, depth_factor
 
-__all__ = [
-    "WiltonPole",
-    "FiniteDepthUnsupported",
-    "NoPositiveRoot",
-    "WILTON_POLE_RTOL",
-    "NlsCoefficients",
-    "CollisionRecord",
-    "dispersion",
-    "dispersion_derivatives",
-    "nls_coefficients",
-    "growth_rate",
-    "c_nls",
-    "second_harmonic",
-    "MAX_RESONANT_MODE",
-    "resonant_rigidity",
-    "flat_eigenvalues",
-    "find_collisions",
-]
-
 #: Half-width of the excluded strip around the vanishing NLS denominator
 #: 1 - 14 D.  Inside it the coefficients are meaningless and we raise
 #: instead of returning a huge M.
@@ -106,14 +87,6 @@ def _omega(k, params: PhysicalParams) -> tuple[np.ndarray, np.ndarray, np.ndarra
     k = np.asarray(k, dtype=float)
     p, t = k + params.D * k**5, depth_factor(k, params.h)
     return np.sqrt(p * t), p, t
-
-
-def dispersion(k: float, params: PhysicalParams) -> float:
-    """Positive branch of omega^2 = (k + D k^5) tanh(k h), at k != 0.
-
-    In infinite depth this reduces to omega^2 = |k| (1 + k^4 D).
-    """
-    return dispersion_derivatives(k, params)[0]
 
 
 def dispersion_derivatives(k: float, params: PhysicalParams) -> tuple[float, float, float]:
@@ -281,21 +254,26 @@ def find_collisions(params: PhysicalParams, c: float, m_range: int) -> list[Coll
         plus, minus = flat_eigenvalues(x, m[b], c, params)
         return np.where(s[b] > 0, plus, minus).imag
 
-    b1, b2 = np.triu_indices(m.size, 1)
     values = imag(mu, np.arange(m.size)[:, None])
-    gap = values[b1] - values[b2]
-    zero_pair, zero_at = np.nonzero(gap == 0.0)
-    pair, at = np.nonzero(gap[:, :-1] * gap[:, 1:] < 0.0)
-    sign, lo, hi = np.sign(gap[pair, at]), mu[at], mu[at + 1]
+    zero, change = [], []  # (p, q, grid index) where the gap of branches p < q vanishes or changes sign
+    for p in range(m.size - 1):  # one first branch at a time: memory grows like m_range, not its square
+        gap = values[p] - values[p + 1 :]
+        q, at = np.nonzero(gap == 0.0)
+        zero.append(np.stack([np.full_like(q, p), q + p + 1, at]))
+        q, at = np.nonzero(gap[:, :-1] * gap[:, 1:] < 0.0)
+        change.append(np.stack([np.full_like(q, p), q + p + 1, at]))
+    (zero_p, zero_q, zero_at), (p, q, at) = np.hstack(zero), np.hstack(change)
+    sign, lo, hi = np.sign(values[p, at] - values[q, at]), mu[at], mu[at + 1]
     for _ in range(math.ceil(math.log2((mu[1] - mu[0]) / COLLISION_MU_TOL))):
         mid = 0.5 * (lo + hi)
-        g = sign * (imag(mid, b1[pair]) - imag(mid, b2[pair]))
+        g = sign * (imag(mid, p) - imag(mid, q))
         lo, hi = np.where(g >= 0.0, mid, lo), np.where(g <= 0.0, mid, hi)
-    roots, pair = np.concatenate([mu[zero_at], 0.5 * (lo + hi)]), np.concatenate([zero_pair, pair])
-    order = np.lexsort((roots, pair))
-    roots, pair = roots[order], pair[order]
-    keep = np.r_[True, (np.diff(pair) != 0) | (np.diff(roots) > COLLISION_MU_TOL)]
-    roots, i, j = roots[keep], b1[pair[keep]], b2[pair[keep]]
+    roots = np.concatenate([mu[zero_at], 0.5 * (lo + hi)])
+    i, j = np.concatenate([zero_p, p]), np.concatenate([zero_q, q])
+    order = np.lexsort((roots, j, i))
+    roots, i, j = roots[order], i[order], j[order]
+    keep = np.r_[True, (np.diff(i) != 0) | (np.diff(j) != 0) | (np.diff(roots) > COLLISION_MU_TOL)]
+    roots, i, j = roots[keep], i[keep], j[keep]
     records = [
         CollisionRecord(mu=float(x), m1=int(m[p]), m2=int(m[q]), s1=int(s[p]), s2=int(s[q]), lam=1j * float(v))
         for x, p, q, v in zip(roots, i, j, imag(roots, i))

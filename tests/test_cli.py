@@ -13,7 +13,7 @@ from flexwave.cli import build_parser, load_branch, main, merge_config
 from flexwave.core import IceModel, NumericalFailure
 from flexwave.solver import RESIDUAL_TOL, bifurcation_speed, residual
 from flexwave.stability import InstabilityKind, InstabilityReport, SpectralCluster
-from flexwave.theory import c_nls, dispersion, find_collisions, nls_coefficients
+from flexwave.theory import c_nls, dispersion_derivatives, find_collisions, nls_coefficients
 from flexwave.core import PhysicalParams
 
 
@@ -97,7 +97,7 @@ class TestDispersionCommand:
         for row in rows:
             r = {name: float(v) for name, v in zip(header, row)}
             params, k, dk = PhysicalParams(h=1.0, D=r["D"]), r["k"], 1e-4
-            w = [dispersion(k + j * dk, params) for j in (-1, 0, 1)]
+            w = [dispersion_derivatives(k + j * dk, params)[0] for j in (-1, 0, 1)]
             assert r["omega"] == w[1]
             assert r["omega_p"] == pytest.approx((w[2] - w[0]) / (2 * dk), rel=1e-7)
             assert r["omega_pp"] == pytest.approx((w[2] - 2 * w[1] + w[0]) / dk**2, rel=1e-5)

@@ -1,5 +1,5 @@
-"""Package surface: every exported name resolves, importing the package
-stays cheap, and it sets the BLAS thread default."""
+"""Package surface: importing the package stays cheap, and it sets the
+BLAS thread default."""
 
 import importlib
 import json
@@ -10,13 +10,6 @@ import pytest
 def test_package_imports():
     flexwave = importlib.import_module("flexwave")
     assert flexwave.__version__
-
-
-@pytest.mark.parametrize("module", ["core", "solver", "stability", "theory", "cli"])
-def test_all_names_resolve(module):
-    mod = importlib.import_module(f"flexwave.{module}")
-    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
-    assert not missing
 
 
 def test_import_loads_no_scipy(fresh_python):

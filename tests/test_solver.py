@@ -29,7 +29,7 @@ from flexwave.solver import (
     newton_solve,
     residual,
 )
-from flexwave.theory import c_nls, nls_coefficients
+from flexwave.theory import c_nls, nls_coefficients, resonant_rigidity
 
 LIN = IceModel.LINEAR_BIHARMONIC
 NL = IceModel.NONLINEAR_COSSERAT
@@ -373,6 +373,26 @@ class TestContinuation:
         for wave, ref in zip(branch.points, reference.points):
             assert abs(wave.c - ref.c) <= 1e-12
             assert np.max(np.abs(wave.profile.coeffs[:16] - ref.profile.coeffs[:16])) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "model, offset",
+        [
+            (LIN, -1e-5),
+            (NL, -1e-5),
+            (LIN, 1e-5),
+            pytest.param(NL, 1e-5, marks=pytest.mark.xfail(
+                strict=True, reason="silent branch switch near a resonant rigidity: ROADMAP direction 11")),
+        ],
+    )
+    def test_no_branch_switch_next_to_the_k3_resonance(self, model, offset):
+        # at D = D_3 (1 + offset), N = 16 and the default step, the sign of
+        # a3/a1 marks the Wilton-ripple branch.  On the Toland branch at
+        # offset 1e-5 it goes from -0.467 at a1 = 0.003 to +0.297 at 0.0035,
+        # after 19 Newton steps, with every residual at the rounding floor
+        params = deep(resonant_rigidity(3, deep(0.0)) * (1.0 + offset))
+        branch = continue_branch(params, model, 0.006)
+        signs = np.sign([w.profile.coeffs[2] / w.a1 for w in branch.points])
+        assert np.all(signs == signs[0])
 
     @pytest.mark.parametrize("a1_max", [0.0, -1.0, math.inf, math.nan])
     def test_a1_max_must_be_positive_and_finite(self, a1_max):

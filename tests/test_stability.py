@@ -598,6 +598,28 @@ class TestClassify:
         assert 0.85 <= slope <= 1.1
         assert abs(offsets[0]) < 0.02
 
+    @pytest.mark.parametrize("model", [LIN, NL])
+    def test_argmax_mu_grows_with_amplitude_like_mu_max(self, branch_cache, model):
+        # claim (i) across amplitudes: on a grid of step 1e-4 below the NLS
+        # sideband mu_max(a1/2), the slope of argmax_mu in a1 over
+        # a1 = 0.01..0.04 falls short of mu_max's by 7.2 % (linear) and
+        # 7.4 % (Toland); a 2e-5 grid moves these by under 0.15 %, and over
+        # a1 = 0.004..0.016 the gap is 3.0 %, so it is of order a1
+        branch = branch_cache(0.01, model, 0.04)
+        coeffs = nls_coefficients(model, branch.params)
+        a1s, argmax, nls = [], [], []
+        for target in (0.01, 0.02, 0.03, 0.04):
+            wave = min(branch.points, key=lambda w: abs(w.a1 - target))
+            mu_max = coeffs.mu_max(wave.a1 / 2.0)
+            mus = np.arange(0.9 * mu_max, mu_max, 1e-4)
+            report = classify(sweep_floquet(wave, mus, n_modes=16))
+            assert mus[0] < report.argmax_mu < mus[-1]
+            a1s.append(wave.a1)
+            argmax.append(report.argmax_mu)
+            nls.append(mu_max)
+        gap = np.polyfit(a1s, argmax, 1)[0] / np.polyfit(a1s, nls, 1)[0] - 1.0
+        assert -0.1 < gap < 0
+
     @pytest.mark.parametrize("d", [0.01, 0.1, 1.0])
     @pytest.mark.parametrize("model", [LIN, NL])
     def test_doppler_frame_is_the_nls_group_velocity(self, branch_cache, model, d):

@@ -1,6 +1,7 @@
 """Closed-form layer: dispersion, envelope coefficients, resonance, collisions."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from flexwave.theory import (
     FiniteDepthUnsupported,
     WiltonPole,
     c_nls,
-    dispersion,
     dispersion_derivatives,
     find_collisions,
     flat_eigenvalues,
@@ -36,20 +36,20 @@ def deep(d):
 
 class TestDispersion:
     def test_unit_gravity_wave(self):
-        assert dispersion(1.0, DEEP) == pytest.approx(1.0, abs=1e-15)
+        assert dispersion_derivatives(1.0, DEEP)[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_unit_rigidity(self):
-        assert dispersion(1.0, deep(1.0)) == pytest.approx(math.sqrt(2.0), abs=1e-14)
+        assert dispersion_derivatives(1.0, deep(1.0))[0] == pytest.approx(math.sqrt(2.0), abs=1e-14)
 
     def test_tanh_saturation(self):
-        deep_value = dispersion(2.0, DEEP)
+        deep_value = dispersion_derivatives(2.0, DEEP)[0]
         assert deep_value**2 == pytest.approx(2.0, abs=1e-14)
-        finite = dispersion(2.0, PhysicalParams(h=10.0))
+        finite = dispersion_derivatives(2.0, PhysicalParams(h=10.0))[0]
         assert finite == pytest.approx(deep_value, rel=1e-14)
 
     def test_zero_wavenumber_rejected(self):
         with pytest.raises(ValueError):
-            dispersion(0.0, DEEP)
+            dispersion_derivatives(0.0, DEEP)
 
     # the units fix the carrier at k = 1: wavenumber K at rigidity d and depth h
     # is the unit carrier at D = d K^4 and depth K h, with omega, omega' and
@@ -66,7 +66,7 @@ class TestDispersion:
     @pytest.mark.parametrize("h", [INFINITE_DEPTH, 0.05, 2.0])
     def test_even_in_k(self, k, h):
         p = PhysicalParams(h=h, D=0.2)
-        assert dispersion(-k, p) == pytest.approx(dispersion(k, p), rel=1e-15)
+        assert dispersion_derivatives(-k, p)[0] == pytest.approx(dispersion_derivatives(k, p)[0], rel=1e-15)
 
 
 class TestNlsCoefficients:
@@ -301,7 +301,7 @@ class TestCollisions:
         # (1, +) x (3, -) at -1/2, is scanned only when m_range reaches 3.
         # (-2, +) x (0, -) meets at -1/2 too, and is listed there either way
         p = deep(0.01)
-        c = (dispersion(0.5, p) + dispersion(2.5, p)) / 2
+        c = (dispersion_derivatives(0.5, p)[0] + dispersion_derivatives(2.5, p)[0]) / 2
         at_half = {
             m_range: [(r.mu, r.m1, r.s1, r.m2, r.s2) for r in find_collisions(p, c, m_range) if abs(r.mu) == 0.5]
             for m_range in (2, 3)
@@ -319,3 +319,16 @@ class TestCollisions:
             pick1 = lam1[0] if r.s1 > 0 else lam1[1]
             pick2 = lam2[0] if r.s2 > 0 else lam2[1]
             assert abs(pick1 - pick2) < 1e-8
+
+    def test_memory_grows_with_the_branch_count_not_the_pair_count(self):
+        # m_range 30 gives 122 branches and 7,381 pairs on 2001 exponents.
+        # Differencing every pair at once peaked at 243.2 MiB of traced
+        # memory; one first branch at a time peaks at 13.2 MiB
+        p = deep(0.01)
+        tracemalloc.start()
+        try:
+            find_collisions(p, bifurcation_speed(p), m_range=30)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
