@@ -26,7 +26,10 @@ values round-trip exactly.  Exit codes: 0 success, 2 configuration error,
 3 numerical failure, which is any `core.NumericalFailure` (partial results
 are persisted alongside an error record that names the error: `branch`,
 `stability` and `compare` save a branch that stalls at a fold as far as it
-got).
+got).  The command, console script or ``python -m flexwave.cli``, exits
+through `run_and_exit`, without the interpreter's final cyclic-GC passes:
+they cost about 20 ms, near a tenth of a short `branch` run, and free only
+memory that the exit gives back anyway.
 
 Runs use one BLAS thread unless the caller sets a count: the package
 docstring states the rule.
@@ -35,6 +38,7 @@ docstring states the rule.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -43,6 +47,7 @@ from collections import namedtuple
 from dataclasses import asdict
 from enum import Enum
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -603,5 +608,16 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def run_and_exit() -> NoReturn:
+    """Entry point of the `flexwave` command and of ``python -m flexwave.cli``:
+    runs :func:`main` and exits with its code.  `gc.freeze` first moves every
+    tracked object (some 22k with numpy loaded) to the permanent generation,
+    which the interpreter's final GC passes skip; atexit handlers still run
+    and buffered streams still flush."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run_and_exit()

@@ -5,7 +5,8 @@ coefficients ``a_1..a_N``.  `eval_profile` forms eta's derivatives, once,
 from the coefficients: the (5, M) stack ``surface`` = eta, eta_x, ...,
 eta_xxxx on the grid ``x_i = 2*pi*i/M``.  The pointwise operators take that
 stack, so no sample of eta is differentiated spectrally; only the ice
-pressure's Frechet derivative differentiates grid samples, of its directions.
+pressure's Frechet derivative differentiates grid samples, of its directions,
+which it takes as the same kind of stack (`derivative_stack`).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -156,8 +158,16 @@ def eval_profile(profile: SpectralProfile, m: int) -> np.ndarray:
     if m < 2 * n + 2:
         raise ValueError(f"grid size {m} aliases a profile with {n} modes; need M >= {2 * n + 2}")
     spec = np.zeros((5, m // 2 + 1), dtype=complex)
-    spec[:, 1 : n + 1] = 0.5 * m * profile.coeffs * (1j * np.arange(1, n + 1)) ** np.arange(5)[:, None]
+    spec[:, 1 : n + 1] = 0.5 * m * profile.coeffs * _derivative_factors(n)
     return np.fft.irfft(spec, n=m)
+
+
+@lru_cache(maxsize=32)
+def _derivative_factors(n: int) -> np.ndarray:
+    """The read-only (5, n) table (i j)^k, k = 0..4, j = 1..n."""
+    factors = (1j * np.arange(1, n + 1)) ** np.arange(5)[:, None]
+    factors.flags.writeable = False
+    return factors
 
 
 def grid_derivative(values: GridFunction, order: int) -> GridFunction:
@@ -173,6 +183,13 @@ def grid_derivative(values: GridFunction, order: int) -> GridFunction:
     if order % 2 == 1 and m % 2 == 0:
         spec[..., -1] = 0.0  # Nyquist mode has no well-defined odd derivative
     return np.fft.irfft(spec, n=m)
+
+
+def derivative_stack(values: GridFunction) -> np.ndarray:
+    """The (5, ...) stack values, d/dx values, ..., d^4/dx^4 values of grid
+    samples, row k from ``grid_derivative(values, k)``: the layout of
+    `eval_profile`'s surface, for functions known only on the grid."""
+    return np.stack([values, *(grid_derivative(values, k) for k in range(1, 5))])
 
 
 def p_flex_grid(surface: np.ndarray, model: IceModel) -> GridFunction:
@@ -214,17 +231,17 @@ def toland_frechet_coeffs(surface: np.ndarray) -> tuple[GridFunction, GridFuncti
     return b2, s2, s1
 
 
-def p_flex_derivative_grid(surface: np.ndarray, v: np.ndarray, model: IceModel) -> np.ndarray:
+def p_flex_derivative_grid(surface: np.ndarray, directions: np.ndarray, model: IceModel) -> np.ndarray:
     """Directional derivative P_flex'(eta)[v] of the ice pressure on the grid.
 
-    ``v`` holds the grid samples of one direction, or a stack of directions
-    along its leading axes; the result has the shape of ``v``.
+    ``directions`` is the derivative stack v, v_x, ..., v_xxxx of one
+    direction, or of a stack of directions along its middle axes, as
+    `derivative_stack` makes it; the result has the shape of ``directions[0]``.
     """
     if model is IceModel.LINEAR_BIHARMONIC:
-        return grid_derivative(v, 4)
+        return directions[4]
     b2, s2, s1 = toland_frechet_coeffs(surface)
-    vx = grid_derivative(v, 1)
-    vxx = grid_derivative(v, 2)
+    vx, vxx = directions[1], directions[2]
     return grid_derivative(b2 * vxx - s2 * vx, 2) + grid_derivative(s2 * vxx + s1 * vx, 1)
 
 

@@ -46,8 +46,9 @@ from .core import (
     bernoulli_radicand,
     default_grid_size,
     depth_kernels,
+    derivative_stack,
     eval_profile,
-    grid_derivative,  # not called here; perfbench/test_bench.py probes this binding
+    grid_derivative,  # called through derivative_stack; perfbench/test_bench.py probes this binding
     grid_points,
     p_flex_derivative_grid,
 )
@@ -128,10 +129,19 @@ def bifurcation_speed(params: PhysicalParams) -> float:
 
 
 @lru_cache(maxsize=32)
-def _trig_tables(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """cos(j x) and sin(j x) for j = 1..n on the M-point grid, as (n, M) arrays."""
+def _trig_tables(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The wave-independent tables of the residual and its Jacobian on the
+    M-point grid, read-only and shared by every solve at (n, M): cos(j x) for
+    j = 1..n, (n, M); the Newton directions' slopes v_x = -j sin(j x) for
+    j = 2..n, (n-1, M); and the directions' `core.derivative_stack`, (5, n-1, M),
+    whose row 0 is v = cos(j x), j = 2..n."""
     jx = np.outer(np.arange(1, n + 1), grid_points(m))
-    return np.cos(jx), np.sin(jx)
+    cos_mx = np.cos(jx)
+    v_x = -np.arange(2, n + 1)[:, None] * np.sin(jx)[1:]
+    directions = derivative_stack(cos_mx[1:])
+    for table in (cos_mx, v_x, directions):
+        table.flags.writeable = False
+    return cos_mx, v_x, directions
 
 
 def _evaluate(z, a1, params, model):
@@ -167,10 +177,9 @@ def _jacobian_at(surface, z, a1, params, model):
         raise SingularJacobian(f"the weight W vanishes at a1={a1:.3e}, c={z[0]:.6g}")
     n = z.size
     s = 1.0 + eta[1] ** 2
-    cos_mx, sin_mx = _trig_tables(n, m_grid)
-    v = cos_mx[1:]
-    v_x = -np.arange(2, n + 1)[:, None] * sin_mx[1:]
-    d_rad = -2.0 * v - 2.0 * params.D * p_flex_derivative_grid(eta, v, model)
+    cos_mx, v_x, directions = _trig_tables(n, m_grid)
+    v = directions[0]
+    d_rad = -2.0 * v - 2.0 * params.D * p_flex_derivative_grid(eta, directions, model)
     d_weight = np.empty((n, m_grid))
     d_weight[0] = s * z[0] / weight
     d_weight[1:] = (2.0 * eta[1] * v_x * radicand + s * d_rad) / (2.0 * weight)

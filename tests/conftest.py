@@ -36,17 +36,26 @@ def small_wave_d001(branch_cache):
 
 
 @pytest.fixture(scope="session")
-def fresh_python():
-    """Runs a Python snippet in a new interpreter that imports flexwave from
-    this checkout, and returns its stdout; a failing snippet fails the test."""
+def checkout_python():
+    """Runs a new interpreter, with the given arguments, that imports
+    flexwave from this checkout, and returns the completed process."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
 
+    def run(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=300)
+
+    return run
+
+
+@pytest.fixture(scope="session")
+def fresh_python(checkout_python):
+    """Runs a Python snippet in a new interpreter that imports flexwave from
+    this checkout, and returns its stdout; a failing snippet fails the test."""
+
     def run(code: str, *args: str) -> str:
-        proc = subprocess.run(
-            [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=300
-        )
+        proc = checkout_python("-c", code, *args)
         assert proc.returncode == 0, proc.stderr
         return proc.stdout
 

@@ -1,9 +1,11 @@
 """Command-line pipelines: artifacts, determinism, round-trips, exit codes."""
 
+import gc
 import importlib
 import json
 import math
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -732,3 +734,58 @@ class TestFailurePaths:
         resumed = load_branch(out2 / "branch_linear.csv")
         assert len(resumed.points) > len(prior.points)
         assert [w.a1 for w in resumed.points[: len(prior.points)]] == [w.a1 for w in prior.points]
+
+
+class TestExitPath:
+    """`python -m flexwave.cli` and the console script exit through
+    `cli.run_and_exit`: the code of `main`, with the GC frozen so that the
+    interpreter's final cyclic-GC passes skip every object."""
+
+    BRANCH = ["branch", "--model", "linear", "--modes", "8", "--a1-max", "0.002"]
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (BRANCH, 0),
+            (["branch", "--a1-max", "-1"], 2),
+            (["compare", "--h", "1", "--a1-max", "0.002", "--modes", "8", "--mu-count", "5"], 3),
+        ],
+        ids=["success", "config-error", "numerical-failure"],
+    )
+    def test_module_run_writes_what_main_writes(self, checkout_python, tmp_path, argv, code):
+        # every file is complete at exit: byte for byte what main writes in
+        # process, apart from the --out path in the sidecars
+        proc = checkout_python("-m", "flexwave.cli", *argv, "--out", str(tmp_path / "exit"))
+        assert proc.returncode == code, proc.stderr
+        assert main([*argv, "--out", str(tmp_path / "main")]) == code
+        written = {}
+        for run in ("exit", "main"):
+            out = tmp_path / run
+            files = sorted(out.iterdir()) if out.exists() else []
+            written[run] = {p.name: p.read_text().replace(str(out), "OUT") for p in files}
+        assert written["exit"] == written["main"]
+        assert bool(written["exit"]) == (code != 2)
+        assert ("error.json" in written["exit"]) == (code == 3)
+
+    def test_exit_freezes_the_gc_after_main_and_runs_atexit(self, checkout_python, tmp_path):
+        # runpy runs the module's __main__ block as -m does, after this
+        # hook is registered; the hook runs after the freeze
+        code = (
+            "import atexit, gc, runpy\n"
+            "atexit.register(lambda: print('freeze count', gc.get_freeze_count()))\n"
+            "runpy.run_module('flexwave.cli', run_name='__main__')"
+        )
+        proc = checkout_python("-c", code, *self.BRANCH, "--out", str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        last = proc.stdout.splitlines()[-1]
+        assert last.startswith("freeze count ") and int(last.split()[-1]) > 0
+        assert (tmp_path / "branch_linear.csv").is_file()
+
+    def test_main_in_process_keeps_normal_gc(self, tmp_path):
+        assert gc.get_freeze_count() == 0
+        assert main([*self.BRANCH, "--out", str(tmp_path)]) == 0
+        assert gc.get_freeze_count() == 0
+
+    def test_console_script_exits_through_the_same_path(self):
+        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        assert 'flexwave = "flexwave.cli:run_and_exit"' in pyproject.split("[project.scripts]")[1]

@@ -94,3 +94,15 @@ def test_package_import_loads_no_numpy_and_sets_the_blas_default(fresh_python):
     )
     loaded = json.loads(fresh_python(code))
     assert loaded == {"numpy": False, "env": dict.fromkeys(BLAS_THREAD_VARS, "1")}
+
+
+def test_import_neither_freezes_the_gc_nor_builds_tables(fresh_python):
+    # the exit path freezes the GC only after a run, and the Newton tables
+    # are built by the first solve that needs them
+    code = (
+        "import gc, json, flexwave.cli\n"
+        "from flexwave import core, solver\n"
+        "print(json.dumps([gc.get_freeze_count(), solver._trig_tables.cache_info().currsize,"
+        " core._derivative_factors.cache_info().currsize]))"
+    )
+    assert json.loads(fresh_python(code)) == [0, 0, 0]

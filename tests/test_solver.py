@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from flexwave import solver
+from flexwave import core, solver
 from flexwave.core import (
     INFINITE_DEPTH,
     IceModel,
@@ -15,7 +15,10 @@ from flexwave.core import (
     SpectralProfile,
     default_grid_size,
     eval_profile,
+    grid_derivative,
+    grid_points,
     qx_on_grid,
+    toland_frechet_coeffs,
 )
 from flexwave.solver import (
     Direction,
@@ -162,6 +165,43 @@ class TestJacobian:
         exact = _jacobian(z, 0.04, params, NL)
         fd = _central_difference_jacobian(z, 0.04, params, NL)
         assert np.max(np.abs(exact - fd)) / np.max(np.abs(fd)) <= 1e-6
+
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("model", [LIN, NL])
+    @pytest.mark.parametrize("h", [INFINITE_DEPTH, 1.0])
+    def test_cached_tables_give_the_jacobian_of_fresh_derivatives(self, monkeypatch, n, model, h):
+        # the Jacobian read from the tables, after a solve has used them, is
+        # bitwise the one whose directions are differentiated afresh, as
+        # P_flex' did before the tables held the directions' derivatives
+        params = PhysicalParams(h=h, D=0.01)
+        z0 = np.zeros(n)
+        z0[0] = bifurcation_speed(params)
+        wave = newton_solve(z0, 0.01, params, model)
+        z = np.concatenate(([wave.c], wave.profile.coeffs[1:]))
+        cached = _jacobian(z, wave.a1, params, model)
+        m_grid = default_grid_size(n)
+        jx = np.outer(np.arange(1, n + 1), grid_points(m_grid))
+        v = np.cos(jx)[1:]
+        cos_mx, v_x, directions = solver._trig_tables(n, m_grid)
+        assert np.array_equal(cos_mx, np.cos(jx))
+        assert np.array_equal(v_x, -np.arange(2, n + 1)[:, None] * np.sin(jx)[1:])
+        assert np.array_equal(directions[0], v)
+
+        def fresh_p_flex_derivative(surface, _directions, model):
+            if model is LIN:
+                return grid_derivative(v, 4)
+            b2, s2, s1 = toland_frechet_coeffs(surface)
+            vx, vxx = grid_derivative(v, 1), grid_derivative(v, 2)
+            return grid_derivative(b2 * vxx - s2 * vx, 2) + grid_derivative(s2 * vxx + s1 * vx, 1)
+
+        monkeypatch.setattr(solver, "p_flex_derivative_grid", fresh_p_flex_derivative)
+        assert np.array_equal(_jacobian(z, wave.a1, params, model), cached)
+
+    def test_cached_tables_are_read_only(self):
+        # every solve at (N, M) shares them, so no caller may write to one
+        for table in (*solver._trig_tables(16, 64), core._derivative_factors(16)):
+            with pytest.raises(ValueError, match="read-only"):
+                table += 0
 
     @pytest.mark.parametrize("model", [LIN, NL])
     @pytest.mark.parametrize("h", [INFINITE_DEPTH, 1.0])

@@ -14,6 +14,7 @@ from flexwave.core import (
     SpectralProfile,
     TravelingWave,
     depth_kernels,
+    derivative_stack,
     eval_profile,
     grid_points,
     p_flex_derivative_grid,
@@ -128,7 +129,7 @@ class TestLinearizedFlex:
         g_mat = linearized_flex(base, NL, 0.0, n_modes)
         m_grid = 64  # the grid linearized_flex uses for this profile
         x = grid_points(m_grid)
-        on_grid = p_flex_derivative_grid(eval_profile(prof, m_grid), np.cos(j * x), NL)
+        on_grid = p_flex_derivative_grid(eval_profile(prof, m_grid), derivative_stack(np.cos(j * x)), NL)
         grid_modes = (np.fft.fft(on_grid) / m_grid)[modes(n_modes) % m_grid]
         cos_modes = 0.5 * (np.abs(modes(n_modes)) == j)
         floquet_modes = g_mat @ cos_modes
