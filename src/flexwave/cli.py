@@ -16,10 +16,16 @@ Each command takes only the flags it reads.  `SETTINGS` declares each
 setting once: the commands that read it with its default in each, its flag's
 help and type, the parser of its text and its least value.  A setting is
 taken from its flag if given, else from the `--config` file, else from the
-command's default: flag > file > default.  Settings are checked by the table
-and by the PhysicalParams and SolverConfig they build, before any output is
-written.  Runs are in the units of `core.PhysicalParams`, so a gravity g
-other than 1, from a config file or a resumed sidecar, is a config error.
+command's default: flag > file > default.  Runs are in the units of
+`core.PhysicalParams`, so a gravity g other than 1, from a config file or a
+resumed sidecar, is a config error.
+
+`main` frames every run: check, make `out`, compute, record.  `merge_config`
+checks every setting, by the table, by the PhysicalParams and SolverConfig
+they build and by loading the `--resume` branch; `out_dir` then makes the
+output directory, the one place that does; the command computes into it;
+and a numerical failure leaves its record there.  A config error therefore
+computes and writes nothing.
 
 All numeric CSV payloads are written with 17 significant digits so reloaded
 values round-trip exactly.  Exit codes: 0 success, 2 configuration error,
@@ -200,13 +206,17 @@ def merge_config(args: argparse.Namespace) -> dict:
     """Flags over config-file values over the command's defaults.
 
     Each given value, from a flag or the file, is converted and checked by
-    its SETTINGS entry.  Keys of the file that are no setting of the command
+    its SETTINGS entry.  Keys of the file that are settings of other commands
     are dropped, so one file can serve several commands; `resume` is an error
-    instead, because it would replace the command's own branch.
+    instead, because it would replace the command's own branch.  A key that
+    is no setting of any command, such as a misspelled one, is an error too.
     """
     command = args.command
     values = load_config_file(args.config) if args.config else {}
     _check_unit_gravity(args.config, values.get("g", 1))
+    unknown = sorted(values.keys() - SETTINGS.keys() - {"config", "g"})
+    if unknown:
+        raise ConfigError(f"{args.config}: no command has the setting {', '.join(unknown).replace('_', '-')}")
     if "resume" in values and command not in SETTINGS["resume"].defaults:
         raise ConfigError(f"{args.config}: {command} has no --resume; only branch continues a prior branch")
     merged = {}
@@ -264,6 +274,17 @@ def _check_ranges(command: str, cfg: dict) -> None:
         raise ConfigError(f"a1-list values must lie in (0, a1-max = {cfg['a1_max']}], got {cfg['a1_list']!r}")
     if command == "dispersion" and 0.0 in setting(cfg, "k_list"):
         raise ConfigError("dispersion is undefined at k = 0")
+    if cfg.get("resume"):
+        try:
+            prior = load_branch(cfg["resume"])
+        except (OSError, KeyError, ValueError) as exc:
+            raise ConfigError(f"cannot resume from {cfg['resume']}: {exc}") from exc
+        if prior.model not in setting(cfg, "model"):
+            raise ConfigError(
+                f"--model {cfg['model']} does not include the {prior.model.value} model of {cfg['resume']}"
+            )
+        if not cfg["a1_max"] > prior.points[-1].a1:
+            raise ConfigError(f"a1-max {cfg['a1_max']} does not exceed the last a1 of {cfg['resume']}")
 
 
 def params_from(cfg: dict, d_value: float | None = None) -> PhysicalParams:
@@ -308,8 +329,7 @@ def out_dir(cfg: dict) -> Path:
 # ---------------------------------------------------------------- commands
 
 
-def cmd_dispersion(cfg: dict) -> None:
-    out = out_dir(cfg)
+def cmd_dispersion(cfg: dict, out: Path) -> None:
     ks = setting(cfg, "k_list")
     d_values = setting(cfg, "D")
     rows = []
@@ -321,8 +341,7 @@ def cmd_dispersion(cfg: dict) -> None:
     write_sidecar(out / "dispersion.meta.json", cfg)
 
 
-def cmd_nls(cfg: dict) -> None:
-    out = out_dir(cfg)
+def cmd_nls(cfg: dict, out: Path) -> None:
     d_values = setting(cfg, "D_grid") if cfg.get("D_grid") else setting(cfg, "D")
     rows = []
     for d in d_values:
@@ -344,8 +363,7 @@ def cmd_nls(cfg: dict) -> None:
     write_sidecar(out / "nls.meta.json", cfg)
 
 
-def cmd_resonance(cfg: dict) -> None:
-    out = out_dir(cfg)
+def cmd_resonance(cfg: dict, out: Path) -> None:
     ks = setting(cfg, "K_list")
     params = params_from(cfg, d_value=0.0)
     rows = []
@@ -355,8 +373,7 @@ def cmd_resonance(cfg: dict) -> None:
     write_sidecar(out / "resonance.meta.json", cfg)
 
 
-def cmd_collisions(cfg: dict) -> None:
-    out = out_dir(cfg)
+def cmd_collisions(cfg: dict, out: Path) -> None:
     params = params_from(cfg)
     c = float(cfg["c"]) if cfg.get("c") is not None else bifurcation_speed(params)
     records = find_collisions(params, c, int(cfg["m_range"]))
@@ -426,29 +443,19 @@ def load_branch(csv_path: str | Path) -> BifurcationBranch:
     return BifurcationBranch(params=params, model=model, points=points)
 
 
-def _saved_branches(cfg: dict):
+def _saved_branches(cfg: dict, out: Path):
     """Continue, save and yield the branch of each model `--model` selects.
 
-    With `resume` (branch only), the prior branch is loaded once: `--model`
-    must include its model, and its points head the continued branch.  A
-    branch that stalls at a fold is saved as far as it got before
-    StepUnderflow propagates.
+    With `resume` (branch only), whose branch `_check_ranges` has checked,
+    only the prior branch's model is continued, and its points head the
+    continued branch.  A branch that stalls at a fold is saved as far as it
+    got before StepUnderflow propagates.
     """
     models = setting(cfg, "model")
     prior_points, start = [], None
     if cfg.get("resume"):
-        try:
-            prior = load_branch(cfg["resume"])
-        except (OSError, KeyError, ValueError) as exc:
-            raise ConfigError(f"cannot resume from {cfg['resume']}: {exc}") from exc
-        if prior.model not in models:
-            raise ConfigError(
-                f"--model {cfg['model']} does not include the {prior.model.value} model of {cfg['resume']}"
-            )
-        if not cfg["a1_max"] > prior.points[-1].a1:
-            raise ConfigError(f"a1-max {cfg['a1_max']} does not exceed the last a1 of {cfg['resume']}")
+        prior = load_branch(cfg["resume"])  # checked by _check_ranges
         models, prior_points, start = [prior.model], prior.points, prior.points[-1]
-    out = out_dir(cfg)
     solver_cfg = solver_config_from(cfg)
     params = params_from(cfg) if start is None else start.params
     for model in models:
@@ -463,8 +470,8 @@ def _saved_branches(cfg: dict):
         yield branch
 
 
-def cmd_branch(cfg: dict) -> None:
-    for _ in _saved_branches(cfg):
+def cmd_branch(cfg: dict, out: Path) -> None:
+    for _ in _saved_branches(cfg, out):
         pass  # each branch is saved as it is computed
 
 
@@ -480,7 +487,7 @@ def _select_waves(branch: BifurcationBranch, cfg: dict) -> list[tuple[TravelingW
     return [(branch.points[i], indices) for i, indices in picks.items()]
 
 
-def _floquet_runs(cfg: dict, overlay: dict[IceModel, NlsCoefficients] | None) -> None:
+def _floquet_runs(cfg: dict, out: Path, overlay: dict[IceModel, NlsCoefficients] | None) -> None:
     """Per model: compute and save the branch, sweep each selected wave once
     over `mu-count` uniform exponents in [-1/2, 1/2), write its spectrum and
     its report: the fields of `stability.InstabilityReport` and the sweep's.
@@ -490,12 +497,11 @@ def _floquet_runs(cfg: dict, overlay: dict[IceModel, NlsCoefficients] | None) ->
     edge], so an overlay point meets the FFH data only by interpolation in
     mu.  A wave that several `a1-list` targets pick has its files and report
     written under each of their indices."""
-    out = out_dir(cfg)
     mu_count = int(cfg["mu_count"])
     mu_values = np.linspace(-0.5, 0.5, mu_count, endpoint=False)
     spectrum_tag, meta_tag = ("spectrum", "stability") if overlay is None else ("compare_ffh", "compare")
     header = ["mu", "re_lambda", "im_lambda"]
-    for branch in _saved_branches(cfg):
+    for branch in _saved_branches(cfg, out):
         model = branch.model
         reports = {}
         for wave, indices in _select_waves(branch, cfg):
@@ -520,18 +526,14 @@ def _floquet_runs(cfg: dict, overlay: dict[IceModel, NlsCoefficients] | None) ->
         write_sidecar(out / f"{meta_tag}_{model.value}.meta.json", cfg, {"reports": ordered})
 
 
-def cmd_stability(cfg: dict) -> None:
-    _floquet_runs(cfg, overlay=None)
+def cmd_stability(cfg: dict, out: Path) -> None:
+    _floquet_runs(cfg, out, overlay=None)
 
 
-def cmd_compare(cfg: dict) -> None:
-    # the overlay can fail (finite depth, Wilton pole): find out before any
-    # branch or sweep, but after the output directory, so that a bad --out
-    # is a config error and a failing overlay has a place for its record
-    out_dir(cfg)
+def cmd_compare(cfg: dict, out: Path) -> None:
     params = params_from(cfg)
     models = setting(cfg, "model")
-    _floquet_runs(cfg, overlay={model: nls_coefficients(model, params) for model in models})
+    _floquet_runs(cfg, out, overlay={model: nls_coefficients(model, params) for model in models})
 
 
 COMMANDS = {
@@ -580,12 +582,12 @@ SETTINGS = {
 }
 
 
-def write_error_record(cfg: dict, exc: Exception) -> None:
+def write_error_record(out: Path, exc: Exception) -> None:
     try:
-        with open(out_dir(cfg) / "error.json", "w") as fh:
+        with open(out / "error.json", "w") as fh:
             json.dump({"error": type(exc).__name__, "message": str(exc)}, fh, indent=2)
             fh.write("\n")
-    except (OSError, ConfigError):
+    except OSError:
         pass
 
 
@@ -596,14 +598,15 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        cfg = merge_config(args)  # raises only ConfigError, so cfg is set in the handlers below
-        COMMANDS[args.command](cfg)
+        cfg = merge_config(args)  # raises only ConfigError, as out_dir does, so out is set below
+        out = out_dir(cfg)
+        COMMANDS[args.command](cfg, out)
     except ConfigError as exc:
         print(f"flexwave: config error: {exc}", file=sys.stderr)
         return 2
     except NumericalFailure as exc:
         print(f"flexwave: numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
-        write_error_record(cfg, exc)
+        write_error_record(out, exc)
         return 3
     return 0
 

@@ -6,7 +6,7 @@ from the coefficients: the (5, M) stack ``surface`` = eta, eta_x, ...,
 eta_xxxx on the grid ``x_i = 2*pi*i/M``.  The pointwise operators take that
 stack, so no sample of eta is differentiated spectrally; only the ice
 pressure's Frechet derivative differentiates grid samples, of its directions,
-which it takes as the same kind of stack (`derivative_stack`).
+which it takes as the same kind of stack.
 """
 
 from __future__ import annotations
@@ -185,13 +185,6 @@ def grid_derivative(values: GridFunction, order: int) -> GridFunction:
     return np.fft.irfft(spec, n=m)
 
 
-def derivative_stack(values: GridFunction) -> np.ndarray:
-    """The (5, ...) stack values, d/dx values, ..., d^4/dx^4 values of grid
-    samples, row k from ``grid_derivative(values, k)``: the layout of
-    `eval_profile`'s surface, for functions known only on the grid."""
-    return np.stack([values, *(grid_derivative(values, k) for k in range(1, 5))])
-
-
 def p_flex_grid(surface: np.ndarray, model: IceModel) -> GridFunction:
     """Ice pressure on the grid, pointwise in the stack ``surface``.
 
@@ -235,8 +228,9 @@ def p_flex_derivative_grid(surface: np.ndarray, directions: np.ndarray, model: I
     """Directional derivative P_flex'(eta)[v] of the ice pressure on the grid.
 
     ``directions`` is the derivative stack v, v_x, ..., v_xxxx of one
-    direction, or of a stack of directions along its middle axes, as
-    `derivative_stack` makes it; the result has the shape of ``directions[0]``.
+    direction, or of a stack of directions along its middle axes, in the
+    layout of `eval_profile`'s surface; the result has the shape of
+    ``directions[0]``.
     """
     if model is IceModel.LINEAR_BIHARMONIC:
         return directions[4]

@@ -46,9 +46,8 @@ from .core import (
     bernoulli_radicand,
     default_grid_size,
     depth_kernels,
-    derivative_stack,
     eval_profile,
-    grid_derivative,  # called through derivative_stack; perfbench/test_bench.py probes this binding
+    grid_derivative,  # perfbench/test_bench.py also probes this binding
     grid_points,
     p_flex_derivative_grid,
 )
@@ -133,12 +132,12 @@ def _trig_tables(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The wave-independent tables of the residual and its Jacobian on the
     M-point grid, read-only and shared by every solve at (n, M): cos(j x) for
     j = 1..n, (n, M); the Newton directions' slopes v_x = -j sin(j x) for
-    j = 2..n, (n-1, M); and the directions' `core.derivative_stack`, (5, n-1, M),
-    whose row 0 is v = cos(j x), j = 2..n."""
+    j = 2..n, (n-1, M); and the directions' derivative stack, (5, n-1, M), whose
+    row k is `grid_derivative(v, k)` of v = cos(j x), j = 2..n."""
     jx = np.outer(np.arange(1, n + 1), grid_points(m))
     cos_mx = np.cos(jx)
     v_x = -np.arange(2, n + 1)[:, None] * np.sin(jx)[1:]
-    directions = derivative_stack(cos_mx[1:])
+    directions = np.stack([cos_mx[1:], *(grid_derivative(cos_mx[1:], k) for k in range(1, 5))])
     for table in (cos_mx, v_x, directions):
         table.flags.writeable = False
     return cos_mx, v_x, directions

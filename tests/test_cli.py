@@ -467,7 +467,7 @@ class TestConfigHandling:
     @pytest.mark.parametrize(
         "command, line",
         [("compare", "mu-count = many"), ("branch", "modes = abc"), ("stability", "mu-count = 1"),
-         ("stability", "floquet-modes = 0"), ("stability", "model = cubist")],
+         ("stability", "floquet-modes = 0"), ("stability", "model = cubist"), ("stability", "mu-cout = 5")],
     )
     def test_bad_config_file_value_is_a_config_error(self, tmp_path, capsys, command, line):
         cfg = tmp_path / "bad.cfg"
@@ -536,11 +536,12 @@ class TestConfigHandling:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()  # rejected before any computation
 
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
     @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below-file"])
-    def test_out_that_cannot_be_a_directory_is_a_config_error(self, tmp_path, capsys, below):
+    def test_out_that_cannot_be_a_directory_is_a_config_error(self, tmp_path, capsys, below, command):
         blocker = tmp_path / "taken"
         blocker.write_text("not a directory\n")
-        assert main(["resonance", "--out", str(blocker / below)]) == 2
+        assert main([command, *self.ALL_FLAGS[command], "--out", str(blocker / below)]) == 2
         assert "config error" in capsys.readouterr().err
         assert blocker.read_text() == "not a directory\n"
 

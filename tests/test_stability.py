@@ -14,8 +14,8 @@ from flexwave.core import (
     SpectralProfile,
     TravelingWave,
     depth_kernels,
-    derivative_stack,
     eval_profile,
+    grid_derivative,
     grid_points,
     p_flex_derivative_grid,
     p_flex_grid,
@@ -129,7 +129,9 @@ class TestLinearizedFlex:
         g_mat = linearized_flex(base, NL, 0.0, n_modes)
         m_grid = 64  # the grid linearized_flex uses for this profile
         x = grid_points(m_grid)
-        on_grid = p_flex_derivative_grid(eval_profile(prof, m_grid), derivative_stack(np.cos(j * x)), NL)
+        v = np.cos(j * x)
+        directions = np.stack([v, *(grid_derivative(v, k) for k in range(1, 5))])
+        on_grid = p_flex_derivative_grid(eval_profile(prof, m_grid), directions, NL)
         grid_modes = (np.fft.fft(on_grid) / m_grid)[modes(n_modes) % m_grid]
         cos_modes = 0.5 * (np.abs(modes(n_modes)) == j)
         floquet_modes = g_mat @ cos_modes
