@@ -258,10 +258,17 @@ def _check_ranges(command: str, cfg: dict) -> None:
     # h for every command; D where the command takes a single value,
     # and each value of the D list and grid where it takes several
     params_from(cfg, d_value=None if command in ("collisions", *BRANCH_COMMANDS) else 0.0)
+    if command == "dispersion" and 0.0 in setting(cfg, "k_list"):
+        raise ConfigError("dispersion is undefined at k = 0")
     if command in ("dispersion", "nls"):
         for key in ("D", "D_grid"):
             for d in setting(cfg, key) if cfg.get(key) else ():
-                params_from(cfg, d_value=float(d))
+                params = params_from(cfg, d_value=float(d))
+                for k in setting(cfg, "k_list") if command == "dispersion" else ():
+                    if _overflows(dispersion_derivatives, k, params):
+                        raise ConfigError(f"omega, omega' or omega'' overflows at k = {k}, D = {d}")
+                if command == "nls" and _overflows(_nls_values, params):
+                    raise ConfigError(f"the NLS coefficients overflow at D = {d}")
     if command == "resonance" and not all(2 <= k <= MAX_RESONANT_MODE for k in setting(cfg, "K_list")):
         raise ConfigError(f"K-list modes must lie in [2, {MAX_RESONANT_MODE:.0e}], got {cfg['K_list']!r}")
     if command in BRANCH_COMMANDS:
@@ -272,8 +279,6 @@ def _check_ranges(command: str, cfg: dict) -> None:
         raise ConfigError(f"c must be finite, got {cfg['c']}")
     if cfg.get("a1_list") and not all(0 < t <= cfg["a1_max"] for t in setting(cfg, "a1_list")):
         raise ConfigError(f"a1-list values must lie in (0, a1-max = {cfg['a1_max']}], got {cfg['a1_list']!r}")
-    if command == "dispersion" and 0.0 in setting(cfg, "k_list"):
-        raise ConfigError("dispersion is undefined at k = 0")
     if cfg.get("resume"):
         try:
             prior = load_branch(cfg["resume"])
@@ -285,6 +290,22 @@ def _check_ranges(command: str, cfg: dict) -> None:
             )
         if not cfg["a1_max"] > prior.points[-1].a1:
             raise ConfigError(f"a1-max {cfg['a1_max']} does not exceed the last a1 of {cfg['resume']}")
+
+
+def _overflows(compute, *args) -> bool:
+    """Whether compute(*args) overflows or gives a number that is not finite;
+    a NumericalFailure (a Wilton pole, finite depth) is the command's to report."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return not all(map(math.isfinite, compute(*args)))
+    except OverflowError:
+        return True
+    except NumericalFailure:
+        return False
+
+
+def _nls_values(params: PhysicalParams) -> list[float]:
+    return [v for model in IceModel for v in asdict(nls_coefficients(model, params)).values()]
 
 
 def params_from(cfg: dict, d_value: float | None = None) -> PhysicalParams:

@@ -1,12 +1,11 @@
 """Domain types and pseudospectral machinery for periodic wave profiles.
 
 Profiles are even, zero-mean and 2*pi-periodic, represented by their cosine
-coefficients ``a_1..a_N``.  `eval_profile` forms eta's derivatives, once,
-from the coefficients: the (5, M) stack ``surface`` = eta, eta_x, ...,
-eta_xxxx on the grid ``x_i = 2*pi*i/M``.  The pointwise operators take that
-stack, so no sample of eta is differentiated spectrally; only the ice
-pressure's Frechet derivative differentiates grid samples, of its directions,
-which it takes as the same kind of stack.
+coefficients ``a_1..a_N``.  `eval_profile` is the one rule from coefficients
+to grid derivatives: the (5, M) stack ``surface`` = eta, eta_x, ..., eta_xxxx
+on the grid ``x_i = 2*pi*i/M``, or that stack of many profiles at once.  The
+pointwise operators take such stacks; only the ice pressure's Frechet derivative
+differentiates grid samples, its coefficients times a direction's derivatives.
 """
 
 from __future__ import annotations
@@ -149,16 +148,17 @@ def depth_kernels(s, eta: GridFunction, h: float) -> tuple[np.ndarray, np.ndarra
     return sh + t * ch, ch + t * sh
 
 
-def eval_profile(profile: SpectralProfile, m: int) -> np.ndarray:
-    """The (5, M) stack eta, eta_x, ..., eta_xxxx of eta(x) = sum a_j cos(j x)
-    on the M-point grid, from one inverse FFT of the coefficients scaled by
-    (i j)^k.  Requires M >= 2N+2 so that no mode aliases.
+def eval_profile(coeffs: np.ndarray, m: int) -> np.ndarray:
+    """The stack eta, eta_x, ..., eta_xxxx of eta(x) = sum a_j cos(j x) on the
+    M-point grid, (5, M) for coefficients a_1..a_N and (5, r, M) for r rows of
+    them, (r, N), from one inverse FFT of the coefficients scaled by (i j)^k.
+    Requires M >= 2N+2 so that no mode aliases.
     """
-    n = profile.n_modes
+    n = coeffs.shape[-1]
     if m < 2 * n + 2:
         raise ValueError(f"grid size {m} aliases a profile with {n} modes; need M >= {2 * n + 2}")
-    spec = np.zeros((5, m // 2 + 1), dtype=complex)
-    spec[:, 1 : n + 1] = 0.5 * m * profile.coeffs * _derivative_factors(n)
+    spec = np.zeros((5, *coeffs.shape[:-1], m // 2 + 1), dtype=complex)
+    spec[..., 1 : n + 1] = 0.5 * m * coeffs * _derivative_factors(n).reshape(5, *[1] * (coeffs.ndim - 1), n)
     return np.fft.irfft(spec, n=m)
 
 

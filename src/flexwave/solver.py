@@ -47,8 +47,7 @@ from .core import (
     default_grid_size,
     depth_kernels,
     eval_profile,
-    grid_derivative,  # perfbench/test_bench.py also probes this binding
-    grid_points,
+    grid_derivative,  # not called here; perfbench/test_bench.py probes this binding
     p_flex_derivative_grid,
 )
 from .theory import dispersion_derivatives
@@ -128,19 +127,15 @@ def bifurcation_speed(params: PhysicalParams) -> float:
 
 
 @lru_cache(maxsize=32)
-def _trig_tables(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The wave-independent tables of the residual and its Jacobian on the
-    M-point grid, read-only and shared by every solve at (n, M): cos(j x) for
-    j = 1..n, (n, M); the Newton directions' slopes v_x = -j sin(j x) for
-    j = 2..n, (n-1, M); and the directions' derivative stack, (5, n-1, M), whose
-    row k is `grid_derivative(v, k)` of v = cos(j x), j = 2..n."""
-    jx = np.outer(np.arange(1, n + 1), grid_points(m))
-    cos_mx = np.cos(jx)
-    v_x = -np.arange(2, n + 1)[:, None] * np.sin(jx)[1:]
-    directions = np.stack([cos_mx[1:], *(grid_derivative(cos_mx[1:], k) for k in range(1, 5))])
-    for table in (cos_mx, v_x, directions):
-        table.flags.writeable = False
-    return cos_mx, v_x, directions
+def _trig_tables(n: int, m: int) -> np.ndarray:
+    """The wave-independent table of the residual and its Jacobian, read-only
+    and shared by every solve at (n, M): the (5, n, M) stack
+    `eval_profile(np.eye(n), m)` of cos(j x), j = 1..n, and its derivatives.
+    Row 0 projects the residual; [:, 1:] are the Newton directions
+    v = cos(j x), j = 2..n, in the layout of `core.p_flex_derivative_grid`."""
+    tables = eval_profile(np.eye(n), m)
+    tables.flags.writeable = False
+    return tables
 
 
 def _evaluate(z, a1, params, model):
@@ -149,7 +144,7 @@ def _evaluate(z, a1, params, model):
     R and the weight W = sqrt((1+eta_x^2) R), and the kernels K_m, K'_m."""
     n = z.size
     m_grid = default_grid_size(n)
-    eta = eval_profile(SpectralProfile(np.concatenate(([a1], z[1:]))), m_grid)
+    eta = eval_profile(np.concatenate(([a1], z[1:])), m_grid)
     radicand = bernoulli_radicand(eta, z[0], params, model)
     weight = np.sqrt((1.0 + eta[1] ** 2) * radicand)
     kernel, kernel_slope = depth_kernels(np.arange(1, n + 1), eta[0], params.h)
@@ -162,7 +157,8 @@ def _jacobian_at(surface, z, a1, params, model):
     :func:`_evaluate` returned at z.
 
     With S = 1+eta_x^2, R the radicand and W = sqrt(S R), column 0 (the
-    speed) uses dW/dc = S c / W.  Column j >= 1 perturbs eta by v = cos((j+1) x):
+    speed) uses dW/dc = S c / W.  Column j >= 1 perturbs eta by v = cos((j+1) x),
+    whose derivatives, in dW and P_flex' alike, are the stack of `_trig_tables`:
 
         dR = -2 v - 2 D P_flex'(eta)[v],
         dW = (2 eta_x v_x R + S dR) / (2 W),
@@ -176,8 +172,9 @@ def _jacobian_at(surface, z, a1, params, model):
         raise SingularJacobian(f"the weight W vanishes at a1={a1:.3e}, c={z[0]:.6g}")
     n = z.size
     s = 1.0 + eta[1] ** 2
-    cos_mx, v_x, directions = _trig_tables(n, m_grid)
-    v = directions[0]
+    tables = _trig_tables(n, m_grid)
+    cos_mx, directions = tables[0], tables[:, 1:]
+    v, v_x = directions[0], directions[1]
     d_rad = -2.0 * v - 2.0 * params.D * p_flex_derivative_grid(eta, directions, model)
     d_weight = np.empty((n, m_grid))
     d_weight[0] = s * z[0] / weight

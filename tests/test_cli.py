@@ -521,6 +521,10 @@ class TestConfigHandling:
             ["resonance", "--K-list", "7 " + "1" + "0" * 80],
             ["collisions", "--m-range", "-1"],
             ["stability", "--model", "cubist"],
+            ["dispersion", "--k-list", "1e100"],
+            ["dispersion", "--k-list", "1 1e62"],
+            ["dispersion", "--k-list", "1", "--D", "1e308"],
+            ["nls", "--D", "1e160"],
         ],
         ids=["h", "D", "K-list", "k-list", "a1-list", "D-grid", "mu-count", "mu-count-compare",
              "floquet-modes", "floquet-modes-compare", "k-zero", "a1-max-negative", "a1-max-zero", "modes",
@@ -528,7 +532,8 @@ class TestConfigHandling:
              "D-nan", "D-inf", "a1-step-nan", "a1-max-inf", "a1-list-nan", "D-nan-dispersion",
              "k-list-inf", "D-nan-nls", "D-grid-inf", "c-nan", "c-inf",
              "a1-list-negative", "a1-list-zero-compare", "a1-list-above-a1-max",
-             "K-list-one", "K-list-zero", "K-list-huge-finite-depth", "K-list-huge", "m-range-negative", "model"],
+             "K-list-one", "K-list-zero", "K-list-huge-finite-depth", "K-list-huge", "m-range-negative", "model",
+             "k-list-overflow", "k-list-nan-omega", "D-overflow-dispersion", "D-overflow-nls"],
     )
     def test_bad_setting_is_a_config_error(self, tmp_path, capsys, argv):
         out = tmp_path / "out"

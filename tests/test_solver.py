@@ -12,13 +12,9 @@ from flexwave.core import (
     IceModel,
     NonpositiveRadicand,
     PhysicalParams,
-    SpectralProfile,
     default_grid_size,
     eval_profile,
-    grid_derivative,
-    grid_points,
     qx_on_grid,
-    toland_frechet_coeffs,
 )
 from flexwave.solver import (
     Direction,
@@ -82,7 +78,7 @@ class TestRadicandRule:
     def test_both_layers_reject_the_same_profile(self, a1, c):
         z = np.zeros(8)
         z[0] = c
-        eta = eval_profile(SpectralProfile(np.concatenate(([a1], z[1:]))), 64)
+        eta = eval_profile(np.concatenate(([a1], z[1:])), 64)
         with pytest.raises(NonpositiveRadicand):
             residual(z, a1, deep(0.0), LIN)
         with pytest.raises(NonpositiveRadicand):
@@ -170,9 +166,9 @@ class TestJacobian:
     @pytest.mark.parametrize("model", [LIN, NL])
     @pytest.mark.parametrize("h", [INFINITE_DEPTH, 1.0])
     def test_cached_tables_give_the_jacobian_of_fresh_derivatives(self, monkeypatch, n, model, h):
-        # the Jacobian read from the tables, after a solve has used them, is
-        # bitwise the one whose directions are differentiated afresh, as
-        # P_flex' did before the tables held the directions' derivatives
+        # the Jacobian read from the table, after a solve has used it, is
+        # bitwise the one whose directions cos(j x), j = 2..n, are
+        # differentiated afresh by eval_profile, one direction at a time
         params = PhysicalParams(h=h, D=0.01)
         z0 = np.zeros(n)
         z0[0] = bifurcation_speed(params)
@@ -180,28 +176,28 @@ class TestJacobian:
         z = np.concatenate(([wave.c], wave.profile.coeffs[1:]))
         cached = _jacobian(z, wave.a1, params, model)
         m_grid = default_grid_size(n)
-        jx = np.outer(np.arange(1, n + 1), grid_points(m_grid))
-        v = np.cos(jx)[1:]
-        cos_mx, v_x, directions = solver._trig_tables(n, m_grid)
-        assert np.array_equal(cos_mx, np.cos(jx))
-        assert np.array_equal(v_x, -np.arange(2, n + 1)[:, None] * np.sin(jx)[1:])
-        assert np.array_equal(directions[0], v)
+        fresh = np.stack([eval_profile(unit, m_grid) for unit in np.eye(n)[1:]], axis=1)
+        assert np.array_equal(solver._trig_tables(n, m_grid)[:, 1:], fresh)
 
         def fresh_p_flex_derivative(surface, _directions, model):
-            if model is LIN:
-                return grid_derivative(v, 4)
-            b2, s2, s1 = toland_frechet_coeffs(surface)
-            vx, vxx = grid_derivative(v, 1), grid_derivative(v, 2)
-            return grid_derivative(b2 * vxx - s2 * vx, 2) + grid_derivative(s2 * vxx + s1 * vx, 1)
+            return core.p_flex_derivative_grid(surface, fresh, model)
 
         monkeypatch.setattr(solver, "p_flex_derivative_grid", fresh_p_flex_derivative)
         assert np.array_equal(_jacobian(z, wave.a1, params, model), cached)
 
     def test_cached_tables_are_read_only(self):
         # every solve at (N, M) shares them, so no caller may write to one
-        for table in (*solver._trig_tables(16, 64), core._derivative_factors(16)):
+        for table in (solver._trig_tables(16, 64), core._derivative_factors(16)):
             with pytest.raises(ValueError, match="read-only"):
                 table += 0
+
+    @pytest.mark.parametrize("n, m_grid", [(16, 64), (5, 64), (32, 128)])
+    def test_table_is_the_derivative_stack_of_the_unit_vectors(self, n, m_grid):
+        # one (5, n, M) array: cos(j x) and its derivatives, from eval_profile
+        tables = solver._trig_tables(n, m_grid)
+        assert not tables.flags.writeable
+        assert np.array_equal(tables, eval_profile(np.eye(n), m_grid))
+        assert tables.nbytes == 5 * n * m_grid * 8
 
     @pytest.mark.parametrize("model", [LIN, NL])
     @pytest.mark.parametrize("h", [INFINITE_DEPTH, 1.0])
@@ -268,7 +264,10 @@ class TestNewton:
     @pytest.mark.parametrize("model", [LIN, NL])
     def test_one_surface_evaluation_per_iterate(self, monkeypatch, model):
         # each Newton step projects one Jacobian, which calls P_flex' once;
-        # the iterates are the guess, one per Newton step and the chord step's
+        # the iterates are the guess, one per Newton step and the chord step's.
+        # The table at (16, 64) is built first: its one eval_profile call is
+        # made once per size, not per iterate
+        solver._trig_tables(16, 64)
         calls = {"eval_profile": 0, "p_flex_derivative_grid": 0}
         for name in calls:
             def counted(*args, _fn=getattr(solver, name), _name=name):

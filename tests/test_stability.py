@@ -15,7 +15,6 @@ from flexwave.core import (
     TravelingWave,
     depth_kernels,
     eval_profile,
-    grid_derivative,
     grid_points,
     p_flex_derivative_grid,
     p_flex_grid,
@@ -93,7 +92,7 @@ class TestLinearizedFlex:
         base = TravelingWave(profile=prof, c=1.0, params=PhysicalParams(D=0.3), model=NL)
         n_modes = 12
         m_grid = 128
-        surface = eval_profile(prof, m_grid)
+        surface = eval_profile(prof.coeffs, m_grid)
         g_mat = linearized_flex(base, NL, 0.0, n_modes)
         rng = np.random.default_rng(3)
         delta = 1e-6
@@ -121,17 +120,15 @@ class TestLinearizedFlex:
 
     @pytest.mark.parametrize("j", [1, 3, 7])
     def test_grid_derivative_matches_floquet_operator(self, j):
-        # the Newton Jacobian applies P'(eta) on the grid; at mu = 0 the
-        # Floquet operator must act the same way on cos(j x)
+        # the Newton Jacobian applies P'(eta) on the grid to the derivative
+        # stack of cos(j x); at mu = 0 the Floquet operator must act the same way
         prof = SpectralProfile(np.array([0.1, 0.03, -0.01, 0.002]))
         base = TravelingWave(profile=prof, c=1.0, params=PhysicalParams(D=0.3), model=NL)
         n_modes = 16
         g_mat = linearized_flex(base, NL, 0.0, n_modes)
         m_grid = 64  # the grid linearized_flex uses for this profile
-        x = grid_points(m_grid)
-        v = np.cos(j * x)
-        directions = np.stack([v, *(grid_derivative(v, k) for k in range(1, 5))])
-        on_grid = p_flex_derivative_grid(eval_profile(prof, m_grid), directions, NL)
+        directions = eval_profile(np.eye(j)[-1], m_grid)
+        on_grid = p_flex_derivative_grid(eval_profile(prof.coeffs, m_grid), directions, NL)
         grid_modes = (np.fft.fft(on_grid) / m_grid)[modes(n_modes) % m_grid]
         cos_modes = 0.5 * (np.abs(modes(n_modes)) == j)
         floquet_modes = g_mat @ cos_modes
@@ -210,6 +207,23 @@ class TestSolveSpectrum:
         with pytest.raises(stability.EigSolverFailure):
             solve_spectrum(l1, np.eye(3))
 
+    @pytest.mark.parametrize("d", [0.01, 0.1, 25.0])
+    def test_reference_is_invariant_under_power_of_two_scalings(self, branch_cache, d):
+        # scaling the rows and columns of the pencil by powers of two is exact
+        # and keeps its eigenvalues; raw QZ moved them by 1.7e-13, 4.4e-12 and
+        # 2.1e-10 at D = 0.01, 0.1 and 25, the refined reference by <= 7.4e-16
+        wave = branch_cache(d, LIN, 0.02).points[-1]
+        l1, l2 = assemble_matrices(wave, -0.13, 32)
+        ref = solve_spectrum(l1, l2)
+        size = np.abs(l1) + np.abs(l2)
+        rows = 2.0 ** -np.round(np.log2(size.max(axis=1)))[:, None]
+        equilibrated = (rows, 2.0 ** -np.round(np.log2((rows * size).max(axis=0))))
+        rng = np.random.default_rng(0)
+        shuffled = [(2.0 ** rng.integers(-1, 2, l1.shape[0])[:, None], 2.0 ** rng.integers(-1, 2, l1.shape[0]))
+                    for _ in range(3)]
+        for r, c in (equilibrated, *shuffled):
+            assert normwise_hausdorff(ref, solve_spectrum(r * l1 * c, r * l2 * c)) <= 1e-13
+
     def test_infinite_eigenvalues_are_filtered(self):
         l1 = np.diag([1.0, 1.0, 0.0]).astype(complex)
         l2 = np.diag([2.0, 3.0, 1.0]).astype(complex)
@@ -268,13 +282,12 @@ class TestReducedSolve:
     # about sqrt(machine epsilon) and the paths differ at the 1e-9 level
     MUS = np.array([-0.4, -0.13, 0.07, 0.31, 0.5])
 
-    # The D = 0.1 bound has almost no headroom.  Its four cases sit at 4.3e-13
-    # to 9.0e-13 (2-vCPU x86_64, OpenBLAS, one thread), and perturbing the
-    # wave's coefficients and c by 1e-15 relative moved them between 1.5e-13
-    # and 9.9e-13 in 168 trials.  An earlier measurement of 28 such trials
-    # reported 3.1e-13 to 3.9e-12, two of them over the bound.  So a change to
-    # the waves' last bits can fail this case by chance: read such a failure
-    # as round-off first
+    # The distances are the sweep's own error: QZ's raw alpha/beta were up to
+    # 8.9e-13 off 40-digit eigenvalues at D = 0.1 (linear, h = inf, n = 32,
+    # mu = -0.13), which left the bound almost no headroom, and the Rayleigh
+    # quotient of `solve_spectrum` brings them to 3.6e-16.  The worst case of
+    # each D reads 1.1e-14 (D = 0.01), 1.2e-14 (D = 0.1) and 8.3e-15 (D = 25),
+    # against 1.3e-13, 8.9e-13 and 2.1e-10 with raw QZ (2-vCPU x86_64, OpenBLAS)
     @pytest.mark.parametrize("d, tol", [(0.01, 1e-12), (0.1, 1e-12), (25.0, 1e-9)])
     @pytest.mark.parametrize("h", [INFINITE_DEPTH, 1.0])
     @pytest.mark.parametrize("model", [LIN, NL])
@@ -330,7 +343,7 @@ class TestReducedSolve:
 
         wave = branch_cache(d, model, 0.02, h=h).points[-1]
         n = 16
-        surface = eval_profile(wave.profile, stability._grid_for(wave, n))
+        surface = eval_profile(wave.profile.coeffs, stability._grid_for(wave, n))
         k_s, dk_s = depth_kernels(0.31 + modes(n), surface[0], h)
         stack = np.stack([dk_s, surface[1] * k_s, k_s])  # row-dependent: even, odd, even
         singles = surface[:3]  # eta, eta_x, eta_xx: even, odd, even
