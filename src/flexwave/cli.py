@@ -58,7 +58,7 @@ from typing import NoReturn
 import numpy as np
 
 from . import __version__
-from .core import INFINITE_DEPTH, IceModel, NumericalFailure, PhysicalParams, SpectralProfile, TravelingWave
+from .core import INFINITE_DEPTH, IceModel, NumericalFailure, PhysicalParams, TravelingWave
 from .solver import (
     BifurcationBranch,
     SolverConfig,
@@ -75,6 +75,7 @@ from .theory import (
     c_nls,
     dispersion_derivatives,
     find_collisions,
+    flat_eigenvalues,
     nls_coefficients,
     resonant_rigidity,
 )
@@ -253,8 +254,9 @@ def _check_unit_gravity(source: str, g) -> None:
 
 
 def _check_ranges(command: str, cfg: dict) -> None:
-    """Reject combinations of values the commands cannot use, before any
-    computation; `merge_config` has checked each value alone."""
+    """Reject values the commands cannot use, before any computation: the
+    rules that `SETTINGS` cannot state for one value alone, those that join
+    several settings and those that an overflow of the results would break."""
     # h for every command; D where the command takes a single value,
     # and each value of the D list and grid where it takes several
     params_from(cfg, d_value=None if command in ("collisions", *BRANCH_COMMANDS) else 0.0)
@@ -275,8 +277,14 @@ def _check_ranges(command: str, cfg: dict) -> None:
         solver_config_from(cfg)
         if not 0 < cfg["a1_max"] < math.inf:
             raise ConfigError(f"a1-max must be positive and finite, got {cfg['a1_max']}")
+        if _overflows(_nls_values, params_from(cfg)):  # save_branch writes them in deep water
+            raise ConfigError(f"the NLS coefficients overflow at D = {cfg['D']}")
     if cfg.get("c") is not None and not math.isfinite(cfg["c"]):
         raise ConfigError(f"c must be finite, got {cfg['c']}")
+    if command == "collisions":
+        params, edge = params_from(cfg), cfg["m_range"] + 0.5  # the scan's largest |mu + m|
+        if _overflows(flat_eigenvalues, edge, 0, _collision_speed(cfg, params), params):
+            raise ConfigError(f"the flat-water eigenvalues overflow at |mu + m| = {edge}, D = {cfg['D']}")
     if cfg.get("a1_list") and not all(0 < t <= cfg["a1_max"] for t in setting(cfg, "a1_list")):
         raise ConfigError(f"a1-list values must lie in (0, a1-max = {cfg['a1_max']}], got {cfg['a1_list']!r}")
     if cfg.get("resume"):
@@ -297,7 +305,7 @@ def _overflows(compute, *args) -> bool:
     a NumericalFailure (a Wilton pole, finite depth) is the command's to report."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            return not all(map(math.isfinite, compute(*args)))
+            return not np.all(np.isfinite(compute(*args)))
     except OverflowError:
         return True
     except NumericalFailure:
@@ -306,6 +314,10 @@ def _overflows(compute, *args) -> bool:
 
 def _nls_values(params: PhysicalParams) -> list[float]:
     return [v for model in IceModel for v in asdict(nls_coefficients(model, params)).values()]
+
+
+def _collision_speed(cfg: dict, params: PhysicalParams) -> float:
+    return float(cfg["c"]) if cfg.get("c") is not None else bifurcation_speed(params)
 
 
 def params_from(cfg: dict, d_value: float | None = None) -> PhysicalParams:
@@ -396,7 +408,7 @@ def cmd_resonance(cfg: dict, out: Path) -> None:
 
 def cmd_collisions(cfg: dict, out: Path) -> None:
     params = params_from(cfg)
-    c = float(cfg["c"]) if cfg.get("c") is not None else bifurcation_speed(params)
+    c = _collision_speed(cfg, params)
     records = find_collisions(params, c, int(cfg["m_range"]))
     rows = [(r.mu, r.m1, r.s1, r.m2, r.s2, r.lam.real, r.lam.imag) for r in records]
     write_csv(out / "collisions.csv", ["mu", "m1", "s1", "m2", "s2", "re_lambda", "im_lambda"], rows)
@@ -408,16 +420,16 @@ def save_branch(out: Path, branch: BifurcationBranch, cfg: dict, solver_cfg: Sol
     deep water the NLS speed of each point.  Infinite depth is written as
     "inf", so the sidecar is strict JSON."""
     tag = branch.model.value
-    n_max = max((w.profile.n_modes for w in branch.points), default=0)
+    n_max = max((w.n_modes for w in branch.points), default=0)
     header = ["c"] + [f"a{j}" for j in range(1, n_max + 1)]
     rows = []
     meta_points = []
     for wave in branch.points:
         coeffs = np.zeros(n_max)
-        coeffs[: wave.profile.n_modes] = wave.profile.coeffs
+        coeffs[: wave.n_modes] = wave.coeffs
         rows.append((wave.c, *coeffs))
         meta_points.append(
-            {"a1": wave.a1, "c": wave.c, "n_modes": wave.profile.n_modes,
+            {"a1": wave.a1, "c": wave.c, "n_modes": wave.n_modes,
              "residual_inf": wave.residual_inf, "newton_steps": wave.newton_steps}
         )
     write_csv(out / f"branch_{tag}.csv", header, rows)
@@ -456,9 +468,8 @@ def load_branch(csv_path: str | Path) -> BifurcationBranch:
     data = np.genfromtxt(csv_path, delimiter=",", skip_header=1, ndmin=2)
     points = []
     for row, record in zip(data, meta["points"], strict=True):
-        profile = SpectralProfile(row[1 : 1 + record["n_modes"]])
         points.append(
-            TravelingWave(profile=profile, c=float(row[0]), params=params, model=model,
+            TravelingWave(coeffs=row[1 : 1 + record["n_modes"]], c=float(row[0]), params=params, model=model,
                           residual_inf=record["residual_inf"], newton_steps=record.get("newton_steps"))
         )
     return BifurcationBranch(params=params, model=model, points=points)

@@ -1,11 +1,12 @@
 """Domain types and pseudospectral machinery for periodic wave profiles.
 
-Profiles are even, zero-mean and 2*pi-periodic, represented by their cosine
-coefficients ``a_1..a_N``.  `eval_profile` is the one rule from coefficients
-to grid derivatives: the (5, M) stack ``surface`` = eta, eta_x, ..., eta_xxxx
-on the grid ``x_i = 2*pi*i/M``, or that stack of many profiles at once.  The
-pointwise operators take such stacks; only the ice pressure's Frechet derivative
-differentiates grid samples, its coefficients times a direction's derivatives.
+Profiles are even, zero-mean and 2*pi-periodic; a `TravelingWave` holds its
+profile's cosine coefficients ``a_1..a_N``.  `eval_profile` is the one rule
+from coefficients to grid derivatives: the (5, M) stack ``surface`` = eta,
+eta_x, ..., eta_xxxx on the grid ``x_i = 2*pi*i/M``, or that stack of many
+profiles at once.  The pointwise operators take such stacks; only the ice
+pressure's Frechet derivative differentiates grid samples, its coefficients
+times a direction's derivatives.
 """
 
 from __future__ import annotations
@@ -70,42 +71,36 @@ class IceModel(Enum):
 
 
 @dataclass(frozen=True)
-class SpectralProfile:
-    """Even zero-mean profile eta(x) = sum_{j=1..N} a_j cos(j x)."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
-        if c.ndim != 1 or c.size == 0:
-            raise ValueError("coeffs must be a nonempty 1-d array")
-        object.__setattr__(self, "coeffs", c)
-        self.coeffs.flags.writeable = False
-
-    @property
-    def n_modes(self) -> int:
-        return self.coeffs.size
-
-
-@dataclass(frozen=True)
 class TravelingWave:
-    """One point on a bifurcation branch: profile plus frame speed c.
+    """One point on a bifurcation branch: the cosine coefficients a_1..a_N of
+    its profile eta(x) = sum_{j=1..N} a_j cos(j x), and its frame speed c.
 
     A wave computed by Newton's method carries its record: ``residual_inf``,
     |F|_inf at the wave, and ``newton_steps``, the Newton steps (one Jacobian
     each) taken to compute it.  Both are None for a wave built any other way.
     """
 
-    profile: SpectralProfile
+    coeffs: np.ndarray
     c: float
     params: PhysicalParams
     model: IceModel
     residual_inf: float | None = None
     newton_steps: int | None = None
 
+    def __post_init__(self):
+        coeffs = np.asarray(self.coeffs, dtype=float)
+        if coeffs.ndim != 1 or coeffs.size == 0:
+            raise ValueError("coeffs must be a nonempty 1-d array")
+        object.__setattr__(self, "coeffs", coeffs)
+        self.coeffs.flags.writeable = False
+
+    @property
+    def n_modes(self) -> int:
+        return self.coeffs.size
+
     @property
     def a1(self) -> float:
-        return float(self.profile.coeffs[0])
+        return float(self.coeffs[0])
 
 
 def grid_points(m: int) -> np.ndarray:

@@ -41,7 +41,6 @@ from .core import (
     NonpositiveRadicand,
     NumericalFailure,
     PhysicalParams,
-    SpectralProfile,
     TravelingWave,
     bernoulli_radicand,
     default_grid_size,
@@ -235,19 +234,18 @@ def newton_solve(z0: np.ndarray, a1: float, params: PhysicalParams, model: IceMo
         f_chord = np.max(np.abs(_evaluate(z_chord, a1, params, model)[0]))
         if f_chord < f_inf:
             z, f_inf = z_chord, f_chord
-    coeffs = np.concatenate(([a1], z[1:]))
-    return TravelingWave(profile=SpectralProfile(coeffs), c=float(z[0]), params=params, model=model,
+    return TravelingWave(coeffs=np.concatenate(([a1], z[1:])), c=float(z[0]), params=params, model=model,
                          residual_inf=float(f_inf), newton_steps=steps)
 
 
 def _tail_ratio(wave: TravelingWave) -> float:
-    coeffs = np.abs(wave.profile.coeffs)
+    coeffs = np.abs(wave.coeffs)
     peak = coeffs.max()
     return coeffs[-1] / peak if peak > 0 else 0.0
 
 
 def _unknowns(wave: TravelingWave) -> np.ndarray:
-    return np.concatenate(([wave.c], wave.profile.coeffs[1:]))
+    return np.concatenate(([wave.c], wave.coeffs[1:]))
 
 
 def _predict(history: list[tuple[float, np.ndarray]], a1: float) -> np.ndarray:
@@ -298,9 +296,9 @@ def continue_branch(params: PhysicalParams, model: IceModel, a1_max: float,
         a1_try = min(a1 + step, a1_max)
         try:
             wave = newton_solve(_predict(history, a1_try), a1_try, params, model)
-            while _tail_ratio(wave) > TAIL_THRESHOLD and 2 * wave.profile.n_modes <= config.max_modes:
-                n = 2 * wave.profile.n_modes
-                guess = np.concatenate((_unknowns(wave), np.zeros(n - wave.profile.n_modes)))
+            while _tail_ratio(wave) > TAIL_THRESHOLD and 2 * wave.n_modes <= config.max_modes:
+                n = 2 * wave.n_modes
+                guess = np.concatenate((_unknowns(wave), np.zeros(n - wave.n_modes)))
                 refined = newton_solve(guess, a1_try, params, model, min_steps=1)
                 wave = replace(refined, newton_steps=wave.newton_steps + refined.newton_steps)
         except (NoConvergence, SingularJacobian, NonpositiveRadicand):

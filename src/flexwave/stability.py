@@ -146,7 +146,7 @@ def _mode_numbers(n_modes: int) -> np.ndarray:
 
 
 def _grid_for(base: TravelingWave, n_modes: int) -> int:
-    return default_grid_size(max(base.profile.n_modes, n_modes))
+    return default_grid_size(max(base.n_modes, n_modes))
 
 
 def _row_coeffs(rows: np.ndarray, n_modes: int, odd: bool | np.ndarray) -> np.ndarray:
@@ -194,7 +194,7 @@ def linearized_flex(base: TravelingWave, model: IceModel, mu: float, n_modes: in
     with the three coefficients of :func:`core.toland_frechet_coeffs`,
     assembled from their FFT coefficients on the grid.
     """
-    surface = eval_profile(base.profile.coeffs, _grid_for(base, n_modes))
+    surface = eval_profile(base.coeffs, _grid_for(base, n_modes))
     return _flex_matrix(_flex_blocks(surface, model, n_modes), mu + _mode_numbers(n_modes))
 
 
@@ -209,9 +209,9 @@ class _FloquetOperator:
     """
 
     def __init__(self, base: TravelingWave, n_modes: int | None = None):
-        n_modes = max(base.profile.n_modes, 16) if n_modes is None else n_modes
+        n_modes = max(base.n_modes, 16) if n_modes is None else n_modes
         self.c, self.params, self.n_modes, self.dim = base.c, base.params, n_modes, 2 * n_modes + 1
-        surface = eval_profile(base.profile.coeffs, _grid_for(base, n_modes))
+        surface = eval_profile(base.coeffs, _grid_for(base, n_modes))
         self.eta, self.ex = surface[0], surface[1]
         self.qx = qx_on_grid(surface, base.c, base.params, base.model)
         f = self.ex * (self.qx - base.c) / (1.0 + self.ex**2)

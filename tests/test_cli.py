@@ -118,6 +118,12 @@ class TestCollisionsCommand:
         assert rows and meta["count"] == len(rows)
         assert [tuple(map(float, row)) for row in rows] == expected
 
+    def test_overflow_rule_reads_the_scanned_modes(self, tmp_path):
+        # at D = 1e304 omega overflows at |mu + m| = 10.5, the default scan's
+        # edge, but not at 2.5; this scan runs, and warns of nothing
+        assert main(["collisions", "--D", "1e304", "--m-range", "2", "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "collisions.meta.json").read_text())["count"] == 12
+
 
 class TestBranchCommand:
     ARGS = [
@@ -135,7 +141,7 @@ class TestBranchCommand:
         assert main(self.ARGS + ["--out", str(tmp_path)]) == 0
         branch = load_branch(tmp_path / "branch_linear.csv")
         for wave in branch.points:
-            z = np.concatenate(([wave.c], wave.profile.coeffs[1:]))
+            z = np.concatenate(([wave.c], wave.coeffs[1:]))
             res = residual(z, wave.a1, branch.params, branch.model)
             assert np.max(np.abs(res)) < RESIDUAL_TOL * 10
 
@@ -175,7 +181,7 @@ class TestBranchCommand:
         prior = tmp_path / "prior" / "branch_linear.csv"
         argv = ["branch", "--model", "linear", "--D", "0.01", "--modes", "40", "--a1-max", "1e-10"]
         assert main(argv + ["--out", str(prior.parent)]) == 0
-        assert [w.profile.n_modes for w in load_branch(prior).points] == [40]
+        assert [w.n_modes for w in load_branch(prior).points] == [40]
         out = tmp_path / "resumed"
         assert main(["branch", "--model", "linear", "--a1-max", "0.003", "--resume", str(prior), "--out", str(out)]) == 0
         meta = json.loads((out / "branch_linear.meta.json").read_text())
@@ -209,6 +215,13 @@ class TestBranchCommand:
         out = tmp_path / "resumed"
         assert self.resume_to_002(prior, out) == 2
         assert "no point" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_resume_from_a_point_with_no_mode_is_a_config_error(self, tmp_path, capsys):
+        prior = self.edited_prior(tmp_path, lambda meta: meta["points"][-1].update(n_modes=0))
+        out = tmp_path / "resumed"
+        assert self.resume_to_002(prior, out) == 2
+        assert "coeffs must be a nonempty 1-d array" in capsys.readouterr().err
         assert not out.exists()
 
     # sidecars recorded a gravity g among their params until g was fixed at 1
@@ -275,7 +288,7 @@ class TestBranchCommand:
         points = json.loads((tmp_path / f"branch_{model}.meta.json").read_text())["points"]
         branch = load_branch(tmp_path / f"branch_{model}.csv")
         for wave, point in zip(branch.points, points, strict=True):
-            z = np.concatenate(([wave.c], wave.profile.coeffs[1:]))
+            z = np.concatenate(([wave.c], wave.coeffs[1:]))
             res = residual(z, wave.a1, branch.params, branch.model)
             assert point["residual_inf"] == float(np.max(np.abs(res)))
             assert point["newton_steps"] in (0, 1, 2)
@@ -525,6 +538,13 @@ class TestConfigHandling:
             ["dispersion", "--k-list", "1 1e62"],
             ["dispersion", "--k-list", "1", "--D", "1e308"],
             ["nls", "--D", "1e160"],
+            ["branch", "--D", "1e160"],
+            ["branch", "--D", "1e300"],
+            ["stability", "--D", "1e160"],
+            ["stability", "--D", "1e300"],
+            ["compare", "--D", "1e160"],
+            ["compare", "--D", "1e300"],
+            ["collisions", "--D", "1e304"],
         ],
         ids=["h", "D", "K-list", "k-list", "a1-list", "D-grid", "mu-count", "mu-count-compare",
              "floquet-modes", "floquet-modes-compare", "k-zero", "a1-max-negative", "a1-max-zero", "modes",
@@ -533,7 +553,9 @@ class TestConfigHandling:
              "k-list-inf", "D-nan-nls", "D-grid-inf", "c-nan", "c-inf",
              "a1-list-negative", "a1-list-zero-compare", "a1-list-above-a1-max",
              "K-list-one", "K-list-zero", "K-list-huge-finite-depth", "K-list-huge", "m-range-negative", "model",
-             "k-list-overflow", "k-list-nan-omega", "D-overflow-dispersion", "D-overflow-nls"],
+             "k-list-overflow", "k-list-nan-omega", "D-overflow-dispersion", "D-overflow-nls",
+             "D-overflow-branch", "D-overflow-branch-1e300", "D-overflow-stability", "D-overflow-stability-1e300",
+             "D-overflow-compare", "D-overflow-compare-1e300", "D-overflow-collisions"],
     )
     def test_bad_setting_is_a_config_error(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
@@ -693,6 +715,12 @@ class TestFailurePaths:
         assert record == {"error": "StepUnderflow", "message": "continuation stalled at a1 = 7.8125e-06"}
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "branch_linear.csv", "branch_linear.meta.json", "error.json"]
+
+    def test_huge_rigidity_in_finite_depth_is_a_numerical_failure(self, tmp_path):
+        # the NLS coefficients are deep-water only, so their overflow rule
+        # leaves finite depth alone: the branch stalls at its first point
+        assert main(["branch", "--D", "1e300", "--h", "1", "--modes", "8", "--out", str(tmp_path)]) == 3
+        assert json.loads((tmp_path / "error.json").read_text())["error"] == "StepUnderflow"
 
     @pytest.mark.parametrize("command, extra", [("branch", []), ("stability", ["--mu-count", "5"])],
                              ids=["branch", "stability"])

@@ -11,7 +11,7 @@ from flexwave.core import (
     IceModel,
     NonpositiveRadicand,
     PhysicalParams,
-    SpectralProfile,
+    TravelingWave,
     depth_kernels,
     eval_profile,
     grid_derivative,
@@ -263,10 +263,10 @@ def test_grid_derivative_acts_along_last_axis():
 @pytest.mark.parametrize("coeffs", [np.array([]), np.zeros((2, 3))], ids=["empty", "2-d"])
 def test_profile_rejects_coefficients_that_are_not_a_nonempty_vector(coeffs):
     with pytest.raises(ValueError, match="nonempty 1-d"):
-        SpectralProfile(coeffs)
+        TravelingWave(coeffs=coeffs, c=1.0, params=PhysicalParams(), model=LIN)
 
 
 def test_profile_is_immutable():
-    prof = SpectralProfile(cosine(0.1, 0.2))
+    wave = TravelingWave(coeffs=cosine(0.1, 0.2), c=1.0, params=PhysicalParams(), model=LIN)
     with pytest.raises(ValueError):
-        prof.coeffs[0] = 1.0
+        wave.coeffs[0] = 1.0

@@ -146,8 +146,8 @@ class TestJacobian:
     def test_matches_central_differences(self, model, h):
         params = PhysicalParams(h=h, D=0.01)
         wave = continue_branch(params, model, 0.05, SolverConfig(n_modes=32, amplitude_step=0.01)).points[-1]
-        assert wave.profile.n_modes == 32
-        z = np.concatenate(([wave.c], wave.profile.coeffs[1:]))
+        assert wave.n_modes == 32
+        z = np.concatenate(([wave.c], wave.coeffs[1:]))
         exact = _jacobian(z, wave.a1, params, model)
         fd = _central_difference_jacobian(z, wave.a1, params, model)
         assert np.max(np.abs(exact - fd)) / np.max(np.abs(fd)) <= 1e-6
@@ -173,7 +173,7 @@ class TestJacobian:
         z0 = np.zeros(n)
         z0[0] = bifurcation_speed(params)
         wave = newton_solve(z0, 0.01, params, model)
-        z = np.concatenate(([wave.c], wave.profile.coeffs[1:]))
+        z = np.concatenate(([wave.c], wave.coeffs[1:]))
         cached = _jacobian(z, wave.a1, params, model)
         m_grid = default_grid_size(n)
         fresh = np.stack([eval_profile(unit, m_grid) for unit in np.eye(n)[1:]], axis=1)
@@ -209,7 +209,7 @@ class TestJacobian:
         for wave in branch.points:
             z = _forward_difference_newton(z, wave.a1, params, model)
             assert abs(z[0] - wave.c) <= 1e-12
-            assert np.max(np.abs(z[1:] - wave.profile.coeffs[1:])) <= 1e-12
+            assert np.max(np.abs(z[1:] - wave.coeffs[1:])) <= 1e-12
 
 
 class TestNewton:
@@ -222,7 +222,7 @@ class TestNewton:
         wave = branch_cache(d, model, 0.1, n_modes=32, step=0.01).points[-1]
         z = np.zeros(64)
         z[0] = wave.c
-        z[1 : wave.profile.n_modes] = wave.profile.coeffs[1:]
+        z[1 : wave.n_modes] = wave.coeffs[1:]
         floor = []
         for _ in range(10):
             f = residual(z, wave.a1, wave.params, model)
@@ -232,10 +232,10 @@ class TestNewton:
 
     def test_converged_point_is_fixed(self, small_wave_d001):
         w = small_wave_d001
-        z = np.concatenate(([w.c], w.profile.coeffs[1:]))
+        z = np.concatenate(([w.c], w.coeffs[1:]))
         again = newton_solve(z, w.a1, w.params, w.model)
         assert again.c == w.c
-        assert_allclose(again.profile.coeffs, w.profile.coeffs, rtol=0, atol=0)
+        assert_allclose(again.coeffs, w.coeffs, rtol=0, atol=0)
 
     @pytest.mark.parametrize(
         "d,expect_faster", [(0.01, True), (0.1, False)]
@@ -289,7 +289,7 @@ class TestContinuation:
         branch = branch_cache(0.0, LIN, 0.01)
         w = branch.points[-1]
         assert (w.c - 1.0) / w.a1**2 == pytest.approx(0.5, rel=0.01)
-        assert w.profile.coeffs[1] / w.a1**2 == pytest.approx(0.5, rel=0.01)
+        assert w.coeffs[1] / w.a1**2 == pytest.approx(0.5, rel=0.01)
 
     def test_branch_is_strictly_increasing_in_a1(self, branch_cache):
         branch = branch_cache(0.01, LIN, 0.01)
@@ -316,16 +316,16 @@ class TestContinuation:
 
     def test_mode_doubling_leaves_speed_unchanged(self, small_wave_d001):
         w = small_wave_d001
-        n = w.profile.n_modes
-        z = np.concatenate(([w.c], w.profile.coeffs[1:], np.zeros(n)))
+        n = w.n_modes
+        z = np.concatenate(([w.c], w.coeffs[1:], np.zeros(n)))
         refined = newton_solve(z, w.a1, w.params, w.model)
         assert abs(refined.c - w.c) < 1e-10
 
     def test_quadrature_refinement_leaves_residual_converged(self, small_wave_d001):
         # N zero modes double the quadrature grid and add F_m for N < m <= 2N
         w = small_wave_d001
-        n = w.profile.n_modes
-        z = np.concatenate(([w.c], w.profile.coeffs[1:], np.zeros(n)))
+        n = w.n_modes
+        z = np.concatenate(([w.c], w.coeffs[1:], np.zeros(n)))
         assert default_grid_size(2 * n) == 2 * default_grid_size(n)
         fine = residual(z, w.a1, w.params, w.model)
         assert np.max(np.abs(fine)) < 1e-9
@@ -369,15 +369,15 @@ class TestContinuation:
         # the points after the doubling are predicted from zero-padded ones
         params = deep(0.01)
         branch = continue_branch(params, model, 0.03, SolverConfig(n_modes=8, max_modes=64, amplitude_step=2e-3))
-        sizes = [w.profile.n_modes for w in branch.points]
+        sizes = [w.n_modes for w in branch.points]
         assert sizes[0] == 8 and sizes[-1] == 16
         z = np.zeros(8)
         z[0] = bifurcation_speed(params)
         for wave in branch.points:
-            z = np.concatenate((z, np.zeros(wave.profile.n_modes - z.size)))
+            z = np.concatenate((z, np.zeros(wave.n_modes - z.size)))
             z = _forward_difference_newton(z, wave.a1, params, model)
             assert abs(z[0] - wave.c) <= 1e-12
-            assert np.max(np.abs(z[1:] - wave.profile.coeffs[1:])) <= 1e-12
+            assert np.max(np.abs(z[1:] - wave.coeffs[1:])) <= 1e-12
 
     @pytest.mark.parametrize("model, a1", [(LIN, 0.018), (NL, 0.016)])
     def test_doubled_point_solves_for_its_new_modes(self, monkeypatch, model, a1):
@@ -387,14 +387,14 @@ class TestContinuation:
 
         def recorded_solve(*args, **kwargs):
             wave = real_solve(*args, **kwargs)
-            steps.append((wave.a1, wave.profile.n_modes, wave.newton_steps))
+            steps.append((wave.a1, wave.n_modes, wave.newton_steps))
             return wave
 
         monkeypatch.setattr(solver, "newton_solve", recorded_solve)
         branch = continue_branch(deep(0.01), model, 0.02, SolverConfig(n_modes=8, max_modes=64, amplitude_step=2e-3))
-        doubled = next(w for w in branch.points if w.profile.n_modes == 16)
+        doubled = next(w for w in branch.points if w.n_modes == 16)
         assert doubled.a1 == pytest.approx(a1)
-        assert np.all(doubled.profile.coeffs[8:] != 0.0)
+        assert np.all(doubled.coeffs[8:] != 0.0)
         assert doubled.residual_inf <= 1e-14
         at_a1 = [(n, k) for a, n, k in steps if a == doubled.a1]
         assert [n for n, _ in at_a1] == [8, 16] and at_a1[1][1] >= 1
@@ -407,11 +407,11 @@ class TestContinuation:
         params = PhysicalParams(h=1.0, D=0.01)
         branch = continue_branch(params, model, 0.06)
         reference = branch_cache(0.01, model, 0.06, h=1.0, n_modes=32, step=SolverConfig.amplitude_step)
-        assert branch.points[0].profile.n_modes == SolverConfig.n_modes == 16
+        assert branch.points[0].n_modes == SolverConfig.n_modes == 16
         assert [w.a1 for w in branch.points] == [w.a1 for w in reference.points]
         for wave, ref in zip(branch.points, reference.points):
             assert abs(wave.c - ref.c) <= 1e-12
-            assert np.max(np.abs(wave.profile.coeffs[:16] - ref.profile.coeffs[:16])) <= 1e-13
+            assert np.max(np.abs(wave.coeffs[:16] - ref.coeffs[:16])) <= 1e-13
 
     @pytest.mark.parametrize(
         "model, offset",
@@ -430,7 +430,7 @@ class TestContinuation:
         # after 19 Newton steps, with every residual at the rounding floor
         params = deep(resonant_rigidity(3, deep(0.0)) * (1.0 + offset))
         branch = continue_branch(params, model, 0.006)
-        signs = np.sign([w.profile.coeffs[2] / w.a1 for w in branch.points])
+        signs = np.sign([w.coeffs[2] / w.a1 for w in branch.points])
         assert np.all(signs == signs[0])
 
     @pytest.mark.parametrize("a1_max", [0.0, -1.0, math.inf, math.nan])

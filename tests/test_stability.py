@@ -11,7 +11,6 @@ from flexwave.core import (
     INFINITE_DEPTH,
     IceModel,
     PhysicalParams,
-    SpectralProfile,
     TravelingWave,
     depth_kernels,
     eval_profile,
@@ -44,11 +43,11 @@ def uniform_mu(count):
 
 
 def flat_wave(params, c, model=LIN, n=4):
-    return TravelingWave(profile=SpectralProfile(np.zeros(n)), c=c, params=params, model=model)
+    return TravelingWave(coeffs=np.zeros(n), c=c, params=params, model=model)
 
 
 def cosine_wave(coeffs, c, params, model=NL):
-    return TravelingWave(profile=SpectralProfile(np.array(coeffs)), c=c, params=params, model=model)
+    return TravelingWave(coeffs=coeffs, c=c, params=params, model=model)
 
 
 def modes(n):
@@ -88,11 +87,10 @@ class TestLinearizedFlex:
 
     def test_frechet_derivative_against_finite_differences(self):
         # directional derivative of the Toland pressure at a non-flat profile
-        prof = SpectralProfile(np.array([0.08, 0.02, -0.01]))
-        base = TravelingWave(profile=prof, c=1.0, params=PhysicalParams(D=0.3), model=NL)
+        base = TravelingWave(coeffs=[0.08, 0.02, -0.01], c=1.0, params=PhysicalParams(D=0.3), model=NL)
         n_modes = 12
         m_grid = 128
-        surface = eval_profile(prof.coeffs, m_grid)
+        surface = eval_profile(base.coeffs, m_grid)
         g_mat = linearized_flex(base, NL, 0.0, n_modes)
         rng = np.random.default_rng(3)
         delta = 1e-6
@@ -122,13 +120,12 @@ class TestLinearizedFlex:
     def test_grid_derivative_matches_floquet_operator(self, j):
         # the Newton Jacobian applies P'(eta) on the grid to the derivative
         # stack of cos(j x); at mu = 0 the Floquet operator must act the same way
-        prof = SpectralProfile(np.array([0.1, 0.03, -0.01, 0.002]))
-        base = TravelingWave(profile=prof, c=1.0, params=PhysicalParams(D=0.3), model=NL)
+        base = TravelingWave(coeffs=[0.1, 0.03, -0.01, 0.002], c=1.0, params=PhysicalParams(D=0.3), model=NL)
         n_modes = 16
         g_mat = linearized_flex(base, NL, 0.0, n_modes)
         m_grid = 64  # the grid linearized_flex uses for this profile
         directions = eval_profile(np.eye(j)[-1], m_grid)
-        on_grid = p_flex_derivative_grid(eval_profile(prof.coeffs, m_grid), directions, NL)
+        on_grid = p_flex_derivative_grid(eval_profile(base.coeffs, m_grid), directions, NL)
         grid_modes = (np.fft.fft(on_grid) / m_grid)[modes(n_modes) % m_grid]
         cos_modes = 0.5 * (np.abs(modes(n_modes)) == j)
         floquet_modes = g_mat @ cos_modes
@@ -343,7 +340,7 @@ class TestReducedSolve:
 
         wave = branch_cache(d, model, 0.02, h=h).points[-1]
         n = 16
-        surface = eval_profile(wave.profile.coeffs, stability._grid_for(wave, n))
+        surface = eval_profile(wave.coeffs, stability._grid_for(wave, n))
         k_s, dk_s = depth_kernels(0.31 + modes(n), surface[0], h)
         stack = np.stack([dk_s, surface[1] * k_s, k_s])  # row-dependent: even, odd, even
         singles = surface[:3]  # eta, eta_x, eta_xx: even, odd, even
@@ -465,7 +462,7 @@ class TestReducedSolve:
         spec = sweep_floquet(wave, mus)
         assert len(calls) == 1 and spec.failures == []
         assert spec.cond_c_mu == largest
-        operator, k = stability._FloquetOperator(wave), 2 * max(wave.profile.n_modes, 16) + 1
+        operator, k = stability._FloquetOperator(wave), 2 * max(wave.n_modes, 16) + 1
         reference = max(cond(operator.pencil(mu)[0][k:, :k]) for mu in mus)
         assert spec.max_cond_c == pytest.approx(reference, rel=1e-12, abs=0)
 

@@ -192,7 +192,7 @@ class TestSecondHarmonic:
         # a_2 = 2 * second_harmonic(a_1 / 2) + O(a_1^4) on both sides of the
         # Wilton pole at D = 1/14; the second term is Newton's residual floor
         for wave in branch_cache(d, model, 0.02).points:
-            a1, a2 = wave.profile.coeffs[:2]
+            a1, a2 = wave.coeffs[:2]
             pred = 2.0 * second_harmonic(a1 / 2.0, wave.params)
             assert abs(a2 - pred) <= 10.0 * a1**2 * abs(pred) + RESIDUAL_TOL
 
